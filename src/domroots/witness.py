@@ -10,22 +10,31 @@ composed polynomial has a root in a window exactly when the family
 polynomial has a root in the forward-mapped window
 ``((z-eps+1)^m - 1, (z+eps+1)^m - 1)`` - and everything stays rational.
 
-Three regimes are searched with a deterministic diagonal order over
-``(m, parameter)``:
+Three regimes are searched in a deterministic diagonal order over
+``(m, parameter)``: diagonals ``m + parameter`` ascending, odd ``m``
+ascending within a diagonal, and the first cell that certifies wins:
 
 * windows inside ``(-2, -1)``: complete bipartite ``K_{2,l}`` with ``l`` odd
   (these have roots accumulating at -1 from the left);
 * windows inside ``(-1, 0)``: balanced ``K_{k,k}`` with ``k`` odd (roots
   accumulating at -1 from the right);
 * windows left of ``-2``: stars, whose extremal roots march to ``-infinity``
-  with bounded gaps.
+  with bounded gaps.  The Lambert-W estimate of the star root increases with
+  the number of leaves ``k``, so for each ``m`` the cells whose estimate lies
+  within 1 of the mapped window form one range of ``k``, found by binary
+  search; the walk keeps the diagonal order but visits only those cells.
 
-The known rational domination roots 0 and -2 (both from ``K_2``) short-cut
-windows containing them.
+Every hit test and certification decides exact signs or Sturm counts; signs
+come from integer numerators of the closed forms, never from reduced
+fractions.  The known rational domination roots 0 and -2 (both from ``K_2``)
+short-cut windows containing them.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,7 +59,7 @@ from .realroots import (
     SturmChain,
     _as_fraction,
     count_roots_in,
-    isolate_real_roots,
+    isolate_real_roots,  # noqa: F401  unused here; bench/spans.py wraps this name
     star_root_estimate,
     sturm_chain,
 )
@@ -65,10 +74,10 @@ FAMILY_K2_ELL = "K_2_ell"
 FAMILY_KKK = "K_k_k"
 FAMILY_STAR = "star"
 
-# Above this composed degree the certificate is certified functionally
-# (exact endpoint evaluations through the substitution map) instead of
-# materialising the composed polynomial and running a full Sturm pipeline
-# on it; both routes produce identical enclosures for the same cell.
+# Up to this composed degree verify_certificate re-expands the composed
+# polynomial and evaluates it, a cross-check independent of the substitution
+# identity; above it the verifier, like the search at every degree, takes
+# exact signs through the identity.
 STURM_PIPELINE_MAX_DEGREE = 120
 
 # Family polynomials above this degree are never Sturm-counted per cell;
@@ -83,9 +92,15 @@ _REFINE_GUARD = 400
 class SearchBudget:
     """Bounds for the diagonal witness search.
 
-    Sized so that every window with ``eps >= 0.01`` and ``|z| <= 20`` stays
-    reachable: narrow windows far down the axis need star parameters in the
-    thousands once the substitution map widens them past the star-root gaps.
+    Narrow windows far down the axis need star parameters in the thousands
+    once the substitution map widens them past the star-root gaps
+    (``z = -10, eps = 1/100`` takes a star with 4792 leaves at ``m = 3``).
+    Measured reach of the defaults left of -2, for ``1/100 <= eps <= 1/10``
+    on a 0.05 grid of ``z`` down to -20: every window with
+    ``z + eps >= -10.1`` certifies.  Past that edge the ``m = 3`` stars need
+    more than ``max_param`` leaves, and only windows that contain a root of
+    a star with at most ``max_param`` leaves (``m = 1``) certify;
+    ``z = -10.5, eps = 1/100`` exhausts the budget after 33,390 cells.
     """
 
     max_m: int = 41
@@ -152,25 +167,39 @@ def family_graph(kind: str, param: Optional[int]) -> graph.Graph:
     raise DomainError(f"unknown witness family {kind!r}")
 
 
-def _family_value(kind: str, param: Optional[int], q: Fraction) -> Fraction:
-    """Exact value of the family's domination polynomial, via its closed form."""
-    u, v = q.numerator, q.denominator
+def _family_numerator(kind: str, param: Optional[int], u: int, v: int) -> int:
+    """``v^order`` times the family's domination polynomial at ``u/v``.
+
+    The closed forms are homogenised over ``v^order`` (``order`` being the
+    family's vertex count), so for ``v > 0`` this integer has the sign of the
+    polynomial's value and is zero exactly when the value is."""
     if kind in (FAMILY_STAR, FAMILY_EXACT_K2):
         k = 1 if kind == FAMILY_EXACT_K2 else param
-        return Fraction(u * (u + v) ** k + u ** k * v, v ** (k + 1))
+        return u * (u + v) ** k + u ** k * v
     if kind == FAMILY_K2_ELL:
         ell = param
-        num = (u + v) ** ell * (u * u + 2 * u * v) + u ** ell * v * v - 2 * u * v ** (ell + 1)
-        return Fraction(num, v ** (ell + 2))
+        return (u + v) ** ell * (u * u + 2 * u * v) + u ** ell * v * v - 2 * u * v ** (ell + 1)
     if kind == FAMILY_KKK:
         k = param
-        num = (u + v) ** (2 * k) - 2 * (u + v) ** k * v ** k + 2 * u ** k * v ** k + v ** (2 * k)
-        return Fraction(num, v ** (2 * k))
+        return (u + v) ** (2 * k) - 2 * (u + v) ** k * v ** k + 2 * u ** k * v ** k + v ** (2 * k)
     raise DomainError(f"unknown witness family {kind!r}")
 
 
 def _family_sign(kind: str, param: Optional[int], q: Fraction) -> int:
-    v = _family_value(kind, param, q)
+    return _sign(_family_numerator(kind, param, q.numerator, q.denominator))
+
+
+def _composed_sign(kind: str, param: Optional[int], m: int, t: Fraction) -> int:
+    """Sign of ``D(F[K_m], t) = D(F, (1+t)^m - 1)`` in integers alone: with
+    ``t = a/b`` the inner point is ``((a+b)^m - b^m) / b^m``."""
+    if m < 1:
+        raise DomainError("substitution order must be >= 1")
+    a, b = t.numerator, t.denominator
+    v = b ** m
+    return _sign(_family_numerator(kind, param, (a + b) ** m - v, v))
+
+
+def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
@@ -293,21 +322,17 @@ class _Search:
             z - eps, z + eps
         )
         self.chains = {}
-        self.cells = 0
+        self.windows = {}
+        self.cells = 0  # cells of the diagonal order inside the budget
 
     def run(self) -> WitnessCertificate:
+        cells = self._star_cells() if self.case == CASE_2 else self._diagonal_cells()
+        for m, p, mapped in cells:
+            if self._hit(p, mapped):
+                cert = self._certify(m, p)
+                if cert is not None:
+                    return cert
         b = self.budget
-        for s in range(2, b.max_m + b.max_param + 1):
-            m = 1
-            while m <= b.max_m and m < s:
-                p = s - m
-                if p <= b.max_param and self._param_ok(p):
-                    if family_order(self.kind, p) * m <= b.max_degree:
-                        self.cells += 1
-                        cert = self._try_cell(m, p)
-                        if cert is not None:
-                            return cert
-                m += 2
         raise BudgetExhaustedError(
             "witness search budget exhausted (this does not prove nonexistence); "
             f"explored {self.cells} cells for case {self.case}",
@@ -320,12 +345,50 @@ class _Search:
             },
         )
 
-    def _param_ok(self, p: int) -> bool:
-        if p < 1:
-            return False
-        if self.case in (CASE_11, CASE_12):
-            return p % 2 == 1
-        return True
+    def _diagonal_cells(self):
+        """Cells ``(m, p)`` with odd ``p``: diagonals ``m + p`` ascending,
+        odd ``m`` ascending within a diagonal."""
+        b = self.budget
+        for s in range(2, b.max_m + b.max_param + 1):
+            for m in range(1, min(b.max_m, s - 1) + 1, 2):
+                p = s - m
+                if p <= b.max_param and p % 2 == 1:
+                    if family_order(self.kind, p) * m <= b.max_degree:
+                        self.cells += 1
+                        yield m, p, self._mapped(m)
+
+    def _star_cells(self):
+        """Star cells in the same diagonal order, limited for each ``m`` to
+        the star indices ``k`` whose root estimate lies within 1 of the
+        mapped window: the gate a cell must pass before its exact sign test.
+        The estimate increases with ``k``, so those indices form one range,
+        found by two binary searches."""
+        b = self.budget
+        runs = []
+        for m in range(1, b.max_m + 1, 2):
+            cap = min(b.max_param, b.max_degree // m - 1)  # (k + 1) * m <= max_degree
+            if cap < 1:
+                continue
+            self.cells += cap
+            mapped = self._mapped(m)
+            try:
+                r_lo, r_hi = float(-mapped.hi), float(-mapped.lo)
+            except OverflowError:
+                continue  # window mapped beyond any reachable star root
+            ks = range(1, cap + 1)
+            lo = bisect.bisect_left(ks, r_lo - 1.0, key=star_root_estimate)
+            hi = bisect.bisect_right(ks, r_hi + 1.0, lo=lo, key=star_root_estimate)
+            ks = ks[lo:hi]
+            runs.append(zip(range(m + ks.start, m + ks.stop), itertools.repeat(m), ks))
+        for _, m, k in heapq.merge(*runs):
+            yield m, k, self._mapped(m)
+
+    def _mapped(self, m: int) -> RationalInterval:
+        window = self.windows.get(m)
+        if window is None:
+            window = RationalInterval(_phi(self.w_lo, m), _phi(self.w_hi, m))
+            self.windows[m] = window
+        return window
 
     def _chain(self, p: int) -> SturmChain:
         chain = self.chains.get(p)
@@ -334,50 +397,32 @@ class _Search:
             self.chains[p] = chain
         return chain
 
-    def _try_cell(self, m: int, p: int) -> Optional[WitnessCertificate]:
-        mapped = RationalInterval(_phi(self.w_lo, m), _phi(self.w_hi, m))
-        if self.case == CASE_2:
-            # the family polynomial has at most one root left of -1 (the
-            # extremal star root), so a sign change is an exact hit test
-            try:
-                r_lo, r_hi = float(-mapped.hi), float(-mapped.lo)
-            except OverflowError:
-                return None  # window mapped beyond any reachable star root
-            est = star_root_estimate(p)
-            if not (r_lo - 1.0 <= est <= r_hi + 1.0):
-                return None
-            s_lo = _family_sign(self.kind, p, mapped.lo)
-            s_hi = _family_sign(self.kind, p, mapped.hi)
-            if s_lo * s_hi >= 0:
-                return None
-        else:
-            if not _param_band_plausible(self.case, p, mapped):
-                return None
-            if family_order(self.kind, p) <= _FAMILY_CHAIN_MAX_DEGREE:
-                if _count_family_roots(self._chain(p), mapped) < 1:
-                    return None
-            else:
-                # too large to Sturm-count per cell: endpoint sign change is
-                # still sufficient (if one-sided, the search simply moves on)
-                s_lo = _family_sign(self.kind, p, mapped.lo)
-                s_hi = _family_sign(self.kind, p, mapped.hi)
-                if s_lo * s_hi >= 0:
-                    return None
-        return self._certify(m, p)
+    def _by_signs(self, p: int) -> bool:
+        """Whether cell tests and certification use exact signs rather than
+        Sturm counts of the family polynomial: always for stars, which have at
+        most one root left of -1, and for bipartite families too large to
+        Sturm-count per cell."""
+        return self.case == CASE_2 or family_order(self.kind, p) > _FAMILY_CHAIN_MAX_DEGREE
+
+    def _hit(self, p: int, mapped: RationalInterval) -> bool:
+        if not _param_band_plausible(self.case, p, mapped):
+            return False
+        if not self._by_signs(p):
+            return _count_family_roots(self._chain(p), mapped) >= 1
+        # an exact hit test for stars; for large bipartite families still
+        # sufficient (if one-sided, the search simply moves on)
+        return _family_sign(self.kind, p, mapped.lo) * _family_sign(self.kind, p, mapped.hi) < 0
 
     # -- certification ------------------------------------------------------
 
     def _certify(self, m: int, p: int) -> Optional[WitnessCertificate]:
-        order = family_order(self.kind, p)
-        deg = order * m
-        if deg <= STURM_PIPELINE_MAX_DEGREE:
-            enc = self._certify_materialized(m, p)
-        elif self.case == CASE_2 or order > _FAMILY_CHAIN_MAX_DEGREE:
+        if self._by_signs(p):
             enc = self._certify_sign_bisection(m, p)
         else:
             enc = self._certify_mapped_counts(m, p)
         if enc is None:
             return None
+        deg = family_order(self.kind, p) * m
         return WitnessCertificate(
             self.z, self.eps, self.kind, p, m, deg, enc, self.case
         )
@@ -386,40 +431,19 @@ class _Search:
         lo, hi = enc.interval.lo, enc.interval.hi
         return self.z - self.eps < lo and hi < self.z + self.eps
 
-    def _certify_materialized(self, m: int, p: int) -> Optional[RootEnclosure]:
-        """The direct pipeline: compose, Sturm-count, isolate, refine."""
-        composed = compose_with_complete(family_polynomial(self.kind, p), m)
-        chain = sturm_chain(composed)
-        fsq = list(chain.squarefree)
-        lo, hi = self.w_lo, self.w_hi
-        eta = (hi - lo) / (1 << 16)
-        while intpoly.sign_at(fsq, lo) == 0:
-            lo += eta
-        while intpoly.sign_at(fsq, hi) == 0:
-            hi -= eta
-        if lo >= hi:
-            return None
-        if count_roots_in(chain, RationalInterval(lo, hi)) < 1:
-            return None
-        for enc in isolate_real_roots(composed, RationalInterval(lo, hi), self.tol):
-            refined = self._polish(enc, lambda t: dompoly.eval_rational(composed, t))
-            if refined is not None:
-                return refined
-        return None
-
     def _certify_sign_bisection(self, m: int, p: int) -> Optional[RootEnclosure]:
-        """Functional route for stars: bisection on exact composed-value signs."""
-        val = lambda t: _family_value(self.kind, p, _phi(t, m))
+        """Bisection on exact composed-value signs."""
+        sign = lambda t: _composed_sign(self.kind, p, m, t)
         lo, hi = self.w_lo, self.w_hi
-        s_lo = _sign(val(lo))
-        s_hi = _sign(val(hi))
+        s_lo = sign(lo)
+        s_hi = sign(hi)
         if s_lo * s_hi >= 0:
             return None
         for _ in range(_REFINE_GUARD):
             if hi - lo <= self.tol and self.z - self.eps < lo and hi < self.z + self.eps:
                 return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
             mid = (lo + hi) / 2
-            s_mid = _sign(val(mid))
+            s_mid = sign(mid)
             if s_mid == 0:
                 enc = RootEnclosure(RationalInterval(mid, mid), 0, 0, NOTE_EXACT)
                 return enc if self._strict(enc) else None
@@ -430,11 +454,11 @@ class _Search:
         return None
 
     def _certify_mapped_counts(self, m: int, p: int) -> Optional[RootEnclosure]:
-        """Functional route for the bipartite families: leftmost root by
-        Sturm counts of the family polynomial over mapped subintervals."""
+        """Leftmost root by Sturm counts of the family polynomial over mapped
+        subintervals, for the bipartite families."""
         chain = self._chain(p)
         fsq = list(chain.squarefree)
-        val = lambda t: _family_value(self.kind, p, _phi(t, m))
+        sign = lambda t: _composed_sign(self.kind, p, m, t)
         lo, hi = self.w_lo, self.w_hi
         eta = (hi - lo) / (1 << 16)
         while intpoly.sign_at(fsq, _phi(lo, m)) == 0:
@@ -449,14 +473,14 @@ class _Search:
         for _ in range(_REFINE_GUARD):
             strict = self.z - self.eps < lo and hi < self.z + self.eps
             if count == 1 and hi - lo <= self.tol and strict:
-                s_lo, s_hi = _sign(val(lo)), _sign(val(hi))
+                s_lo, s_hi = sign(lo), sign(hi)
                 if s_lo * s_hi == -1:
                     return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
                 return None
             mid = (lo + hi) / 2
             mapped_mid = _phi(mid, m)
             if intpoly.sign_at(fsq, mapped_mid) == 0:
-                if _sign(val(mid)) == 0:
+                if sign(mid) == 0:
                     enc = RootEnclosure(RationalInterval(mid, mid), 0, 0, NOTE_EXACT)
                     return enc if self._strict(enc) else None
                 mid -= eta
@@ -469,33 +493,6 @@ class _Search:
             else:
                 lo = mid
         return None
-
-    def _polish(self, enc: RootEnclosure, value) -> Optional[RootEnclosure]:
-        """Shrink an isolated enclosure until it sits strictly inside the
-        target window; certificates must be sign-certified or exact."""
-        if enc.note == NOTE_EXACT:
-            return enc if self._strict(enc) else None
-        if enc.sign_lo * enc.sign_hi != -1:
-            return None
-        lo, hi = enc.interval.lo, enc.interval.hi
-        s_lo, s_hi = enc.sign_lo, enc.sign_hi
-        for _ in range(_REFINE_GUARD):
-            if self.z - self.eps < lo and hi < self.z + self.eps:
-                return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
-            mid = (lo + hi) / 2
-            s_mid = _sign(value(mid))
-            if s_mid == 0:
-                enc2 = RootEnclosure(RationalInterval(mid, mid), 0, 0, NOTE_EXACT)
-                return enc2 if self._strict(enc2) else None
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        return None
-
-
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
 
 
 def construct_witness(
@@ -551,18 +548,18 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _composed_value(cert: WitnessCertificate, t: Fraction) -> Fraction:
-    """Re-derive the composed polynomial's value at ``t`` from the descriptor.
+def _certified_sign(cert: WitnessCertificate, t: Fraction) -> int:
+    """Re-derive the sign of the composed polynomial at ``t`` from the descriptor.
 
-    Below the pipeline threshold the polynomial is actually re-expanded and
-    evaluated; above it the value is taken through the substitution identity,
-    which is the same function."""
+    Up to :data:`STURM_PIPELINE_MAX_DEGREE` the polynomial is re-expanded and
+    evaluated, independently of the substitution identity the search uses;
+    above it the sign is taken through that identity, in integers."""
     if cert.composed_degree <= STURM_PIPELINE_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m
         )
-        return dompoly.eval_rational(composed, t)
-    return _family_value(cert.family_kind, cert.family_param, _phi(t, cert.m))
+        return _sign(dompoly.eval_rational(composed, t))
+    return _composed_sign(cert.family_kind, cert.family_param, cert.m, t)
 
 
 def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
@@ -615,12 +612,12 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 
     try:
         if enc.note == NOTE_EXACT:
-            v = _composed_value(cert, enc.interval.lo)
-            add("endpoint_certification", v == 0, f"value at exact root = {v}")
+            s = _certified_sign(cert, enc.interval.lo)
+            detail = "value at exact root = 0" if s == 0 else f"value at exact root has sign {s}"
+            add("endpoint_certification", s == 0, detail)
         else:
-            v_lo = _composed_value(cert, enc.interval.lo)
-            v_hi = _composed_value(cert, enc.interval.hi)
-            s_lo, s_hi = _sign(v_lo), _sign(v_hi)
+            s_lo = _certified_sign(cert, enc.interval.lo)
+            s_hi = _certified_sign(cert, enc.interval.hi)
             add(
                 "endpoint_certification",
                 s_lo == enc.sign_lo and s_hi == enc.sign_hi and s_lo * s_hi == -1,
@@ -662,21 +659,52 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
     )
 
 
+def _field(obj, path: str, types: tuple):
+    """The value at a dotted ``path`` such as ``enclosure.lo``, checked
+    against ``types``; malformed input raises :class:`DomainError` naming
+    the path."""
+    value, walked = obj, []
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            raise DomainError(f"certificate field {'.'.join(walked) or '(top level)'} "
+                              "must be an object")
+        if key not in value:
+            raise DomainError(f"certificate field {path} is missing")
+        value = value[key]
+        walked.append(key)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise DomainError(f"certificate field {path} has the wrong type: {value!r}")
+    return value
+
+
+def _rational_field(obj, path: str) -> Fraction:
+    text = _field(obj, path, (str,))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"certificate field {path} is not a rational: {text!r}") from None
+
+
 def certificate_from_json(text: str) -> WitnessCertificate:
-    obj = json.loads(text)
-    enc = obj["enclosure"]
+    """Parse :func:`certificate_to_json` output; malformed input raises
+    :class:`DomainError` naming the offending field."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"certificate is not valid JSON: {exc}") from None
     return WitnessCertificate(
-        Fraction(obj["target_z"]),
-        Fraction(obj["epsilon"]),
-        obj["family"]["kind"],
-        obj["family"]["param"],
-        obj["m"],
-        obj["composed_degree"],
+        _rational_field(obj, "target_z"),
+        _rational_field(obj, "epsilon"),
+        _field(obj, "family.kind", (str,)),
+        _field(obj, "family.param", (int, type(None))),
+        _field(obj, "m", (int,)),
+        _field(obj, "composed_degree", (int,)),
         RootEnclosure(
-            RationalInterval(Fraction(enc["lo"]), Fraction(enc["hi"])),
-            enc["sign_lo"],
-            enc["sign_hi"],
-            enc["note"],
+            RationalInterval(_rational_field(obj, "enclosure.lo"),
+                             _rational_field(obj, "enclosure.hi")),
+            _field(obj, "enclosure.sign_lo", (int,)),
+            _field(obj, "enclosure.sign_hi", (int,)),
+            _field(obj, "enclosure.note", (str,)),
         ),
-        obj["case_tag"],
+        _field(obj, "case_tag", (str,)),
     )

@@ -1,16 +1,28 @@
 import dataclasses
+import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from domroots.dompoly import compose_with_complete, dom_poly_bruteforce
+from domroots import witness
+from domroots.dompoly import compose_with_complete, dom_poly_bruteforce, eval_rational
 from domroots.errors import BudgetExhaustedError, DomainError
 from domroots.graph import substitute_complete
-from domroots.realroots import NOTE_EXACT, RationalInterval, RootEnclosure
+from domroots.realroots import (
+    DEFAULT_TOL,
+    NOTE_EXACT,
+    RationalInterval,
+    RootEnclosure,
+    star_root_estimate,
+)
 from domroots.witness import (
     CASE_11,
     CASE_2,
     CASE_EXACT,
+    FAMILY_STAR,
     SearchBudget,
     certificate_from_json,
     certificate_to_json,
@@ -145,8 +157,79 @@ def test_budget_exhaustion_carries_frontier():
         construct_witness(F("-9.37"), F("1/1000"), tiny)
     frontier = exc.value.frontier
     assert frontier["max_param"] == 3
-    assert frontier["cells_tested"] >= 1
+    assert frontier["cells_tested"] == 3
     assert "nonexistence" in str(exc.value)
+
+
+def test_default_budget_reach_at_one_hundredth():
+    # at eps = 1/100 the m=3 stars within the default budget reach z = -10
+    # (4792 leaves) but not z = -10.5, where no cell of the budget hits
+    cert = construct_witness(F(-10), F("1/100"))
+    assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_STAR, 4792, 3)
+    assert cert.composed_degree == 14379
+    assert verify_certificate(cert).ok
+    with pytest.raises(BudgetExhaustedError) as exc:
+        construct_witness(F("-10.5"), F("1/100"))
+    assert exc.value.frontier["cells_tested"] == 33390
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _diagonal_star_search(z, eps, budget):
+    """Reference for the star regime: every cell of the diagonal order, each
+    gated by the star-root estimate on a freshly mapped window and tested by
+    signs of the expanded star polynomial.  Returns the cells that pass the
+    gate, in order; the first certificate, or None when the budget runs out;
+    and the number of cells in the budget."""
+    search = witness._Search(z, eps, budget, DEFAULT_TOL)
+    assert search.case == CASE_2
+    gated, cert, cells = [], None, 0
+    for s in range(2, budget.max_m + budget.max_param + 1):
+        for m in range(1, min(budget.max_m, s - 1) + 1, 2):
+            k = s - m
+            if k > budget.max_param or (k + 1) * m > budget.max_degree:
+                continue
+            cells += 1
+            lo, hi = witness._phi(search.w_lo, m), witness._phi(search.w_hi, m)
+            try:
+                r_lo, r_hi = float(-hi), float(-lo)
+            except OverflowError:
+                continue
+            if not r_lo - 1.0 <= star_root_estimate(k) <= r_hi + 1.0:
+                continue
+            gated.append((m, k))
+            star = family_polynomial(FAMILY_STAR, k)
+            if cert is None and _sign(eval_rational(star, lo)) * _sign(eval_rational(star, hi)) < 0:
+                cert = search._certify(m, k)
+    return gated, cert, cells
+
+
+@settings(max_examples=100)
+@given(
+    z_milli=st.integers(2001, 8000),
+    eps_den=st.integers(2, 60),
+    max_m=st.integers(1, 7),
+    max_param=st.integers(1, 300),
+    max_degree=st.integers(1, 2500),
+)
+def test_star_range_search_matches_diagonal_scan(z_milli, eps_den, max_m, max_param, max_degree):
+    z, eps = Fraction(-z_milli, 1000), Fraction(1, eps_den)
+    assume(z + eps <= -2)
+    budget = SearchBudget(max_m, max_param, max_degree)
+    gated, expected, cells = _diagonal_star_search(z, eps, budget)
+    search = witness._Search(z, eps, budget, DEFAULT_TOL)
+    assert [(m, k) for m, k, _ in search._star_cells()] == gated
+    if expected is None:
+        with pytest.raises(BudgetExhaustedError) as exc:
+            construct_witness(z, eps, budget)
+        assert exc.value.frontier == {
+            "case": CASE_2, "cells_tested": cells,
+            "max_m": max_m, "max_param": max_param, "max_degree": max_degree,
+        }
+    else:
+        assert construct_witness(z, eps, budget) == expected
 
 
 def test_budget_validation():
@@ -178,6 +261,18 @@ def test_verify_rejects_even_m():
     assert not report.ok
     failed = {c.name for c in report.checks if not c.passed}
     assert "substitution_order_odd" in failed
+
+
+def test_verify_reports_nonpositive_m_without_raising():
+    # above the re-expansion threshold the verifier evaluates through the
+    # substitution identity, which needs a positive substitution order
+    cert = construct_witness(F(-7), F("0.5"))
+    point = RootEnclosure(RationalInterval(F(-7), F(-7)), 0, 0, NOTE_EXACT)
+    bad = dataclasses.replace(cert, family_param=4999, m=-1, composed_degree=1000,
+                              enclosure=point)
+    report = verify_certificate(bad)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"substitution_order_odd", "endpoint_certification"} <= failed
 
 
 def test_verify_rejects_even_family_parameter():
@@ -213,3 +308,37 @@ def test_certificate_json_fields():
     assert obj["case_tag"] == "case-2"
     assert "/" in obj["enclosure"]["lo"]
     assert obj["enclosure"]["sign_lo"] * obj["enclosure"]["sign_hi"] == -1
+
+
+def _mangled(path, value):
+    obj = json.loads(certificate_to_json(construct_witness(F("-2.5"), F("0.1"))))
+    *parents, last = path.split(".")
+    target = obj
+    for key in parents:
+        target = target[key]
+    if value is KeyError:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "field (top level) must be an object"),
+        ("{not json", "is not valid JSON"),
+        (_mangled("target_z", KeyError), "field target_z is missing"),
+        (_mangled("enclosure.lo", KeyError), "field enclosure.lo is missing"),
+        (_mangled("enclosure", [1]), "field enclosure must be an object"),
+        (_mangled("family.param", "7"), "field family.param has the wrong type"),
+        (_mangled("m", 3.0), "field m has the wrong type"),
+        (_mangled("enclosure.sign_lo", True), "field enclosure.sign_lo has the wrong type"),
+        (_mangled("enclosure.lo", 5), "field enclosure.lo has the wrong type"),
+        (_mangled("enclosure.hi", "1/0"), "field enclosure.hi is not a rational"),
+        (_mangled("epsilon", "a tenth"), "field epsilon is not a rational"),
+    ],
+)
+def test_certificate_from_json_names_malformed_field(text, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        certificate_from_json(text)
