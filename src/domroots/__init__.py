@@ -3,10 +3,11 @@ constructive density witnesses.
 
 The package is organised around six surfaces:
 
-* :mod:`domroots.graph` - bitmask graphs, named families, clique
-  substitution, graph6 ingestion;
+* :mod:`domroots.graph` - bitmask graphs, the table of named families
+  (``FAMILIES``, one record each), clique substitution, graph6 ingestion;
 * :mod:`domroots.dompoly` - exact domination polynomials by two independent
-  algorithms, closed forms, and composition under clique substitution;
+  algorithms, the closed forms of the family shapes ``K_n``, ``E_n`` and
+  ``K_{a,b}``, and composition under clique substitution;
 * :mod:`domroots.realroots` - Sturm-certified root counting/isolation and
   the star-root sequence with its Lambert-W asymptotics;
 * :mod:`domroots.witness` - given any target z <= 0 and radius eps, an

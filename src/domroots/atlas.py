@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Optional
 from . import intpoly
 from .dompoly import dom_poly_inclusion_exclusion
 from .errors import CapacityError, DomainError
-from .graph import Graph, read_graph6_file, refinement_signature, star, to_graph6
+from .graph import (Graph, _bits, mask_to_graph6, read_graph6_file, refinement_signature,
+                    star, to_graph6)
 from .realroots import (
     DEFAULT_TOL,
     RationalInterval,
@@ -80,16 +81,6 @@ def _edge_pairs(n: int) -> list:
     # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ... matches
     # the graph6 bit order, so an edge mask doubles as the g6 payload
     return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _mask_to_graph6(mask: int, n: int, nbits: int) -> str:
-    chars = [n + 63]
-    for g in range(0, nbits, 6):
-        val = 0
-        for j in range(g, min(g + 6, nbits)):
-            val |= (mask >> j & 1) << (5 - (j - g))
-        chars.append(val + 63)
-    return bytes(chars).decode("ascii")
 
 
 def _graph_from_mask(mask: int, n: int, pairs) -> Graph:
@@ -311,13 +302,9 @@ def _ie_coeffs(n: int, nbh_lists, binom_rows) -> tuple:
 def _scan_chunk(args) -> tuple:
     n, start, stop, tol = args
     pairs = _edge_pairs(n)
-    nbits = len(pairs)
     binom_rows = [[comb(s, k) for k in range(s + 1)] for s in range(n + 1)]
-    adj = [0] * n
-    for idx, (u, v) in enumerate(pairs):
-        if start >> idx & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    bit_lists = [list(_bits(m)) for m in range(1 << n)]
+    adj = list(_graph_from_mask(start, n, pairs).adj)
     rows = []
     mask = start
     while mask < stop:
@@ -331,17 +318,9 @@ def _scan_chunk(args) -> tuple:
                     adj[v] ^= 1 << u
                 flipped >>= 1
                 idx += 1
-        nbh_lists = []
-        for v in range(n):
-            m = adj[v] | (1 << v)
-            lst = []
-            while m:
-                low = m & -m
-                lst.append(low.bit_length() - 1)
-                m ^= low
-            nbh_lists.append(lst)
+        nbh_lists = [bit_lists[adj[v] | (1 << v)] for v in range(n)]
         coeffs = _ie_coeffs(n, nbh_lists, binom_rows)
-        rows.append((_mask_to_graph6(mask, n, nbits), _roots_cached(coeffs, tol)))
+        rows.append((mask_to_graph6(mask, n), _roots_cached(coeffs, tol)))
         mask += 1
     return start, rows
 

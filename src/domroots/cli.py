@@ -29,7 +29,7 @@ from .errors import (
     Graph6ParseError,
     InternalInvariantError,
 )
-from .graph import Graph, complete, complete_bipartite, empty_graph, from_graph6, star
+from .graph import FAMILIES, Graph, family, from_graph6
 from .realroots import DEFAULT_TOL, RationalInterval, format_fixed
 
 EXIT_OK = 0
@@ -59,43 +59,30 @@ def _rational(text: str) -> Fraction:
         raise DomainError(f"not a rational number: {text!r}") from None
 
 
-_FAMILY_USAGE = "families: complete:n, kbip:k,l, star:k, kkk:k, empty:n"
+_FAMILY_BY_CLI = {f.cli: kind for kind, f in FAMILIES.items() if f.cli}
+_FAMILY_USAGE = "families: " + ", ".join(
+    f"{f.cli}:{','.join(f.params)}" for f in FAMILIES.values() if f.cli
+)
 
 
-def _parse_family(text: str):
-    """Returns (graph, closed_form_or_None, label) for the family mini-language."""
+def _parse_family(text: str) -> tuple:
+    """``(graph, closed form)`` for a family of the mini-language, e.g. ``kbip:2,3``."""
     name, _, rest = text.partition(":")
     try:
         params = [int(p) for p in rest.split(",")] if rest else []
     except ValueError:
         raise DomainError(f"bad family parameters in {text!r}; {_FAMILY_USAGE}") from None
-    if name == "complete" and len(params) == 1:
-        n = params[0]
-        return complete(n), dompoly.closed_form_complete(n), text
-    if name == "kbip" and len(params) == 2:
-        k, ell = params
-        return (
-            complete_bipartite(k, ell),
-            dompoly.closed_form_complete_bipartite(k, ell),
-            text,
-        )
-    if name == "star" and len(params) == 1:
-        return star(params[0]), dompoly.closed_form_star(params[0]), text
-    if name == "kkk" and len(params) == 1:
-        k = params[0]
-        return complete_bipartite(k, k), dompoly.closed_form_kkk(k), text
-    if name == "empty" and len(params) == 1:
-        n = params[0]
-        return empty_graph(n), DomPolynomial(tuple([0] * n + [1])), text
-    raise DomainError(f"unrecognized family {text!r}; {_FAMILY_USAGE}")
+    kind = _FAMILY_BY_CLI.get(name)
+    if kind is None or len(params) != len(FAMILIES[kind].params):
+        raise DomainError(f"unrecognized family {text!r}; {_FAMILY_USAGE}")
+    return family(kind, *params), dompoly.dom_poly_closed_form(kind, *params)
 
 
 def _load_graph(args) -> tuple:
     if getattr(args, "graph6", None):
         return from_graph6(args.graph6), None
     if getattr(args, "family", None):
-        g, closed, _ = _parse_family(args.family)
-        return g, closed
+        return _parse_family(args.family)
     raise DomainError("provide --graph6 or --family")
 
 

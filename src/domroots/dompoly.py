@@ -2,10 +2,12 @@
 
 ``D(G, x) = sum_k d_k x^k`` where ``d_k`` counts dominating sets of size
 ``k``.  Two independent general algorithms are provided (a direct subset
-scan and an inclusion-exclusion sum over undominated vertex sets) plus the
-closed forms for complete graphs, complete bipartite graphs and stars, and
-exact composition under clique substitution.  Coefficients are Python ints
-(arbitrary precision) from the start; nothing here ever wraps around.
+scan and an inclusion-exclusion sum over undominated vertex sets) plus
+closed forms for the three shapes of :data:`domroots.graph.FAMILIES` -
+complete, edgeless and complete bipartite, which covers stars, ``K_{2,l}``
+and ``K_{k,k}`` - and exact composition under clique substitution.
+Coefficients are Python ints (arbitrary precision) from the start; nothing
+here ever wraps around.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb
 
 from . import intpoly
 from .errors import CapacityError, DomainError
-from .graph import Graph
+from .graph import Graph, _bits, complete, complete_bipartite, empty_graph, family_shape
 
 BRUTE_FORCE_CAP = 24
 
@@ -65,10 +67,6 @@ class DomPolynomial:
         return out
 
 
-def _nbh_masks(g: Graph) -> list:
-    return [g.adj[v] | (1 << v) for v in range(g.n)]
-
-
 def dom_poly_bruteforce(g: Graph) -> DomPolynomial:
     """Count dominating sets by scanning all 2^n subsets.
 
@@ -79,7 +77,7 @@ def dom_poly_bruteforce(g: Graph) -> DomPolynomial:
     n = g.n
     if n > BRUTE_FORCE_CAP:
         raise CapacityError(f"brute force is capped at {BRUTE_FORCE_CAP} vertices, got {n}")
-    nbh = _nbh_masks(g)
+    nbh = [g.adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     counts = [0] * (n + 1)
     size = 1 << n
@@ -107,7 +105,7 @@ def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
     per-vertex coverage counters - this loop is the atlas hot path.
     """
     n = g.n
-    nbh_bits = [list(_iter_bits(g.adj[v] | (1 << v))) for v in range(n)]
+    nbh_bits = [list(_bits(g.adj[v] | (1 << v))) for v in range(n)]
     weight = [0] * (n + 1)
     weight[n] += 1  # A = {} covers nothing
     cover = [0] * n
@@ -137,13 +135,6 @@ def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
     return DomPolynomial(tuple(coeffs))
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -165,67 +156,36 @@ def closed_form_complete_bipartite(k: int, ell: int) -> DomPolynomial:
     """D(K_{k,l}) = ((1+x)^k - 1)((1+x)^l - 1) + x^k + x^l."""
     if k < 1 or ell < 1:
         raise DomainError("complete bipartite sides must be >= 1")
-    a = _one_plus_x_pow(k)
-    a[0] -= 1
-    b = _one_plus_x_pow(ell)
-    b[0] -= 1
-    out = intpoly.mul(a, b)
-    out = intpoly.add(out, [0] * k + [1])
-    out = intpoly.add(out, [0] * ell + [1])
-    out = out + [0] * (k + ell + 1 - len(out))
+    out = intpoly.mul(closed_form_complete(k).coeffs, closed_form_complete(ell).coeffs)
+    out[k] += 1
+    out[ell] += 1
     return DomPolynomial(tuple(out))
+
+
+def closed_form_empty(n: int) -> DomPolynomial:
+    """D(E_n) = x^n: only the whole vertex set dominates the edgeless graph."""
+    if n < 1:
+        raise DomainError("empty graph needs order >= 1")
+    return DomPolynomial((0,) * n + (1,))
 
 
 def closed_form_star(k: int) -> DomPolynomial:
     """D(K_{1,k}) = x(x+1)^k + x^k."""
-    if k < 1:
-        raise DomainError("star needs at least one leaf")
-    out = [0] + _one_plus_x_pow(k)
-    out[k] += 1
-    return DomPolynomial(tuple(out))
+    return closed_form_complete_bipartite(1, k)
 
 
-def closed_form_k2_ell(ell: int) -> DomPolynomial:
-    """D(K_{2,l}) = (1+x)^l (x^2 + 2x) + x^l - 2x."""
-    if ell < 1:
-        raise DomainError("K_{2,l} needs l >= 1")
-    out = intpoly.mul(_one_plus_x_pow(ell), [0, 2, 1])
-    out = intpoly.add(out, [0] * ell + [1])
-    out = intpoly.add(out, [0, -2])
-    out = out + [0] * (ell + 3 - len(out))
-    return DomPolynomial(tuple(out))
-
-
-def closed_form_kkk(k: int) -> DomPolynomial:
-    """D(K_{k,k}) = (1+x)^{2k} - 2(1+x)^k + 2x^k + 1."""
-    if k < 1:
-        raise DomainError("K_{k,k} needs k >= 1")
-    out = _one_plus_x_pow(2 * k)
-    out = intpoly.add(out, intpoly.scale(_one_plus_x_pow(k), -2))
-    out = intpoly.add(out, [0] * k + [2])
-    out[0] += 1
-    out = out + [0] * (2 * k + 1 - len(out))
-    return DomPolynomial(tuple(out))
-
-
-_CLOSED_FORMS = {
-    "complete": (closed_form_complete, 1),
-    "complete_bipartite": (closed_form_complete_bipartite, 2),
-    "star": (closed_form_star, 1),
-    "K22ell": (closed_form_k2_ell, 1),
-    "Kkk": (closed_form_kkk, 1),
+_BY_SHAPE = {
+    complete: closed_form_complete,
+    empty_graph: closed_form_empty,
+    complete_bipartite: closed_form_complete_bipartite,
 }
 
 
 def dom_poly_closed_form(kind: str, *params: int) -> DomPolynomial:
-    """Dispatch: complete n | complete_bipartite k l | star k | K22ell l | Kkk k."""
-    try:
-        fn, arity = _CLOSED_FORMS[kind]
-    except KeyError:
-        raise DomainError(f"no closed form named {kind!r}") from None
-    if len(params) != arity:
-        raise DomainError(f"closed form {kind!r} takes {arity} parameter(s)")
-    return fn(*params)
+    """Closed form of a named family of :data:`domroots.graph.FAMILIES`,
+    e.g. ``dom_poly_closed_form("K22ell", 5)`` for ``D(K_{2,5})``."""
+    shape, args = family_shape(kind, *params)
+    return _BY_SHAPE[shape](*args)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ Vertices are ``0..n-1`` and each adjacency row is one Python int used as a
 bitmask, so a graph up to the 64-vertex cap fits in a handful of machine
 words and neighbourhood unions are single OR instructions.  Graphs are
 immutable after construction and safe to share between workers.
+
+:data:`FAMILIES` describes every named family once; the closed forms, the
+witness families and the CLI's family spellings are looked up in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, Graph6ParseError
 
@@ -129,23 +132,48 @@ def star(k: int) -> Graph:
     return complete_bipartite(1, k)
 
 
-_FAMILIES = {
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "star": (star, 1),
-    "empty_graph": (empty_graph, 1),
+class Family(NamedTuple):
+    """A named family: its parameter names (their count is the arity), its
+    spelling in the CLI's ``--family`` mini-language (or None), its shape -
+    the constructor of ``K_n``, of the edgeless ``E_n`` or of ``K_{a,b}`` -
+    and the map from its parameters to the shape's."""
+
+    params: tuple
+    cli: Optional[str]
+    shape: Callable
+    to_shape: Callable
+
+
+# One record per named family.  The paper's density families are all
+# K_{a,b}: stars, K_{2,l} and K_{k,k}.
+FAMILIES = {
+    "complete": Family(("n",), "complete", complete, lambda n: (n,)),
+    "complete_bipartite": Family(("k", "l"), "kbip", complete_bipartite, lambda k, ell: (k, ell)),
+    "star": Family(("k",), "star", complete_bipartite, lambda k: (1, k)),
+    "Kkk": Family(("k",), "kkk", complete_bipartite, lambda k: (k, k)),
+    "empty_graph": Family(("n",), "empty", empty_graph, lambda n: (n,)),
+    "K22ell": Family(("l",), None, complete_bipartite, lambda ell: (2, ell)),
 }
 
 
-def family(kind: str, *params: int) -> Graph:
-    """Dispatch to a named family: complete n | complete_bipartite k l | star k | empty_graph n."""
+def family_shape(kind: str, *params: int) -> tuple:
+    """``(shape, shape parameters)`` of a named family of :data:`FAMILIES`."""
     try:
-        ctor, arity = _FAMILIES[kind]
+        fam = FAMILIES[kind]
     except KeyError:
         raise DomainError(f"unknown graph family {kind!r}") from None
+    arity = len(fam.params)
     if len(params) != arity:
         raise DomainError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
-    return ctor(*params)
+    if not all(isinstance(p, int) and p >= 1 for p in params):
+        raise DomainError(f"family {kind!r} needs positive integer parameters, got {params}")
+    return fam.shape, fam.to_shape(*params)
+
+
+def family(kind: str, *params: int) -> Graph:
+    """The graph of a named family of :data:`FAMILIES`, e.g. ``family("star", 3)``."""
+    shape, args = family_shape(kind, *params)
+    return shape(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +312,25 @@ def from_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph in graph6; round-trips with :func:`from_graph6`."""
-    if g.n <= 62:
-        head = [g.n + 63]
-    else:
-        head = [126, (g.n >> 12 & 63) + 63, (g.n >> 6 & 63) + 63, (g.n & 63) + 63]
-    bits = []
+    mask, idx = 0, 0
     for j in range(1, g.n):
-        row = g.adj[j]
-        for i in range(j):
-            bits.append(row >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = val << 1 | b
-        body.append(val + 63)
+        mask |= (g.adj[j] & ((1 << j) - 1)) << idx
+        idx += j
+    return mask_to_graph6(mask, g.n)
+
+
+# 6-bit groups reversed: graph6 puts the group's first bit in the high place
+_REV6 = [int(f"{i:06b}"[::-1], 2) for i in range(64)]
+
+
+def mask_to_graph6(mask: int, n: int) -> str:
+    """graph6 of the order-``n`` graph whose edges are the bits of ``mask``,
+    upper triangle in column-major order: (0,1), (0,2), (1,2), (0,3), ..."""
+    if n <= 62:
+        head = [n + 63]
+    else:
+        head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    body = [_REV6[mask >> g & 63] + 63 for g in range(0, n * (n - 1) // 2, 6)]
     return bytes(head + body).decode("ascii")
 
 

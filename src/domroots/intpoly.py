@@ -28,10 +28,6 @@ def degree(p) -> int:
     return len(p) - 1
 
 
-def is_zero(p) -> bool:
-    return not p
-
-
 def add(p, q) -> list:
     if len(p) < len(q):
         p, q = q, p
@@ -45,10 +41,6 @@ def neg(p) -> list:
     return [-c for c in p]
 
 
-def sub(p, q) -> list:
-    return add(p, neg(q))
-
-
 def mul(p, q) -> list:
     if not p or not q:
         return []
@@ -59,12 +51,6 @@ def mul(p, q) -> list:
                 if b:
                     out[i + j] += a * b
     return normalize(out)
-
-
-def scale(p, c: int) -> list:
-    if c == 0:
-        return []
-    return [c * a for a in p]
 
 
 def pow_(p, e: int) -> list:
@@ -135,31 +121,29 @@ def eval_at(p, q: Fraction) -> Fraction:
 
 
 def exact_div(p, d) -> list:
-    """Exact quotient ``p / d`` in Z[x]; raises if the division is not exact."""
+    """Exact quotient ``p / d`` in Z[x]; raises if the division is not exact.
+
+    Integer-only: by Gauss's lemma every step divides evenly when ``d`` is
+    primitive and divides ``p``."""
     p = normalize(p)
     d = normalize(d)
     if not d:
         raise DomainError("division by the zero polynomial")
-    rem = [Fraction(c) for c in p]
-    lead = Fraction(d[-1])
+    rem = list(p)
+    lead = d[-1]
     dd = degree(d)
-    out = [Fraction(0)] * max(len(p) - dd, 0)
+    out = [0] * max(len(p) - dd, 0)
     for i in range(len(p) - 1, dd - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c / lead
-        out[i - dd] = q
-        for j, dc in enumerate(d):
-            rem[i - dd + j] -= q * dc
-    if any(c != 0 for c in rem):
+        if rem[i]:
+            q, r = divmod(rem[i], lead)
+            if r:
+                raise DomainError("quotient is not an integer polynomial")
+            out[i - dd] = q
+            for j, dc in enumerate(d):
+                rem[i - dd + j] -= q * dc
+    if any(rem):
         raise DomainError("inexact polynomial division")
-    coeffs = []
-    for q in out:
-        if q.denominator != 1:
-            raise DomainError("quotient is not an integer polynomial")
-        coeffs.append(q.numerator)
-    return normalize(coeffs)
+    return normalize(out)
 
 
 def pseudo_rem_positive(f, g) -> list:

@@ -196,9 +196,10 @@ def isolate_real_roots(
 
     Returns pairwise-disjoint enclosures of width <= ``tol`` in ascending
     order, one per distinct root, driven by Sturm-count bisection.  A root at
-    0 is split off exactly first (the constant-free part is deflated), and an
-    endpoint that happens to be a root is nudged outward by ``tol/4`` until
-    clean, which may pull in roots just outside the requested interval.
+    0 is split off exactly first (the constant-free part is deflated).  The
+    interval stays half-open: a root at ``hi`` comes back as an exact point,
+    a root at ``lo`` is left out, and every enclosure lies inside the
+    interval.
     """
     tol = _as_fraction(tol)
     if tol <= 0:
@@ -217,12 +218,26 @@ def isolate_real_roots(
     f = intpoly.squarefree_part(work)
     chain = sturm_chain(work)
     step = tol / 4
-    while intpoly.sign_at(f, lo) == 0:
-        lo -= step
-    while intpoly.sign_at(f, hi) == 0:
-        hi += step
-    total = count_roots_in(chain, RationalInterval(lo, hi))
-    stack = [(lo, hi, total)]
+    # variations skip zero terms, so their difference counts the roots in
+    # (lo, hi] even where an endpoint is a root
+    total = (_variations(chain, lo.numerator, lo.denominator)
+             - _variations(chain, hi.numerator, hi.denominator))
+    lo_root = intpoly.sign_at(f, lo) == 0
+    hi_root = intpoly.sign_at(f, hi) == 0
+    if hi_root and lo < hi:
+        results.append(_exact_enclosure(hi))
+        total -= 1
+    # move a root-valued endpoint inward, past no other root
+    a, b = lo, hi
+    gap = min(step, (hi - lo) / 8)
+    while total and (lo_root or hi_root):
+        a = lo + gap if lo_root else lo
+        b = hi - gap if hi_root else hi
+        if (intpoly.sign_at(f, a) and intpoly.sign_at(f, b)
+                and count_roots_in(chain, RationalInterval(a, b)) == total):
+            break
+        gap /= 2
+    stack = [(a, b, total)]
     while stack:
         a, b, cnt = stack.pop()
         if cnt == 0:
@@ -269,30 +284,17 @@ def _refine_one(orig, work, f, chain, a: Fraction, b: Fraction, tol) -> RootEncl
     return RootEnclosure(RationalInterval(a, b), sl, sh, note)
 
 
-def _shrink(enc: RootEnclosure, orig, work, f, chain) -> RootEnclosure:
-    a, b = enc.interval.lo, enc.interval.hi
-    mid = (a + b) / 2
-    if intpoly.sign_at(f, mid) == 0:
-        return _exact_enclosure(mid)
-    if count_roots_in(chain, RationalInterval(a, mid)) == 1:
-        b = mid
-    else:
-        a = mid
-    sl = _sign_for_cert(orig, work, a)
-    sh = _sign_for_cert(orig, work, b)
-    note = NOTE_SIMPLE if sl * sh == -1 else NOTE_STURM
-    return RootEnclosure(RationalInterval(a, b), sl, sh, note)
-
-
 def _separate(results: list, orig, work, f, chain) -> None:
     """Bisect adjacent enclosures until they are strictly disjoint."""
     for i in range(len(results) - 1):
         guard = 0
         while results[i].interval.hi >= results[i + 1].interval.lo:
-            if results[i].note != NOTE_EXACT:
-                results[i] = _shrink(results[i], orig, work, f, chain)
-            if results[i + 1].note != NOTE_EXACT:
-                results[i + 1] = _shrink(results[i + 1], orig, work, f, chain)
+            for j in (i, i + 1):
+                e = results[j]
+                if e.note != NOTE_EXACT:
+                    # a tolerance of half the width bisects exactly once
+                    results[j] = _refine_one(orig, work, f, chain, e.interval.lo,
+                                             e.interval.hi, e.width / 2)
             guard += 1
             if guard > 512:
                 raise InternalInvariantError("failed to separate adjacent enclosures")

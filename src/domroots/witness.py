@@ -24,10 +24,12 @@ ascending within a diagonal, and the first cell that certifies wins:
   within 1 of the mapped window form one range of ``k``, found by binary
   search; the walk keeps the diagonal order but visits only those cells.
 
-Every hit test and certification decides exact signs or Sturm counts; signs
-come from integer numerators of the closed forms, never from reduced
-fractions.  The known rational domination roots 0 and -2 (both from ``K_2``)
-short-cut windows containing them.
+Every witness family is a complete bipartite ``K_{a,b}`` (the family table
+is :data:`domroots.graph.FAMILIES`).  Every hit test and certification
+decides exact signs or Sturm counts; signs come from the integer numerator of
+the ``K_{a,b}`` closed form, never from reduced fractions.  The known
+rational domination roots 0 and -2 (both from ``K_2``) short-cut windows
+containing them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import dompoly, graph, intpoly
 from .dompoly import DomPolynomial, compose_with_complete
@@ -58,6 +60,7 @@ from .realroots import (
     RootEnclosure,
     SturmChain,
     _as_fraction,
+    _exact_enclosure,
     count_roots_in,
     isolate_real_roots,  # noqa: F401  unused here; bench/spans.py wraps this name
     star_root_estimate,
@@ -130,73 +133,75 @@ class WitnessCertificate:
 # family descriptors
 # ---------------------------------------------------------------------------
 
+class _Kind(NamedTuple):
+    family: str  # the named family of graph.FAMILIES
+    fixed: Optional[int]  # its parameter, when the kind fixes it
+    case: str
+    param: Optional[str]  # the parameter's name in verification reports
+    odd: bool  # whether the parameter must be odd
+
+
+# Every witness family is some K_{a,b}; exact_K2 is K_{1,1}.
+_KINDS = {
+    FAMILY_EXACT_K2: _Kind("star", 1, CASE_EXACT, None, False),
+    FAMILY_K2_ELL: _Kind("K22ell", None, CASE_11, "l", True),
+    FAMILY_KKK: _Kind("Kkk", None, CASE_12, "k", True),
+    FAMILY_STAR: _Kind("star", None, CASE_2, "k", False),
+}
+
+
+def _named(kind: str, param: Optional[int]) -> tuple:
+    """``(named family, parameter)`` of a witness family."""
+    try:
+        row = _KINDS[kind]
+    except KeyError:
+        raise DomainError(f"unknown witness family {kind!r}") from None
+    return row.family, param if row.fixed is None else row.fixed
+
+
+def _sides(kind: str, param: Optional[int]) -> tuple:
+    """``(a, b)`` such that the witness family is ``K_{a,b}``."""
+    return graph.family_shape(*_named(kind, param))[1]
+
+
 def family_order(kind: str, param: Optional[int]) -> int:
-    if kind == FAMILY_EXACT_K2:
-        return 2
-    if kind == FAMILY_K2_ELL:
-        return param + 2
-    if kind == FAMILY_KKK:
-        return 2 * param
-    if kind == FAMILY_STAR:
-        return param + 1
-    raise DomainError(f"unknown witness family {kind!r}")
+    return sum(_sides(kind, param))
 
 
 def family_polynomial(kind: str, param: Optional[int]) -> DomPolynomial:
-    if kind == FAMILY_EXACT_K2:
-        return dompoly.closed_form_star(1)
-    if kind == FAMILY_K2_ELL:
-        return dompoly.closed_form_k2_ell(param)
-    if kind == FAMILY_KKK:
-        return dompoly.closed_form_kkk(param)
-    if kind == FAMILY_STAR:
-        return dompoly.closed_form_star(param)
-    raise DomainError(f"unknown witness family {kind!r}")
+    return dompoly.dom_poly_closed_form(*_named(kind, param))
 
 
 def family_graph(kind: str, param: Optional[int]) -> graph.Graph:
     """The witness family as an actual graph (subject to the vertex cap)."""
-    if kind == FAMILY_EXACT_K2:
-        return graph.complete(2)
-    if kind == FAMILY_K2_ELL:
-        return graph.complete_bipartite(2, param)
-    if kind == FAMILY_KKK:
-        return graph.complete_bipartite(param, param)
-    if kind == FAMILY_STAR:
-        return graph.star(param)
-    raise DomainError(f"unknown witness family {kind!r}")
+    return graph.family(*_named(kind, param))
 
 
-def _family_numerator(kind: str, param: Optional[int], u: int, v: int) -> int:
-    """``v^order`` times the family's domination polynomial at ``u/v``.
+def _numerator(sides: tuple, u: int, v: int) -> int:
+    """``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v``, for ``sides = (a, b)``.
 
-    The closed forms are homogenised over ``v^order`` (``order`` being the
-    family's vertex count), so for ``v > 0`` this integer has the sign of the
-    polynomial's value and is zero exactly when the value is."""
-    if kind in (FAMILY_STAR, FAMILY_EXACT_K2):
-        k = 1 if kind == FAMILY_EXACT_K2 else param
-        return u * (u + v) ** k + u ** k * v
-    if kind == FAMILY_K2_ELL:
-        ell = param
-        return (u + v) ** ell * (u * u + 2 * u * v) + u ** ell * v * v - 2 * u * v ** (ell + 1)
-    if kind == FAMILY_KKK:
-        k = param
-        return (u + v) ** (2 * k) - 2 * (u + v) ** k * v ** k + 2 * u ** k * v ** k + v ** (2 * k)
-    raise DomainError(f"unknown witness family {kind!r}")
+    The closed form ``((1+x)^a - 1)((1+x)^b - 1) + x^a + x^b`` is
+    homogenised over ``v^(a+b)``, so for ``v > 0`` this integer has the sign
+    of the polynomial's value and is zero exactly when the value is."""
+    a, b = sides
+    w = u + v
+    wa, va, ua = w ** a, v ** a, u ** a
+    wb, vb, ub = (wa, va, ua) if b == a else (w ** b, v ** b, u ** b)
+    return (wa - va) * (wb - vb) + ua * vb + ub * va
 
 
-def _family_sign(kind: str, param: Optional[int], q: Fraction) -> int:
-    return _sign(_family_numerator(kind, param, q.numerator, q.denominator))
+def _family_sign(sides: tuple, q: Fraction) -> int:
+    return _sign(_numerator(sides, q.numerator, q.denominator))
 
 
-def _composed_sign(kind: str, param: Optional[int], m: int, t: Fraction) -> int:
-    """Sign of ``D(F[K_m], t) = D(F, (1+t)^m - 1)`` in integers alone: with
-    ``t = a/b`` the inner point is ``((a+b)^m - b^m) / b^m``."""
+def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
+    """Sign of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)`` in integers
+    alone: with ``t = p/q`` the inner point is ``((p+q)^m - q^m) / q^m``."""
     if m < 1:
         raise DomainError("substitution order must be >= 1")
-    a, b = t.numerator, t.denominator
-    v = b ** m
-    return _sign(_family_numerator(kind, param, (a + b) ** m - v, v))
+    p, q = t.numerator, t.denominator
+    v = q ** m
+    return _sign(_numerator(sides, (p + q) ** m - v, v))
 
 
 def _sign(v) -> int:
@@ -232,20 +237,18 @@ def target_interval(z, eps, m: int) -> RationalInterval:
 # ---------------------------------------------------------------------------
 
 def _exact_certificate(z: Fraction, eps: Fraction, root: Fraction) -> WitnessCertificate:
-    enc = RootEnclosure(RationalInterval(root, root), 0, 0, NOTE_EXACT)
-    return WitnessCertificate(z, eps, FAMILY_EXACT_K2, None, 1, 2, enc, CASE_EXACT)
+    return WitnessCertificate(z, eps, FAMILY_EXACT_K2, None, 1, 2, _exact_enclosure(root),
+                              CASE_EXACT)
 
 
 def _classify(win_lo: Fraction, win_hi: Fraction):
-    """Regime selection and window clipping (left side wins at -1)."""
+    """Family selection and window clipping: -1 is never a domination root,
+    and of a window that straddles it the left part is searched."""
     if win_hi <= -2:
-        return CASE_2, FAMILY_STAR, None, win_lo, win_hi
+        return FAMILY_STAR, win_lo, win_hi
     if win_lo >= -1:
-        return CASE_12, FAMILY_KKK, 1, win_lo, win_hi
-    if win_hi <= -1:
-        return CASE_11, FAMILY_K2_ELL, 1, win_lo, win_hi
-    # straddles -1: -1 is never a domination root, pick the left part
-    return CASE_11, FAMILY_K2_ELL, 1, win_lo, Fraction(-1)
+        return FAMILY_KKK, win_lo, win_hi
+    return FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))
 
 
 def _param_band_plausible(case: str, p: int, mapped: RationalInterval) -> bool:
@@ -318,9 +321,9 @@ class _Search:
         self.eps = eps
         self.budget = budget
         self.tol = tol
-        self.case, self.kind, self.parity_min, self.w_lo, self.w_hi = _classify(
-            z - eps, z + eps
-        )
+        self.kind, self.w_lo, self.w_hi = _classify(z - eps, z + eps)
+        self.case = _KINDS[self.kind].case
+        self.sides = {}
         self.chains = {}
         self.windows = {}
         self.cells = 0  # cells of the diagonal order inside the budget
@@ -353,7 +356,7 @@ class _Search:
             for m in range(1, min(b.max_m, s - 1) + 1, 2):
                 p = s - m
                 if p <= b.max_param and p % 2 == 1:
-                    if family_order(self.kind, p) * m <= b.max_degree:
+                    if sum(self._sides(p)) * m <= b.max_degree:
                         self.cells += 1
                         yield m, p, self._mapped(m)
 
@@ -390,6 +393,12 @@ class _Search:
             self.windows[m] = window
         return window
 
+    def _sides(self, p: int) -> tuple:
+        sides = self.sides.get(p)
+        if sides is None:
+            sides = self.sides[p] = _sides(self.kind, p)
+        return sides
+
     def _chain(self, p: int) -> SturmChain:
         chain = self.chains.get(p)
         if chain is None:
@@ -402,7 +411,7 @@ class _Search:
         Sturm counts of the family polynomial: always for stars, which have at
         most one root left of -1, and for bipartite families too large to
         Sturm-count per cell."""
-        return self.case == CASE_2 or family_order(self.kind, p) > _FAMILY_CHAIN_MAX_DEGREE
+        return self.case == CASE_2 or sum(self._sides(p)) > _FAMILY_CHAIN_MAX_DEGREE
 
     def _hit(self, p: int, mapped: RationalInterval) -> bool:
         if not _param_band_plausible(self.case, p, mapped):
@@ -411,7 +420,8 @@ class _Search:
             return _count_family_roots(self._chain(p), mapped) >= 1
         # an exact hit test for stars; for large bipartite families still
         # sufficient (if one-sided, the search simply moves on)
-        return _family_sign(self.kind, p, mapped.lo) * _family_sign(self.kind, p, mapped.hi) < 0
+        sides = self._sides(p)
+        return _family_sign(sides, mapped.lo) * _family_sign(sides, mapped.hi) < 0
 
     # -- certification ------------------------------------------------------
 
@@ -422,31 +432,30 @@ class _Search:
             enc = self._certify_mapped_counts(m, p)
         if enc is None:
             return None
-        deg = family_order(self.kind, p) * m
+        deg = sum(self._sides(p)) * m
         return WitnessCertificate(
             self.z, self.eps, self.kind, p, m, deg, enc, self.case
         )
 
-    def _strict(self, enc: RootEnclosure) -> bool:
-        lo, hi = enc.interval.lo, enc.interval.hi
+    def _strict(self, lo: Fraction, hi: Fraction) -> bool:
         return self.z - self.eps < lo and hi < self.z + self.eps
 
     def _certify_sign_bisection(self, m: int, p: int) -> Optional[RootEnclosure]:
         """Bisection on exact composed-value signs."""
-        sign = lambda t: _composed_sign(self.kind, p, m, t)
+        sides = self._sides(p)
+        sign = lambda t: _composed_sign(sides, m, t)
         lo, hi = self.w_lo, self.w_hi
         s_lo = sign(lo)
         s_hi = sign(hi)
         if s_lo * s_hi >= 0:
             return None
         for _ in range(_REFINE_GUARD):
-            if hi - lo <= self.tol and self.z - self.eps < lo and hi < self.z + self.eps:
+            if hi - lo <= self.tol and self._strict(lo, hi):
                 return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
             mid = (lo + hi) / 2
             s_mid = sign(mid)
             if s_mid == 0:
-                enc = RootEnclosure(RationalInterval(mid, mid), 0, 0, NOTE_EXACT)
-                return enc if self._strict(enc) else None
+                return _exact_enclosure(mid) if self._strict(mid, mid) else None
             if s_mid == s_lo:
                 lo = mid
             else:
@@ -458,7 +467,8 @@ class _Search:
         subintervals, for the bipartite families."""
         chain = self._chain(p)
         fsq = list(chain.squarefree)
-        sign = lambda t: _composed_sign(self.kind, p, m, t)
+        sides = self._sides(p)
+        sign = lambda t: _composed_sign(sides, m, t)
         lo, hi = self.w_lo, self.w_hi
         eta = (hi - lo) / (1 << 16)
         while intpoly.sign_at(fsq, _phi(lo, m)) == 0:
@@ -471,8 +481,7 @@ class _Search:
         if count < 1:
             return None
         for _ in range(_REFINE_GUARD):
-            strict = self.z - self.eps < lo and hi < self.z + self.eps
-            if count == 1 and hi - lo <= self.tol and strict:
+            if count == 1 and hi - lo <= self.tol and self._strict(lo, hi):
                 s_lo, s_hi = sign(lo), sign(hi)
                 if s_lo * s_hi == -1:
                     return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
@@ -481,8 +490,7 @@ class _Search:
             mapped_mid = _phi(mid, m)
             if intpoly.sign_at(fsq, mapped_mid) == 0:
                 if sign(mid) == 0:
-                    enc = RootEnclosure(RationalInterval(mid, mid), 0, 0, NOTE_EXACT)
-                    return enc if self._strict(enc) else None
+                    return _exact_enclosure(mid) if self._strict(mid, mid) else None
                 mid -= eta
                 mapped_mid = _phi(mid, m)
                 if not lo < mid < hi or intpoly.sign_at(fsq, mapped_mid) == 0:
@@ -548,18 +556,21 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _certified_sign(cert: WitnessCertificate, t: Fraction) -> int:
-    """Re-derive the sign of the composed polynomial at ``t`` from the descriptor.
+def _certified_signs(cert: WitnessCertificate):
+    """The sign of the composed polynomial at a point, re-derived from the
+    descriptor.
 
-    Up to :data:`STURM_PIPELINE_MAX_DEGREE` the polynomial is re-expanded and
-    evaluated, independently of the substitution identity the search uses;
-    above it the sign is taken through that identity, in integers."""
+    Up to :data:`STURM_PIPELINE_MAX_DEGREE` the polynomial is re-expanded
+    (once) and evaluated, independently of the substitution identity the
+    search uses; above it the sign is taken through that identity, in
+    integers."""
     if cert.composed_degree <= STURM_PIPELINE_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m
         )
-        return _sign(dompoly.eval_rational(composed, t))
-    return _composed_sign(cert.family_kind, cert.family_param, cert.m, t)
+        return lambda t: _sign(dompoly.eval_rational(composed, t))
+    sides = _sides(cert.family_kind, cert.family_param)
+    return lambda t: _composed_sign(sides, cert.m, t)
 
 
 def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
@@ -579,22 +590,17 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     add("substitution_order_odd", cert.m >= 1 and cert.m % 2 == 1, f"m = {cert.m}")
 
     kind, p = cert.family_kind, cert.family_param
-    if kind == FAMILY_EXACT_K2:
-        add("family_parameter", p is None, "exact_K2 carries no parameter")
-        add("case_tag", cert.case_tag == CASE_EXACT, cert.case_tag)
-    elif kind == FAMILY_K2_ELL:
-        add("family_parameter", isinstance(p, int) and p >= 1 and p % 2 == 1,
-            f"l = {p} must be odd")
-        add("case_tag", cert.case_tag == CASE_11, cert.case_tag)
-    elif kind == FAMILY_KKK:
-        add("family_parameter", isinstance(p, int) and p >= 1 and p % 2 == 1,
-            f"k = {p} must be odd")
-        add("case_tag", cert.case_tag == CASE_12, cert.case_tag)
-    elif kind == FAMILY_STAR:
-        add("family_parameter", isinstance(p, int) and p >= 1, f"k = {p}")
-        add("case_tag", cert.case_tag == CASE_2, cert.case_tag)
-    else:
+    row = _KINDS.get(kind)
+    if row is None:
         add("family_parameter", False, f"unknown family {kind!r}")
+    else:
+        if row.fixed is not None:
+            add("family_parameter", p is None, f"{kind} carries no parameter")
+        else:
+            add("family_parameter",
+                isinstance(p, int) and p >= 1 and (p % 2 == 1 or not row.odd),
+                f"{row.param} = {p}" + (" must be odd" if row.odd else ""))
+        add("case_tag", cert.case_tag == row.case, cert.case_tag)
 
     try:
         order = family_order(kind, p)
@@ -611,13 +617,14 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     )
 
     try:
+        sign = _certified_signs(cert)
         if enc.note == NOTE_EXACT:
-            s = _certified_sign(cert, enc.interval.lo)
+            s = sign(enc.interval.lo)
             detail = "value at exact root = 0" if s == 0 else f"value at exact root has sign {s}"
             add("endpoint_certification", s == 0, detail)
         else:
-            s_lo = _certified_sign(cert, enc.interval.lo)
-            s_hi = _certified_sign(cert, enc.interval.hi)
+            s_lo = sign(enc.interval.lo)
+            s_hi = sign(enc.interval.hi)
             add(
                 "endpoint_certification",
                 s_lo == enc.sign_lo and s_hi == enc.sign_hi and s_lo * s_hi == -1,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from domroots import cli, dompoly
 from domroots.cli import main
 
@@ -226,3 +228,176 @@ def test_workers_env_override(capsys, monkeypatch):
 def test_tolerance_flag(capsys):
     code, out, _ = run(capsys, "--tol", "1/1000", "roots", "--graph6", "A_")
     assert code == 0
+
+
+# Golden stdout per --family spelling, `poly` then `compose -m 3`; any
+# change to these bytes is a regression.
+FAMILY_GOLDEN = {
+    "complete:4": (
+        "x^4 + 4x^3 + 6x^2 + 4x",
+        "x^12 + 12x^11 + 66x^10 + 220x^9 + 495x^8 + 792x^7 + 924x^6 + 792x^5 + 495x^4"
+        " + 220x^3 + 66x^2 + 12x",
+    ),
+    "kbip:2,3": (
+        "x^5 + 5x^4 + 10x^3 + 7x^2",
+        "x^15 + 15x^14 + 105x^13 + 455x^12 + 1365x^11 + 3003x^10 + 5005x^9 + 6435x^8"
+        " + 6435x^7 + 5002x^6 + 2985x^5 + 1320x^4 + 396x^3 + 63x^2",
+    ),
+    "star:3": (
+        "x^4 + 4x^3 + 3x^2 + x",
+        "x^12 + 12x^11 + 66x^10 + 220x^9 + 495x^8 + 792x^7 + 921x^6 + 774x^5 + 450x^4"
+        " + 163x^3 + 30x^2 + 3x",
+    ),
+    "kkk:3": (
+        "x^6 + 6x^5 + 15x^4 + 20x^3 + 9x^2",
+        "x^18 + 18x^17 + 153x^16 + 816x^15 + 3060x^14 + 8568x^13 + 18564x^12 + 31824x^11"
+        " + 43758x^10 + 48620x^9 + 43758x^8 + 31824x^7 + 18558x^6 + 8532x^5 + 2970x^4"
+        " + 702x^3 + 81x^2",
+    ),
+    "empty:4": (
+        "x^4",
+        "x^12 + 12x^11 + 66x^10 + 216x^9 + 459x^8 + 648x^7 + 594x^6 + 324x^5 + 81x^4",
+    ),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(FAMILY_GOLDEN))
+def test_family_spelling_golden_stdout(capsys, spelling):
+    poly, composed = FAMILY_GOLDEN[spelling]
+    assert run(capsys, "poly", "--family", spelling) == (0, poly + "\n", "")
+    assert run(capsys, "compose", "--family", spelling, "-m", "3") == (0, composed + "\n", "")
+
+
+def test_roots_window_is_half_open(capsys):
+    # D(K_2) = x^2 + 2x has the root -2: excluded at lo, exact at hi
+    assert run(capsys, "roots", "--graph6", "A_", "--window", "-2", "-1") == (0, "", "")
+    assert run(capsys, "roots", "--graph6", "A_", "--window", "-3", "-2") == (
+        0, "-2.000000000000  [exact]\n", ""
+    )
+
+
+# Golden output of one query per case: certificate JSON on stdout and the
+# verification report on stderr.
+WITNESS_GOLDEN = {
+    ("-2", "1/10"): (
+        '{\n'
+        '  "target_z": "-2/1",\n'
+        '  "epsilon": "1/10",\n'
+        '  "family": {\n'
+        '    "kind": "exact_K2",\n'
+        '    "param": null\n'
+        '  },\n'
+        '  "m": 1,\n'
+        '  "composed_degree": 2,\n'
+        '  "case_tag": "exact",\n'
+        '  "enclosure": {\n'
+        '    "lo": "-2/1",\n'
+        '    "hi": "-2/1",\n'
+        '    "sign_lo": 0,\n'
+        '    "sign_hi": 0,\n'
+        '    "note": "exact"\n'
+        '  }\n'
+        '}\n',
+        '[pass] target_nonpositive: z = -2\n'
+        '[pass] epsilon_positive: eps = 1/10\n'
+        '[pass] substitution_order_odd: m = 1\n'
+        '[pass] family_parameter: exact_K2 carries no parameter\n'
+        '[pass] case_tag: exact\n'
+        '[pass] composed_degree: 2 vs 2*1\n'
+        '[pass] enclosure_within_window: [-2, -2] vs (-21/10, -19/10)\n'
+        '[pass] endpoint_certification: value at exact root = 0\n',
+    ),
+    ("-1.5", "1/20"): (
+        '{\n'
+        '  "target_z": "-3/2",\n'
+        '  "epsilon": "1/20",\n'
+        '  "family": {\n'
+        '    "kind": "K_2_ell",\n'
+        '    "param": 7\n'
+        '  },\n'
+        '  "m": 3,\n'
+        '  "composed_degree": 27,\n'
+        '  "case_tag": "case-1.1",\n'
+        '  "enclosure": {\n'
+        '    "lo": "-200869305/134217728",\n'
+        '    "hi": "-2008693049/1342177280",\n'
+        '    "sign_lo": -1,\n'
+        '    "sign_hi": 1,\n'
+        '    "note": "simple-certified"\n'
+        '  }\n'
+        '}\n',
+        '[pass] target_nonpositive: z = -3/2\n'
+        '[pass] epsilon_positive: eps = 1/20\n'
+        '[pass] substitution_order_odd: m = 3\n'
+        '[pass] family_parameter: l = 7 must be odd\n'
+        '[pass] case_tag: case-1.1\n'
+        '[pass] composed_degree: 27 vs 9*3\n'
+        '[pass] enclosure_within_window: [-200869305/134217728, -2008693049/1342177280]'
+        ' vs (-31/20, -29/20)\n'
+        '[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)\n',
+    ),
+    ("-0.9", "1/20"): (
+        '{\n'
+        '  "target_z": "-9/10",\n'
+        '  "epsilon": "1/20",\n'
+        '  "family": {\n'
+        '    "kind": "K_k_k",\n'
+        '    "param": 5\n'
+        '  },\n'
+        '  "m": 1,\n'
+        '  "composed_degree": 10,\n'
+        '  "case_tag": "case-1.2",\n'
+        '  "enclosure": {\n'
+        '    "lo": "-116841619/134217728",\n'
+        '    "hi": "-1168416189/1342177280",\n'
+        '    "sign_lo": -1,\n'
+        '    "sign_hi": 1,\n'
+        '    "note": "simple-certified"\n'
+        '  }\n'
+        '}\n',
+        '[pass] target_nonpositive: z = -9/10\n'
+        '[pass] epsilon_positive: eps = 1/20\n'
+        '[pass] substitution_order_odd: m = 1\n'
+        '[pass] family_parameter: k = 5 must be odd\n'
+        '[pass] case_tag: case-1.2\n'
+        '[pass] composed_degree: 10 vs 10*1\n'
+        '[pass] enclosure_within_window: [-116841619/134217728, -1168416189/1342177280]'
+        ' vs (-19/20, -17/20)\n'
+        '[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)\n',
+    ),
+    ("-3", "1/10"): (
+        '{\n'
+        '  "target_z": "-3/1",\n'
+        '  "epsilon": "1/10",\n'
+        '  "family": {\n'
+        '    "kind": "star",\n'
+        '    "param": 16\n'
+        '  },\n'
+        '  "m": 3,\n'
+        '  "composed_degree": 51,\n'
+        '  "case_tag": "case-2",\n'
+        '  "enclosure": {\n'
+        '    "lo": "-490851209/167772160",\n'
+        '    "hi": "-3926809671/1342177280",\n'
+        '    "sign_lo": -1,\n'
+        '    "sign_hi": 1,\n'
+        '    "note": "simple-certified"\n'
+        '  }\n'
+        '}\n',
+        '[pass] target_nonpositive: z = -3\n'
+        '[pass] epsilon_positive: eps = 1/10\n'
+        '[pass] substitution_order_odd: m = 3\n'
+        '[pass] family_parameter: k = 16\n'
+        '[pass] case_tag: case-2\n'
+        '[pass] composed_degree: 51 vs 17*3\n'
+        '[pass] enclosure_within_window: [-490851209/167772160, -3926809671/1342177280]'
+        ' vs (-31/10, -29/10)\n'
+        '[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(WITNESS_GOLDEN))
+def test_witness_golden_certificate_and_report(capsys, query):
+    z, eps = query
+    assert run(capsys, "witness", "-z", z, "-e", eps) == (0, *WITNESS_GOLDEN[query])

@@ -121,7 +121,8 @@ def test_family_complete4():
 
 def test_family_size_zero_rejected():
     for kind, params in (("complete", (0,)), ("star", (0,)),
-                         ("complete_bipartite", (0, 3)), ("empty_graph", (0,))):
+                         ("complete_bipartite", (0, 3)), ("empty_graph", (0,)),
+                         ("Kkk", (0,)), ("K22ell", (-1,)), ("star", (1, 2))):
         with pytest.raises(DomainError):
             family(kind, *params)
 

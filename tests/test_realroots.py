@@ -127,10 +127,32 @@ def test_isolate_completeness_and_enclosure_counts():
 
 
 def test_isolate_nudges_endpoint_roots():
-    # hi endpoint is the root -1 of x + 1; outward nudge still finds it
+    # hi endpoint is the root -1 of x + 1; it comes back as an exact point
     encs = isolate_real_roots([1, 1], interval(-2, -1))
     assert len(encs) == 1
     assert encs[0].interval.lo <= -1 <= encs[0].interval.hi
+
+
+@pytest.mark.parametrize(
+    "lo, hi, roots",
+    [
+        # (x+1)(x+2)(x+3): a root at hi is exact, a root at lo is left out
+        ("-3", "-1", [-2, -1]),
+        ("-7/2", "-3/2", [-3, -2]),
+        ("-2", "-1", [-1]),
+        ("-4", "-3", [-3]),
+        ("-3", "-2", [-2]),
+        ("-2", "-2", []),
+    ],
+)
+def test_isolate_keeps_half_open_window(lo, hi, roots):
+    lo, hi = Fraction(lo), Fraction(hi)
+    encs = isolate_real_roots([6, 11, 6, 1], RationalInterval(lo, hi))
+    assert len(encs) == len(roots)
+    for e, root in zip(encs, roots):
+        assert lo < e.interval.lo <= root <= e.interval.hi <= hi
+        if root == hi:
+            assert e.note == NOTE_EXACT
 
 
 def test_interval_validation():

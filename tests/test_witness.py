@@ -275,6 +275,27 @@ def test_verify_reports_nonpositive_m_without_raising():
     assert {"substitution_order_odd", "endpoint_certification"} <= failed
 
 
+@pytest.mark.parametrize("param", [None, 0, -3])
+def test_verify_reports_bad_family_parameter_without_raising(param):
+    cert = construct_witness(F("-1.5"), F("0.05"))
+    report = verify_certificate(dataclasses.replace(cert, family_param=param))
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"family_parameter", "composed_degree", "endpoint_certification"} <= failed
+
+
+def test_verify_expands_the_composed_polynomial_once(monkeypatch):
+    cert = construct_witness(F("-1.5"), F("0.05"))
+    calls = []
+
+    def counted(p, m):
+        calls.append(m)
+        return compose_with_complete(p, m)
+
+    monkeypatch.setattr(witness, "compose_with_complete", counted)
+    assert verify_certificate(cert).ok
+    assert calls == [cert.m]
+
+
 def test_verify_rejects_even_family_parameter():
     cert = construct_witness(F("-0.75"), F("0.1"))
     bad = dataclasses.replace(cert, family_param=cert.family_param + 1)
