@@ -21,7 +21,7 @@ from math import comb, log
 from typing import Iterable, Iterator, Optional
 
 from . import intpoly
-from .dompoly import dom_poly_inclusion_exclusion
+from .dompoly import _ie_coeffs, dom_poly_inclusion_exclusion
 from .errors import CapacityError, DomainError
 from .graph import (Graph, _bits, mask_to_graph6, read_graph6_file, refinement_signature,
                     star, to_graph6)
@@ -263,40 +263,6 @@ def _roots_cached(coeffs, tol) -> list:
         got = certified_negative_roots(coeffs, tol)
         _SCAN_CACHE[key] = got
     return got
-
-
-def _ie_coeffs(n: int, nbh_lists, binom_rows) -> tuple:
-    weight = [0] * (n + 1)
-    weight[n] = 1
-    cover = [0] * n
-    covered = 0
-    prev = 0
-    for i in range(1, 1 << n):
-        g = i ^ (i >> 1)
-        flip = g ^ prev
-        prev = g
-        lst = nbh_lists[flip.bit_length() - 1]
-        if g & flip:
-            for u in lst:
-                c = cover[u] + 1
-                cover[u] = c
-                if c == 1:
-                    covered += 1
-        else:
-            for u in lst:
-                c = cover[u] - 1
-                cover[u] = c
-                if c == 0:
-                    covered -= 1
-        weight[n - covered] += -1 if g.bit_count() & 1 else 1
-    coeffs = [0] * (n + 1)
-    for s in range(n + 1):
-        w = weight[s]
-        if w:
-            row = binom_rows[s]
-            for k in range(s + 1):
-                coeffs[k] += w * row[k]
-    return tuple(coeffs)
 
 
 def _scan_chunk(args) -> tuple:

@@ -278,12 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> CliConfig:
     tol = _rational(args.tol) if args.tol else DEFAULT_TOL
-    defaults = witness.SearchBudget()
-    budget = witness.SearchBudget(
-        getattr(args, "max_m", None) or defaults.max_m,
-        getattr(args, "max_param", None) or defaults.max_param,
-        getattr(args, "max_degree", None) or defaults.max_degree,
-    )
+    given = {name: getattr(args, name, None) for name in ("max_m", "max_param", "max_degree")}
+    budget = witness.SearchBudget(**{k: v for k, v in given.items() if v is not None})
     workers = args.workers
     env = os.environ.get("DOMROOTS_WORKERS")
     if env:

@@ -96,18 +96,27 @@ def dom_poly_bruteforce(g: Graph) -> DomPolynomial:
 
 
 def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
-    """Inclusion-exclusion over sets of undominated vertices.
+    """Inclusion-exclusion over sets of undominated vertices (see :func:`_ie_coeffs`)."""
+    n = g.n
+    nbh_lists = [list(_bits(g.adj[v] | (1 << v))) for v in range(n)]
+    binom_rows = [[comb(s, k) for k in range(s + 1)] for s in range(n + 1)]
+    return DomPolynomial(_ie_coeffs(n, nbh_lists, binom_rows))
+
+
+def _ie_coeffs(n: int, nbh_lists, binom_rows) -> tuple:
+    """Coefficients of ``D(G, x)`` for the graph of order ``n`` whose closed
+    neighbourhoods are ``nbh_lists[v]`` (vertex lists), with
+    ``binom_rows[s][k] = C(s, k)``.
 
     For each A subseteq V, the k-subsets avoiding N[A] number C(n-|N[A]|, k),
     so ``d_k = sum_A (-1)^{|A|} C(n-|N[A]|, k)``; equivalently
     ``D(G,x) = sum_A (-1)^{|A|} (1+x)^{n-|N[A]|}``.  The subsets A are walked
     in Gray-code order so that |N[A]| is maintained incrementally via
-    per-vertex coverage counters - this loop is the atlas hot path.
+    per-vertex coverage counters - this loop is the atlas hot path, which
+    calls it with tables built once per chunk of graphs.
     """
-    n = g.n
-    nbh_bits = [list(_bits(g.adj[v] | (1 << v))) for v in range(n)]
     weight = [0] * (n + 1)
-    weight[n] += 1  # A = {} covers nothing
+    weight[n] = 1  # A = {} covers nothing
     cover = [0] * n
     covered = 0
     prev = 0
@@ -115,24 +124,28 @@ def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
         gray = i ^ (i >> 1)
         flip = gray ^ prev
         prev = gray
-        v = flip.bit_length() - 1
+        lst = nbh_lists[flip.bit_length() - 1]
         if gray & flip:
-            for u in nbh_bits[v]:
-                cover[u] += 1
-                if cover[u] == 1:
+            for u in lst:
+                c = cover[u] + 1
+                cover[u] = c
+                if c == 1:
                     covered += 1
         else:
-            for u in nbh_bits[v]:
-                cover[u] -= 1
-                if cover[u] == 0:
+            for u in lst:
+                c = cover[u] - 1
+                cover[u] = c
+                if c == 0:
                     covered -= 1
         weight[n - covered] += -1 if gray.bit_count() & 1 else 1
     coeffs = [0] * (n + 1)
-    for s, w in enumerate(weight):
+    for s in range(n + 1):
+        w = weight[s]
         if w:
+            row = binom_rows[s]
             for k in range(s + 1):
-                coeffs[k] += w * comb(s, k)
-    return DomPolynomial(tuple(coeffs))
+                coeffs[k] += w * row[k]
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +255,35 @@ def to_json(p: DomPolynomial) -> str:
     return json.dumps({"n": p.degree, "coeffs": [str(c) for c in p.coeffs]})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coefficient(c) -> int:
+    if _is_int(c):
+        return c
+    if isinstance(c, str):
+        try:
+            return int(c)
+        except ValueError:
+            pass
+    raise DomainError(f"polynomial coefficient {c!r} is not a decimal integer")
+
+
 def from_json(text: str) -> DomPolynomial:
-    obj = json.loads(text)
-    coeffs = tuple(int(c) for c in obj["coeffs"])
-    if len(coeffs) != obj["n"] + 1:
+    """Parse :func:`to_json` output; malformed input raises :class:`DomainError`."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"polynomial is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
+        raise DomainError('polynomial JSON must be an object with fields "n" and "coeffs"')
+    n, raw = obj["n"], obj["coeffs"]
+    if not _is_int(n):
+        raise DomainError(f"polynomial field n must be an integer, got {n!r}")
+    if not isinstance(raw, list):
+        raise DomainError(f"polynomial field coeffs must be a list, got {raw!r}")
+    coeffs = tuple(_coefficient(c) for c in raw)
+    if len(coeffs) != n + 1:
         raise DomainError("coefficient vector length disagrees with the stated degree")
     return DomPolynomial(coeffs)

@@ -25,11 +25,41 @@ ascending within a diagonal, and the first cell that certifies wins:
   search; the walk keeps the diagonal order but visits only those cells.
 
 Every witness family is a complete bipartite ``K_{a,b}`` (the family table
-is :data:`domroots.graph.FAMILIES`).  Every hit test and certification
-decides exact signs or Sturm counts; signs come from the integer numerator of
-the ``K_{a,b}`` closed form, never from reduced fractions.  The known
-rational domination roots 0 and -2 (both from ``K_2``) short-cut windows
-containing them.
+is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
+and -2 (both from ``K_2``) short-cut windows containing them.  Every other
+cell is decided by one route: a hit is a change of the family's exact sign
+across the mapped window, and certification bisects on exact signs of the
+composed polynomial.  Signs come from the integer numerator of the
+``K_{a,b}`` closed form, never from reduced fractions.
+
+Endpoint signs decide as much as a Sturm count would, because in each
+interval the search uses its family has at most one real root, and a
+simple one:
+
+* ``K_{2,l}``, odd ``l``.  With ``x = -1-d``, ``d`` in ``(0,1)``,
+  ``D = -(1+d) F(d)`` where ``F(d) = (1+d)^(l-1) - 2 - d^l (1-d)``.  Here
+  ``F(0) = -1``, ``F(1) = 2^(l-1) - 2`` and
+  ``F'(d) > (l-1)(1+d)^(l-2) - l d^(l-1) >= ((l-1) 2^(l-2) - l d) d^(l-2) > 0``,
+  so ``D`` has one simple root in ``(-2,-1)`` when ``l >= 3`` and none
+  when ``l = 1``.
+* ``K_{k,k}``, odd ``k``.  With ``x = -1+d``,
+  ``D = (1-d^k)^2 - 2(1-d)^k = 2(1-d)^k (e^h - 1)`` where
+  ``h = 2 ln(1-d^k) - ln 2 - k ln(1-d)``.  ``h' > 0`` exactly when
+  ``1 + d^k - 2d^(k-1) > 0``, which for ``k >= 3`` holds on ``(0,1)``: the
+  left side decreases to 0 at ``d = 1``.  ``h`` runs from ``-ln 2`` up to
+  ``+infinity``, so ``D`` has one simple root in ``(-1,0)`` when
+  ``k >= 3`` and none when ``k = 1``.
+* Composition.  ``phi(t) = (1+t)^m - 1`` with ``m`` odd is increasing,
+  fixes -2, -1 and 0, and ``phi' != 0`` away from -1, so the composed
+  polynomial has the same one simple root.
+
+So a Sturm count of at least one is the same test as "the endpoint signs
+differ", and bisecting on counts takes the same steps as bisecting on
+signs.  Domination polynomials are monic, so their rational roots are
+integers; -1 is never a root and -2 is not one of these families
+(``D(K_{2,l}, -2) = 4 - 2^l``).  The one endpoint that can be a root is 0,
+at the right end of a window in ``(-1, 0]``, and :func:`_classify` moves it
+left once, by 2^-16 of the window's width.
 """
 
 from __future__ import annotations
@@ -43,29 +73,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import dompoly, graph, intpoly
+from . import dompoly, graph
 from .dompoly import DomPolynomial, compose_with_complete
-from .errors import (
-    BudgetExhaustedError,
-    DomainError,
-    DomRootsError,
-    EndpointRootError,
-    InternalInvariantError,
-)
+from .errors import BudgetExhaustedError, DomainError, DomRootsError
 from .realroots import (
     DEFAULT_TOL,
     NOTE_EXACT,
     NOTE_SIMPLE,
     RationalInterval,
     RootEnclosure,
-    SturmChain,
     _as_fraction,
     _exact_enclosure,
-    count_roots_in,
-    isolate_real_roots,  # noqa: F401  unused here; bench/spans.py wraps this name
     star_root_estimate,
-    sturm_chain,
 )
+# unused here; bench/spans.py wraps these names on this module
+from .realroots import count_roots_in, isolate_real_roots, sturm_chain  # noqa: F401
 
 CASE_EXACT = "exact"
 CASE_11 = "case-1.1"
@@ -81,12 +103,7 @@ FAMILY_STAR = "star"
 # polynomial and evaluates it, a cross-check independent of the substitution
 # identity; above it the verifier, like the search at every degree, takes
 # exact signs through the identity.
-STURM_PIPELINE_MAX_DEGREE = 120
-
-# Family polynomials above this degree are never Sturm-counted per cell;
-# the hit test falls back to exact endpoint signs (sufficient evidence,
-# possibly missing sign-preserving root pairs, so the search just moves on).
-_FAMILY_CHAIN_MAX_DEGREE = 600
+VERIFY_EXPANSION_MAX_DEGREE = 120
 
 _REFINE_GUARD = 400
 
@@ -243,10 +260,14 @@ def _exact_certificate(z: Fraction, eps: Fraction, root: Fraction) -> WitnessCer
 
 def _classify(win_lo: Fraction, win_hi: Fraction):
     """Family selection and window clipping: -1 is never a domination root,
-    and of a window that straddles it the left part is searched."""
+    and of a window that straddles it the left part is searched.  A window
+    ending at the root 0 ends instead 2^-16 of its width left of 0, so no
+    endpoint of a searched window is a root of its family."""
     if win_hi <= -2:
         return FAMILY_STAR, win_lo, win_hi
     if win_lo >= -1:
+        if win_hi == 0:
+            win_hi = win_lo / (1 << 16)
         return FAMILY_KKK, win_lo, win_hi
     return FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))
 
@@ -262,7 +283,7 @@ def _param_band_plausible(case: str, p: int, mapped: RationalInterval) -> bool:
     the monotone side provably cannot reach those ranges anywhere in the
     window are skipped; a cushion of a full e-factor in log space makes
     float rounding irrelevant.  Everything inside the band still goes
-    through the exact count, so hits are never decided here.
+    through the exact sign test, so hits are never decided here.
     """
     if case == CASE_11:
         d_hi = float(-1 - mapped.lo)  # window is left of -1
@@ -285,7 +306,7 @@ def _param_band_plausible(case: str, p: int, mapped: RationalInterval) -> bool:
         d_lo = float(1 + mapped.lo)
         d_hi = float(1 + hi)
         if d_lo <= 0:
-            return True  # window touches -1: let the count decide
+            return True  # window touches -1: let the signs decide
         if math.log(2) + p * math.log1p(-d_hi) > 1:
             return False  # 2(1-d)^k stays above e > 1 >= (1-d^k)^2
         dbk_log = p * math.log(d_hi)
@@ -297,24 +318,6 @@ def _param_band_plausible(case: str, p: int, mapped: RationalInterval) -> bool:
     return True
 
 
-def _count_family_roots(chain: SturmChain, mapped: RationalInterval) -> int:
-    """Sturm count on the family polynomial with inward nudges at bad endpoints."""
-    lo, hi = mapped.lo, mapped.hi
-    eta = (hi - lo) / (1 << 16)
-    for _ in range(64):
-        try:
-            return count_roots_in(chain, RationalInterval(lo, hi))
-        except EndpointRootError:
-            f = list(chain.squarefree)
-            if intpoly.sign_at(f, lo) == 0:
-                lo += eta
-            if intpoly.sign_at(f, hi) == 0:
-                hi -= eta
-            if lo >= hi:
-                return 0
-    raise InternalInvariantError("could not clear interval endpoints off family roots")
-
-
 class _Search:
     def __init__(self, z, eps, budget: SearchBudget, tol: Fraction):
         self.z = z
@@ -324,7 +327,6 @@ class _Search:
         self.kind, self.w_lo, self.w_hi = _classify(z - eps, z + eps)
         self.case = _KINDS[self.kind].case
         self.sides = {}
-        self.chains = {}
         self.windows = {}
         self.cells = 0  # cells of the diagonal order inside the budget
 
@@ -399,37 +401,16 @@ class _Search:
             sides = self.sides[p] = _sides(self.kind, p)
         return sides
 
-    def _chain(self, p: int) -> SturmChain:
-        chain = self.chains.get(p)
-        if chain is None:
-            chain = sturm_chain(family_polynomial(self.kind, p))
-            self.chains[p] = chain
-        return chain
-
-    def _by_signs(self, p: int) -> bool:
-        """Whether cell tests and certification use exact signs rather than
-        Sturm counts of the family polynomial: always for stars, which have at
-        most one root left of -1, and for bipartite families too large to
-        Sturm-count per cell."""
-        return self.case == CASE_2 or sum(self._sides(p)) > _FAMILY_CHAIN_MAX_DEGREE
-
     def _hit(self, p: int, mapped: RationalInterval) -> bool:
         if not _param_band_plausible(self.case, p, mapped):
             return False
-        if not self._by_signs(p):
-            return _count_family_roots(self._chain(p), mapped) >= 1
-        # an exact hit test for stars; for large bipartite families still
-        # sufficient (if one-sided, the search simply moves on)
         sides = self._sides(p)
         return _family_sign(sides, mapped.lo) * _family_sign(sides, mapped.hi) < 0
 
     # -- certification ------------------------------------------------------
 
     def _certify(self, m: int, p: int) -> Optional[WitnessCertificate]:
-        if self._by_signs(p):
-            enc = self._certify_sign_bisection(m, p)
-        else:
-            enc = self._certify_mapped_counts(m, p)
+        enc = self._certify_sign_bisection(m, p)
         if enc is None:
             return None
         deg = sum(self._sides(p)) * m
@@ -460,46 +441,6 @@ class _Search:
                 lo = mid
             else:
                 hi = mid
-        return None
-
-    def _certify_mapped_counts(self, m: int, p: int) -> Optional[RootEnclosure]:
-        """Leftmost root by Sturm counts of the family polynomial over mapped
-        subintervals, for the bipartite families."""
-        chain = self._chain(p)
-        fsq = list(chain.squarefree)
-        sides = self._sides(p)
-        sign = lambda t: _composed_sign(sides, m, t)
-        lo, hi = self.w_lo, self.w_hi
-        eta = (hi - lo) / (1 << 16)
-        while intpoly.sign_at(fsq, _phi(lo, m)) == 0:
-            lo += eta
-        while intpoly.sign_at(fsq, _phi(hi, m)) == 0:
-            hi -= eta
-        if lo >= hi:
-            return None
-        count = count_roots_in(chain, RationalInterval(_phi(lo, m), _phi(hi, m)))
-        if count < 1:
-            return None
-        for _ in range(_REFINE_GUARD):
-            if count == 1 and hi - lo <= self.tol and self._strict(lo, hi):
-                s_lo, s_hi = sign(lo), sign(hi)
-                if s_lo * s_hi == -1:
-                    return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
-                return None
-            mid = (lo + hi) / 2
-            mapped_mid = _phi(mid, m)
-            if intpoly.sign_at(fsq, mapped_mid) == 0:
-                if sign(mid) == 0:
-                    return _exact_enclosure(mid) if self._strict(mid, mid) else None
-                mid -= eta
-                mapped_mid = _phi(mid, m)
-                if not lo < mid < hi or intpoly.sign_at(fsq, mapped_mid) == 0:
-                    return None
-            left = count_roots_in(chain, RationalInterval(_phi(lo, m), mapped_mid))
-            if left >= 1:
-                hi, count = mid, left
-            else:
-                lo = mid
         return None
 
 
@@ -560,11 +501,11 @@ def _certified_signs(cert: WitnessCertificate):
     """The sign of the composed polynomial at a point, re-derived from the
     descriptor.
 
-    Up to :data:`STURM_PIPELINE_MAX_DEGREE` the polynomial is re-expanded
+    Up to :data:`VERIFY_EXPANSION_MAX_DEGREE` the polynomial is re-expanded
     (once) and evaluated, independently of the substitution identity the
     search uses; above it the sign is taken through that identity, in
     integers."""
-    if cert.composed_degree <= STURM_PIPELINE_MAX_DEGREE:
+    if cert.composed_degree <= VERIFY_EXPANSION_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m
         )

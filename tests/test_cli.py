@@ -132,6 +132,15 @@ def test_witness_budget_exhaustion_exit_3(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("flag", ["--max-m", "--max-param", "--max-degree"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_witness_rejects_nonpositive_budget(capsys, flag, value):
+    code, out, err = run(capsys, "witness", "-z", "-1.5", "-e", "0.05", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "budget bounds must be positive" in err
+
+
 def test_atlas_cloud(capsys):
     code, out, _ = run(capsys, "atlas", "3")
     assert code == 0

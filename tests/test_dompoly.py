@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -222,6 +223,24 @@ def test_json_round_trip():
 def test_json_rejects_inconsistent_length():
     with pytest.raises(DomainError):
         dompoly.from_json('{"n": 3, "coeffs": ["0", "1"]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", 'fields "n" and "coeffs"'),
+    ("[1]", 'fields "n" and "coeffs"'),
+    ('{"n": 1}', 'fields "n" and "coeffs"'),
+    ('{"n": "1", "coeffs": ["0", "1"]}', "field n must be an integer"),
+    ('{"n": true, "coeffs": ["0", "1"]}', "field n must be an integer"),
+    ('{"n": 1, "coeffs": "01"}', "field coeffs must be a list"),
+    ('{"n": 0, "coeffs": ["a"]}', "coefficient 'a' is not a decimal integer"),
+    ('{"n": 0, "coeffs": [1.5]}', "coefficient 1.5 is not a decimal integer"),
+    ('{"n": 0, "coeffs": [null]}', "coefficient None is not a decimal integer"),
+    ("not json", "not valid JSON"),
+    ("", "not valid JSON"),
+])
+def test_json_malformed_raises_domain_error(text, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        dompoly.from_json(text)
 
 
 def test_str_rendering():

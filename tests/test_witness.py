@@ -7,23 +7,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from domroots import witness
+from domroots import intpoly, witness
 from domroots.dompoly import compose_with_complete, dom_poly_bruteforce, eval_rational
-from domroots.errors import BudgetExhaustedError, DomainError
+from domroots.errors import BudgetExhaustedError, DomainError, EndpointRootError
 from domroots.graph import substitute_complete
 from domroots.realroots import (
     DEFAULT_TOL,
     NOTE_EXACT,
+    NOTE_SIMPLE,
     RationalInterval,
     RootEnclosure,
+    _exact_enclosure,
+    count_roots_in,
     star_root_estimate,
+    sturm_chain,
 )
 from domroots.witness import (
     CASE_11,
+    CASE_12,
     CASE_2,
     CASE_EXACT,
+    FAMILY_K2_ELL,
+    FAMILY_KKK,
     FAMILY_STAR,
     SearchBudget,
+    WitnessCertificate,
     certificate_from_json,
     certificate_to_json,
     construct_witness,
@@ -230,6 +238,186 @@ def test_star_range_search_matches_diagonal_scan(z_milli, eps_den, max_m, max_pa
         }
     else:
         assert construct_witness(z, eps, budget) == expected
+
+
+def _distinct_and_repeated_roots(poly, lo, hi):
+    """Sturm counts in ``(lo, hi]`` of the distinct roots of ``poly`` and of
+    its repeated ones (the roots of ``gcd(poly, poly')``)."""
+    interval = RationalInterval(lo, hi)
+    coeffs = list(poly.coeffs)
+    repeated = intpoly.poly_gcd(coeffs, intpoly.derivative(coeffs))
+    return (count_roots_in(sturm_chain(coeffs), interval),
+            count_roots_in(sturm_chain(repeated), interval))
+
+
+@pytest.mark.parametrize("ell", range(1, 62, 2))
+def test_k2l_has_one_simple_root_in_minus_two_minus_one(ell):
+    # the lemma of the witness module docstring that lets endpoint signs
+    # stand in for Sturm counts in case 1.1
+    poly = family_polynomial(FAMILY_K2_ELL, ell)
+    assert _distinct_and_repeated_roots(poly, F(-2), F(-1)) == (int(ell >= 3), 0)
+
+
+@pytest.mark.parametrize("k", range(1, 32, 2))
+def test_kkk_has_one_simple_root_in_minus_one_zero(k):
+    # the same lemma for case 1.2; no root lies in [-1/2, 0)
+    poly = family_polynomial(FAMILY_KKK, k)
+    assert _distinct_and_repeated_roots(poly, F(-1), F("-1/2")) == (int(k >= 3), 0)
+    assert _distinct_and_repeated_roots(poly, F("-1/2"), F("-1/1000000")) == (0, 0)
+
+
+def _nudged_count(chain, lo, hi):
+    """Sturm count in ``(lo, hi]``, each endpoint that is a root moved inward
+    by 2^-16 of the width until it is not."""
+    eta = (hi - lo) / (1 << 16)
+    while True:
+        try:
+            return count_roots_in(chain, RationalInterval(lo, hi))
+        except EndpointRootError:
+            f = list(chain.squarefree)
+            if intpoly.sign_at(f, lo) == 0:
+                lo += eta
+            if intpoly.sign_at(f, hi) == 0:
+                hi -= eta
+            if lo >= hi:
+                return 0
+
+
+def _count_bisection(chain, poly, m, z, eps, lo, hi, tol):
+    """Leftmost root in ``(lo, hi)`` by bisecting on Sturm counts of the
+    family polynomial over mapped subintervals; composed signs come from the
+    expanded family polynomial at the mapped point."""
+    def phi(t):
+        return witness._phi(t, m)
+
+    def sign(t):
+        return _sign(eval_rational(poly, phi(t)))
+
+    def strict(a, b):
+        return z - eps < a and b < z + eps
+
+    eta = (hi - lo) / (1 << 16)
+    while sign(lo) == 0:
+        lo += eta
+    while sign(hi) == 0:
+        hi -= eta
+    if lo >= hi:
+        return None
+    count = count_roots_in(chain, RationalInterval(phi(lo), phi(hi)))
+    if count < 1:
+        return None
+    for _ in range(witness._REFINE_GUARD):
+        if count == 1 and hi - lo <= tol and strict(lo, hi):
+            s_lo, s_hi = sign(lo), sign(hi)
+            if s_lo * s_hi == -1:
+                return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
+            return None
+        mid = (lo + hi) / 2
+        if sign(mid) == 0:
+            return _exact_enclosure(mid) if strict(mid, mid) else None
+        left = count_roots_in(chain, RationalInterval(phi(lo), phi(mid)))
+        if left >= 1:
+            hi, count = mid, left
+        else:
+            lo = mid
+    return None
+
+
+def _count_route_search(z, eps, budget):
+    """Reference for the bipartite regimes: the diagonal order with every
+    cell decided by Sturm counts of the family polynomial, endpoints that
+    are roots nudged inward.  Returns the first certificate, or None when
+    the budget runs out, and the number of cells in the budget."""
+    lo, hi = z - eps, z + eps
+    if lo >= -1:
+        kind, case = FAMILY_KKK, CASE_12
+    else:
+        kind, case = FAMILY_K2_ELL, CASE_11
+        hi = min(hi, F(-1))
+    chains, cells = {}, 0
+    for s in range(2, budget.max_m + budget.max_param + 1):
+        for m in range(1, min(budget.max_m, s - 1) + 1, 2):
+            p = s - m
+            order = witness.family_order(kind, p)
+            if p > budget.max_param or p % 2 == 0 or order * m > budget.max_degree:
+                continue
+            cells += 1
+            mapped = RationalInterval(witness._phi(lo, m), witness._phi(hi, m))
+            if not witness._param_band_plausible(case, p, mapped):
+                continue
+            poly = family_polynomial(kind, p)
+            if p not in chains:
+                chains[p] = sturm_chain(poly)
+            chain = chains[p]
+            if _nudged_count(chain, mapped.lo, mapped.hi) < 1:
+                continue
+            enc = _count_bisection(chain, poly, m, z, eps, lo, hi, DEFAULT_TOL)
+            if enc is not None:
+                return WitnessCertificate(z, eps, kind, p, m, order * m, enc, case), cells
+    return None, cells
+
+
+@settings(max_examples=100)
+@given(
+    z_milli=st.integers(1, 1999),
+    eps_den=st.integers(2, 60),
+    anchor=st.sampled_from(["none", "end at 0", "start at -2"]),
+    max_m=st.integers(1, 11),
+    max_param=st.integers(1, 61),
+    max_degree=st.integers(1, 2000),
+)
+def test_sign_route_matches_count_route(z_milli, eps_den, anchor, max_m, max_param, max_degree):
+    eps = Fraction(1, eps_den)
+    z = {"none": Fraction(-z_milli, 1000), "end at 0": -eps, "start at -2": -2 + eps}[anchor]
+    assume(z + eps <= 0 and not z - eps < -2 < z + eps and z + eps > -2)
+    budget = SearchBudget(max_m, max_param, max_degree)
+    expected, cells = _count_route_search(z, eps, budget)
+    if expected is None:
+        with pytest.raises(BudgetExhaustedError) as exc:
+            construct_witness(z, eps, budget)
+        assert exc.value.frontier == {
+            "case": CASE_11 if z - eps < -1 else CASE_12, "cells_tested": cells,
+            "max_m": max_m, "max_param": max_param, "max_degree": max_degree,
+        }
+    else:
+        assert construct_witness(z, eps, budget) == expected
+
+
+# construct_witness(-21/25, 1/50) as the Sturm-count route built it, which
+# took about three minutes on this query
+GOLDEN_K119 = """{
+  "target_z": "-21/25",
+  "epsilon": "1/50",
+  "family": {
+    "kind": "K_k_k",
+    "param": 119
+  },
+  "m": 3,
+  "composed_degree": 714,
+  "case_tag": "case-1.2",
+  "enclosure": {
+    "lo": "-1376149387/1677721600",
+    "hi": "-688074693/838860800",
+    "sign_lo": -1,
+    "sign_hi": 1,
+    "note": "simple-certified"
+  }
+}"""
+GOLDEN_K119_REPORT = """\
+[pass] target_nonpositive: z = -21/25
+[pass] epsilon_positive: eps = 1/50
+[pass] substitution_order_odd: m = 3
+[pass] family_parameter: k = 119 must be odd
+[pass] case_tag: case-1.2
+[pass] composed_degree: 714 vs 238*3
+[pass] enclosure_within_window: [-1376149387/1677721600, -688074693/838860800] vs (-43/50, -41/50)
+[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)"""
+
+
+def test_golden_k119_certificate():
+    cert = construct_witness(F("-21/25"), F("1/50"))
+    assert certificate_to_json(cert) == GOLDEN_K119
+    assert str(verify_certificate(cert)) == GOLDEN_K119_REPORT
 
 
 def test_budget_validation():
