@@ -23,8 +23,7 @@ from typing import Iterable, Iterator, Optional
 from . import intpoly
 from .dompoly import _ie_coeffs, dom_poly_inclusion_exclusion
 from .errors import CapacityError, DomainError
-from .graph import (Graph, _bits, mask_to_graph6, read_graph6_file, refinement_signature,
-                    star, to_graph6)
+from .graph import Graph, _bits, mask_to_graph6, refinement_signature, star, to_graph6
 from .realroots import (
     DEFAULT_TOL,
     RationalInterval,
@@ -92,39 +91,41 @@ def _graph_from_mask(mask: int, n: int, pairs) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def enumerate_graphs(
-    n: int,
-    mode: str = "all_labeled",
-    *,
-    corpus_path=None,
-    labeled_cap: int = LABELED_CAP_DEFAULT,
-) -> Iterator[Graph]:
-    """Stream graphs: every labeled graph of order n, a deduplicated
-    sub-stream, or the lines of a graph6 corpus file.
-
-    ``dedup`` filters by an iterated degree-refinement signature, which is a
-    coarse heuristic: it never repeats a signature but may drop graphs that
-    are not actually isomorphic to an earlier one.
-    """
-    if mode == "corpus_file":
-        if corpus_path is None:
-            raise DomainError("corpus_file mode needs a path")
-        yield from read_graph6_file(corpus_path)
-        return
-    if mode not in ("all_labeled", "dedup"):
-        raise DomainError(f"unknown enumeration mode {mode!r}")
+def _check_order(n: int, labeled_cap: int) -> None:
     if n < 1:
         raise DomainError("order must be >= 1")
     if n > labeled_cap:
         raise CapacityError(
-            f"labeled enumeration of order {n} exceeds the cap of {labeled_cap}; "
-            "raise labeled_cap explicitly to override"
+            f"labeled enumeration of order {n} exceeds the cap of {labeled_cap}"
         )
+
+
+def enumerate_graphs(
+    n: int,
+    mode: str = "all_labeled",
+    *,
+    labeled_cap: int = LABELED_CAP_DEFAULT,
+) -> Iterator[Graph]:
+    """Stream every labeled graph of order n, or a deduplicated sub-stream.
+
+    The mode, order and cap are checked when this is called, before the
+    first graph is drawn.  ``dedup`` filters by an iterated
+    degree-refinement signature, which is a coarse heuristic: it never
+    repeats a signature but may drop graphs that are not actually
+    isomorphic to an earlier one.
+    """
+    if mode not in ("all_labeled", "dedup"):
+        raise DomainError(f"unknown enumeration mode {mode!r}")
+    _check_order(n, labeled_cap)
+    return _labeled_graphs(n, mode == "dedup")
+
+
+def _labeled_graphs(n: int, dedup: bool) -> Iterator[Graph]:
     pairs = _edge_pairs(n)
     seen = set()
     for mask in range(1 << len(pairs)):
         g = _graph_from_mask(mask, n, pairs)
-        if mode == "dedup":
+        if dedup:
             sig = refinement_signature(g)
             if sig in seen:
                 continue
@@ -291,13 +292,7 @@ def _scan_chunk(args) -> tuple:
     return start, rows
 
 
-def _iter_scan_rows(n: int, tol: Fraction, workers: int, labeled_cap: int):
-    if n < 1:
-        raise DomainError("order must be >= 1")
-    if n > labeled_cap:
-        raise CapacityError(
-            f"exhaustive scan of order {n} exceeds the cap of {labeled_cap}"
-        )
+def _iter_scan_rows(n: int, tol: Fraction, workers: int):
     nbits = n * (n - 1) // 2
     total = 1 << nbits
     if workers <= 1 or total < 4096:
@@ -321,11 +316,12 @@ def root_cloud(
 ) -> Iterator[RootCloudRecord]:
     """Certified real-root enclosures for every labeled graph of order ``n``.
 
-    Rows come in enumeration order with roots ascending per graph.
+    Rows come in enumeration order with roots ascending per graph.  The
+    order and cap are checked when this is called, before the first row.
     """
-    for g6, roots in _iter_scan_rows(n, tol, workers, labeled_cap):
-        for lo, hi in roots:
-            yield RootCloudRecord(g6, n, lo, hi)
+    _check_order(n, labeled_cap)
+    return (RootCloudRecord(g6, n, lo, hi)
+            for g6, roots in _iter_scan_rows(n, tol, workers) for lo, hi in roots)
 
 
 def root_cloud_from_graphs(
@@ -364,7 +360,7 @@ def smallest_root_table(
     for n in range(1, min(n_max, labeled_cap) + 1):
         best = None
         best_g6 = None
-        for g6, roots in _iter_scan_rows(n, tol, workers, labeled_cap):
+        for g6, roots in _iter_scan_rows(n, tol, workers):
             if not roots:
                 continue
             lo, hi = roots[0]

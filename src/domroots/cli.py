@@ -29,7 +29,7 @@ from .errors import (
     Graph6ParseError,
     InternalInvariantError,
 )
-from .graph import FAMILIES, Graph, family, from_graph6
+from .graph import FAMILIES, Graph, family, from_graph6, read_graph6_file
 from .realroots import DEFAULT_TOL, RationalInterval, format_fixed
 
 EXIT_OK = 0
@@ -193,8 +193,11 @@ def _cmd_atlas(args, cfg: CliConfig, out) -> int:
     if args.growth:
         atlas.write_growth_csv(atlas.growth_check(args.n, cfg.tolerance), out)
         return EXIT_OK
+    # every input check runs before the CSV header is written
     if args.mode == "file":
-        graphs = atlas.enumerate_graphs(1, "corpus_file", corpus_path=args.input)
+        if not args.input or not os.path.isfile(args.input):
+            raise DomainError(f"--mode file needs an existing --input file, got {args.input!r}")
+        graphs = read_graph6_file(args.input)
         records = atlas.root_cloud_from_graphs(graphs, cfg.tolerance)
     elif args.mode == "dedup":
         graphs = atlas.enumerate_graphs(args.n, "dedup")

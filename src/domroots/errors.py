@@ -24,8 +24,9 @@ class Graph6ParseError(DomRootsError):
 class EndpointRootError(DomRootsError):
     """A queried interval endpoint is a root of the square-free part.
 
-    Callers are expected to nudge the endpoint and recount; this condition is
-    signalled distinctly so it is never confused with a genuine domain error.
+    Raised by :func:`~domroots.realroots.count_roots_in`; it is signalled
+    distinctly so it is never confused with a genuine domain error.
+    Isolation counts through root endpoints and never raises it.
     """
 
 

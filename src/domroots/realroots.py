@@ -15,10 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import intpoly
 from .errors import DomainError, EndpointRootError, InternalInvariantError
+
+if TYPE_CHECKING:
+    from .dompoly import DomPolynomial
 
 DEFAULT_TOL = Fraction(1, 10 ** 9)
 
@@ -65,20 +69,15 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, q: Fraction, strict: bool = False) -> bool:
-        q = _as_fraction(q)
-        if strict:
-            return self.lo < q < self.hi
-        return self.lo <= q <= self.hi
-
 
 @dataclass(frozen=True)
 class RootEnclosure:
     """An interval proven to contain a real root.
 
     ``note`` records how the enclosure was certified: ``simple-certified``
-    means the endpoint signs differ, ``sturm-counted`` means a Sturm count of
-    exactly one distinct root, and ``exact`` marks a degenerate point interval
+    means the endpoint signs differ, ``sturm-counted`` means Sturm counts put
+    exactly one distinct root inside while the endpoint signs agree (a root
+    of even multiplicity), and ``exact`` marks a degenerate point interval
     where the polynomial evaluates to zero.
     """
 
@@ -113,16 +112,13 @@ class SturmChain:
         return self.polys[0]
 
 
-PolyLike = Union[Sequence, "object"]
-
-
-def _coeffs(p) -> list:
+def _coeffs(p: Sequence[int] | DomPolynomial) -> list:
     if hasattr(p, "coeffs"):
         return intpoly.normalize(list(p.coeffs))
     return intpoly.normalize(list(p))
 
 
-def sturm_chain(p: PolyLike) -> SturmChain:
+def sturm_chain(p: Sequence[int] | DomPolynomial) -> SturmChain:
     """Build the Sturm chain on the square-free part of ``p``.
 
     Content is removed after every Euclidean step, which keeps coefficient
@@ -143,11 +139,11 @@ def sturm_chain(p: PolyLike) -> SturmChain:
     return SturmChain(tuple(tuple(q) for q in chain))
 
 
-def _variations(chain: SturmChain, num: int, den: int) -> int:
+def _variations(chain: SturmChain, q: Fraction) -> int:
     prev = 0
     var = 0
-    for q in chain.polys:
-        v = intpoly.eval_homogeneous(list(q), num, den)
+    for poly in chain.polys:
+        v = intpoly.eval_homogeneous(poly, q.numerator, q.denominator)
         s = (v > 0) - (v < 0)
         if s == 0:
             continue
@@ -161,20 +157,24 @@ def count_roots_in(chain: SturmChain, interval: RationalInterval) -> int:
     """Number of distinct real roots in ``(lo, hi]`` by sign-variation difference.
 
     Raises :class:`EndpointRootError` when either endpoint is itself a root of
-    the square-free part; callers are expected to nudge and recount.
+    the square-free part.  Isolation does not call this: it counts through
+    root endpoints.
     """
-    f = list(chain.squarefree)
+    f = chain.squarefree
     lo, hi = interval.lo, interval.hi
     if intpoly.sign_at(f, lo) == 0 or intpoly.sign_at(f, hi) == 0:
         raise EndpointRootError(f"interval endpoint is a root: ({lo}, {hi}]")
-    if lo == hi:
-        return 0
-    count = _variations(chain, lo.numerator, lo.denominator) - _variations(
-        chain, hi.numerator, hi.denominator
-    )
+    count = _variations(chain, lo) - _variations(chain, hi)
     if count < 0:
         raise InternalInvariantError("negative Sturm variation difference")
     return count
+
+
+def _open_count(chain: SturmChain, a: Fraction, b: Fraction) -> int:
+    # variations skip zero terms, so V(a) - V(b) counts the roots in (a, b]
+    # even where a or b is a root; a root at b is then taken off
+    return (_variations(chain, a) - _variations(chain, b)
+            - (intpoly.sign_at(chain.squarefree, b) == 0))
 
 
 def _exact_enclosure(point: Fraction) -> RootEnclosure:
@@ -189,17 +189,40 @@ def _sign_for_cert(p, work, t: Fraction) -> int:
     return s
 
 
+def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction) -> tuple:
+    """Bisect ``(a, b)`` on ``sign``, which has one root there and changes sign at it.
+
+    ``ref`` is the sign just right of ``a``.  The loop runs until the width
+    is at most ``tol`` and neither end is a root; a midpoint that is the root
+    comes back as ``(mid, mid)``.
+    """
+    sa, sb = sign(a), sign(b)
+    while b - a > tol or not sa or not sb:
+        mid = (a + b) / 2
+        s = sign(mid)
+        if s == 0:
+            return mid, mid
+        if s == ref:
+            a, sa = mid, s
+        else:
+            b, sb = mid, s
+    return a, b
+
+
 def isolate_real_roots(
-    p: PolyLike, interval: RationalInterval, tol: Fraction = DEFAULT_TOL
+    p: Sequence[int] | DomPolynomial, interval: RationalInterval, tol: Fraction = DEFAULT_TOL
 ) -> list:
     """Isolate every distinct real root of ``p`` in ``(lo, hi]``.
 
     Returns pairwise-disjoint enclosures of width <= ``tol`` in ascending
-    order, one per distinct root, driven by Sturm-count bisection.  A root at
-    0 is split off exactly first (the constant-free part is deflated).  The
-    interval stays half-open: a root at ``hi`` comes back as an exact point,
-    a root at ``lo`` is left out, and every enclosure lies inside the
-    interval.
+    order, one per distinct root.  A root at 0 is split off exactly first
+    (the constant-free part is deflated).  Sturm counts of the roots in an
+    open interval split every interval that holds two or more roots at its
+    midpoint; a midpoint that is a root comes back as an exact point, and
+    both halves keep their counts.  An interval that holds one root is
+    narrowed by bisecting on the sign of the square-free part.  The window
+    stays half-open: a root at ``hi`` comes back as an exact point, a root
+    at ``lo`` is left out, and every enclosure lies inside the window.
     """
     tol = _as_fraction(tol)
     if tol <= 0:
@@ -213,79 +236,52 @@ def isolate_real_roots(
     work = coeffs[t0:] if t0 else coeffs
     if t0 and lo < 0 <= hi:
         results.append(_exact_enclosure(Fraction(0)))
-    if intpoly.degree(work) < 1:
+    if intpoly.degree(work) < 1 or lo == hi:
         return results
-    f = intpoly.squarefree_part(work)
     chain = sturm_chain(work)
-    step = tol / 4
-    # variations skip zero terms, so their difference counts the roots in
-    # (lo, hi] even where an endpoint is a root
-    total = (_variations(chain, lo.numerator, lo.denominator)
-             - _variations(chain, hi.numerator, hi.denominator))
-    lo_root = intpoly.sign_at(f, lo) == 0
-    hi_root = intpoly.sign_at(f, hi) == 0
-    if hi_root and lo < hi:
+    if intpoly.sign_at(chain.squarefree, hi) == 0:
         results.append(_exact_enclosure(hi))
-        total -= 1
-    # move a root-valued endpoint inward, past no other root
-    a, b = lo, hi
-    gap = min(step, (hi - lo) / 8)
-    while total and (lo_root or hi_root):
-        a = lo + gap if lo_root else lo
-        b = hi - gap if hi_root else hi
-        if (intpoly.sign_at(f, a) and intpoly.sign_at(f, b)
-                and count_roots_in(chain, RationalInterval(a, b)) == total):
-            break
-        gap /= 2
-    stack = [(a, b, total)]
+    stack = [(lo, hi, _open_count(chain, lo, hi))]
     while stack:
         a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
         if cnt == 1:
-            results.append(_refine_one(coeffs, work, f, chain, a, b, tol))
-            continue
-        mid = (a + b) / 2
-        if intpoly.sign_at(f, mid) == 0:
-            results.append(_exact_enclosure(mid))
-            gap = min(step, (b - a) / 8)
-            while True:
-                ml, mr = mid - gap, mid + gap
-                if intpoly.sign_at(f, ml) != 0 and intpoly.sign_at(f, mr) != 0:
-                    cl = count_roots_in(chain, RationalInterval(a, ml))
-                    cr = count_roots_in(chain, RationalInterval(mr, b))
-                    if cl + cr + 1 == cnt:
-                        break
-                gap /= 2
-            stack.append((a, ml, cl))
-            stack.append((mr, b, cr))
-        else:
-            cl = count_roots_in(chain, RationalInterval(a, mid))
-            stack.append((a, mid, cl))
-            stack.append((mid, b, cnt - cl))
-    results.sort(key=lambda e: (e.interval.lo, e.interval.hi))
-    _separate(results, coeffs, work, f, chain)
+            results.append(_refine_one(coeffs, work, chain, lo, a, b, tol))
+        elif cnt > 1:
+            mid = (a + b) / 2
+            left = _open_count(chain, a, mid)
+            if intpoly.sign_at(chain.squarefree, mid) == 0:
+                results.append(_exact_enclosure(mid))
+                cnt -= 1
+            stack.append((a, mid, left))
+            stack.append((mid, b, cnt - left))
+    _separate(results, coeffs, work, chain, lo)
     return results
 
 
-def _refine_one(orig, work, f, chain, a: Fraction, b: Fraction, tol) -> RootEnclosure:
-    while b - a > tol:
-        mid = (a + b) / 2
-        s = intpoly.sign_at(f, mid)
-        if s == 0:
-            return _exact_enclosure(mid)
-        if count_roots_in(chain, RationalInterval(a, mid)) == 1:
-            b = mid
-        else:
-            a = mid
+def _refine_one(orig, work, chain, lo, a: Fraction, b: Fraction, tol) -> RootEnclosure:
+    """Enclose the one root of the square-free part in the open ``(a, b)``.
+
+    The window excludes ``lo``, so an end there is bisected off like a root.
+    """
+    f = chain.squarefree
+    # just right of a root at a, f takes the sign of f'; chain.polys[1] is a
+    # positive multiple of f'
+    ref = intpoly.sign_at(f, a) or intpoly.sign_at(chain.polys[1], a)
+    a, b = _sign_bisect(lambda t: intpoly.sign_at(f, t) if t != lo else 0, a, b, ref, tol)
+    if a == b:
+        return _exact_enclosure(a)
     sl = _sign_for_cert(orig, work, a)
     sh = _sign_for_cert(orig, work, b)
     note = NOTE_SIMPLE if sl * sh == -1 else NOTE_STURM
     return RootEnclosure(RationalInterval(a, b), sl, sh, note)
 
 
-def _separate(results: list, orig, work, f, chain) -> None:
-    """Bisect adjacent enclosures until they are strictly disjoint."""
+_ends = attrgetter("interval.lo", "interval.hi")
+
+
+def _separate(results: list, orig, work, chain, lo) -> None:
+    """Sort the enclosures and bisect neighbours until they are strictly disjoint."""
+    results.sort(key=_ends)
     for i in range(len(results) - 1):
         guard = 0
         while results[i].interval.hi >= results[i + 1].interval.lo:
@@ -293,8 +289,11 @@ def _separate(results: list, orig, work, f, chain) -> None:
                 e = results[j]
                 if e.note != NOTE_EXACT:
                     # a tolerance of half the width bisects exactly once
-                    results[j] = _refine_one(orig, work, f, chain, e.interval.lo,
+                    results[j] = _refine_one(orig, work, chain, lo, e.interval.lo,
                                              e.interval.hi, e.width / 2)
+            # the root 0 is split off before isolation, so it can lie inside
+            # an enclosure that bisection then moves past it
+            results[i:i + 2] = sorted(results[i:i + 2], key=_ends)
             guard += 1
             if guard > 512:
                 raise InternalInvariantError("failed to separate adjacent enclosures")
@@ -389,15 +388,9 @@ def star_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
         hi *= 2
     if _g_sign(k, hi) == 0:
         return _exact_enclosure(hi)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s = _g_sign(k, mid)
-        if s == 0:
-            return _exact_enclosure(mid)
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _sign_bisect(lambda q: _g_sign(k, q), lo, hi, -1, tol)
+    if lo == hi:
+        return _exact_enclosure(lo)
     return RootEnclosure(RationalInterval(lo, hi), -1, +1, NOTE_SIMPLE)
 
 

@@ -13,7 +13,7 @@ from domroots.atlas import (
 )
 from domroots.dompoly import dom_poly_closed_form, dom_poly_inclusion_exclusion
 from domroots.errors import CapacityError, DomainError
-from domroots.graph import from_graph6, to_graph6
+from domroots.graph import from_graph6, read_graph6_file, to_graph6
 from domroots.realroots import DEFAULT_TOL
 
 from conftest import random_graph
@@ -44,7 +44,7 @@ def test_corpus_round_trip(tmp_path):
     graphs = list(enumerate_graphs(3))
     path = tmp_path / "order3.g6"
     path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
-    back = list(enumerate_graphs(0, "corpus_file", corpus_path=path))
+    back = list(read_graph6_file(path))
     assert back == graphs
 
 

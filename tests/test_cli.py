@@ -156,6 +156,23 @@ def test_atlas_over_cap_exit_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("atlas", "0"), 2),
+        (("atlas", "8"), 3),
+        (("atlas", "0", "--mode", "dedup"), 2),
+        (("atlas", "6", "--mode", "file"), 2),
+        (("atlas", "6", "--mode", "file", "--input", "no-such-corpus.g6"), 2),
+    ],
+)
+def test_atlas_bad_input_writes_no_header(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_atlas_table(capsys):
     code, out, _ = run(capsys, "atlas", "4", "--table")
     assert code == 0

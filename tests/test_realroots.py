@@ -1,16 +1,22 @@
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from domroots.atlas import certified_negative_roots
 from domroots.dompoly import dom_poly_closed_form
 from domroots.errors import DomainError, EndpointRootError
-from domroots.intpoly import sign_at
+from domroots.intpoly import mul, sign_at
 from domroots.realroots import (
     DEFAULT_TOL,
     NOTE_EXACT,
     NOTE_SIMPLE,
+    NOTE_STURM,
     RationalInterval,
     count_roots_in,
     format_fixed,
@@ -153,6 +159,89 @@ def test_isolate_keeps_half_open_window(lo, hi, roots):
         assert lo < e.interval.lo <= root <= e.interval.hi <= hi
         if root == hi:
             assert e.note == NOTE_EXACT
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+
+    def stop(signum, frame):
+        raise AssertionError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# small integer and dyadic roots; a root drawn twice is a repeated root
+dyadic = st.builds(lambda n, j: Fraction(n, 2 ** j), st.integers(-16, 4), st.integers(0, 2))
+
+
+@st.composite
+def isolation_cases(draw):
+    roots = draw(st.lists(dyadic, min_size=1, max_size=7))
+    coeffs = [1]
+    for r in roots:
+        coeffs = mul(coeffs, [-r.numerator, r.denominator])
+    distinct = sorted(set(roots))
+    point = st.sampled_from(distinct) | st.builds(
+        lambda n: Fraction(n, 8), st.integers(-140, 40))
+    shape = draw(st.sampled_from(("ends", "centred")))
+    if shape == "ends":
+        # endpoints anywhere on the 1/8 grid, roots included
+        lo, hi = sorted((draw(point), draw(point)))
+    else:
+        # the midpoints of the left halves are r + (s - 1) d / 2, ...: the
+        # root r at the first split for s = 1, the second for 3, the third for 7
+        r = draw(st.sampled_from(distinct))
+        d = Fraction(draw(st.integers(1, 16)), 4)
+        s = draw(st.sampled_from((1, 3, 7)))
+        lo, hi = r - d, r + s * d
+    tol = draw(st.sampled_from((Fraction(2), Fraction(1, 2), Fraction(1, 64), DEFAULT_TOL)))
+    return coeffs, distinct, lo, hi, tol
+
+
+@example(([0, -2, 1], [0, 2], Fraction(0), Fraction(2), Fraction(2)))  # x(x-2), root ends
+@example(([2, 3, 1], [-2, -1], Fraction(-3), Fraction(0), Fraction(2)))  # midpoint -3/2, no root
+@example(([0, -1, 0, 1], [-1, 0, 1], Fraction(-7, 4), Fraction(5, 4), Fraction(2)))  # 0 inside
+@given(isolation_cases())
+def test_isolation_contract(case):
+    coeffs, distinct, lo, hi, tol = case
+    with time_limit(5):
+        encs = isolate_real_roots(coeffs, RationalInterval(lo, hi), tol)
+    assert len(encs) == sum(1 for r in distinct if lo < r <= hi)
+    for a, b in zip(encs, encs[1:]):
+        assert a.interval.hi < b.interval.lo
+    for e in encs:
+        elo, ehi = e.interval.lo, e.interval.hi
+        assert lo < elo <= ehi <= hi
+        inside = [r for r in distinct if elo <= r <= ehi]
+        assert len(inside) == 1
+        if e.note == NOTE_EXACT:
+            assert elo == ehi == inside[0]
+            continue
+        assert e.note in (NOTE_SIMPLE, NOTE_STURM)
+        assert 0 < e.width <= tol
+        assert (e.sign_lo, e.sign_hi) == (sign_at(coeffs, elo), sign_at(coeffs, ehi))
+        if e.note == NOTE_SIMPLE:
+            assert e.sign_lo * e.sign_hi == -1
+
+
+def test_exact_isolation_midpoint_root_pinned():
+    # x^5 (x + 2)(x^2 + 3x + 1): the third midpoint in the bisection of the
+    # Cauchy window (-8, 8) is the root -2, which comes back exact
+    with time_limit(5):
+        got = certified_negative_roots((0, 0, 0, 0, 0, 2, 7, 5, 1), exact=True)
+    assert got == [
+        (Fraction(-2811092591, 1073741824), Fraction(-1405546295, 536870912)),
+        (Fraction(-2), Fraction(-2)),
+        (Fraction(-205066441, 536870912), Fraction(-410132881, 1073741824)),
+        (Fraction(0), Fraction(0)),
+    ]
 
 
 def test_interval_validation():
