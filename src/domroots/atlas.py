@@ -210,11 +210,10 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
         return out
     chain = sturm_chain(cof)
     bound = intpoly.cauchy_root_bound(cof)
-    neg_total = count_roots_in(chain, RationalInterval(-bound, Fraction(0)))
-    pos_total = count_roots_in(chain, RationalInterval(Fraction(0), bound))
+    total = count_roots_in(chain, RationalInterval(-bound, bound))
     intervals = None
     if not exact:
-        intervals = _try_float_roots(cof, bound, neg_total, pos_total, tol)
+        intervals = _try_float_roots(cof, bound, total, tol)
     if intervals is None:
         encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
         intervals = [(e.interval.lo, e.interval.hi) for e in encs]
@@ -222,14 +221,14 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     return merged
 
 
-def _try_float_roots(cof, bound, neg_total, pos_total, tol) -> Optional[list]:
+def _try_float_roots(cof, bound, total, tol) -> Optional[list]:
     try:
         fc = [float(c) for c in cof]
         fb = float(bound)
         cands = sorted(
             _float_candidates(fc, -fb, 0.0) + _float_candidates(fc, 0.0, fb)
         )
-        if len(cands) != neg_total + pos_total:
+        if len(cands) != total:
             return None
         rad = tol / 2
         intervals = []

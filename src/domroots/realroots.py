@@ -181,31 +181,26 @@ def _exact_enclosure(point: Fraction) -> RootEnclosure:
     return RootEnclosure(RationalInterval(point, point), 0, 0, NOTE_EXACT)
 
 
-def _sign_for_cert(p, work, t: Fraction) -> int:
-    s = intpoly.sign_at(p, t)
-    if s == 0:
-        # only possible when 0 was deflated and the endpoint is exactly 0
-        s = intpoly.sign_at(work, t)
-    return s
-
-
-def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction) -> tuple:
+def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
+                 avoid: Sequence[Fraction]) -> tuple:
     """Bisect ``(a, b)`` on ``sign``, which has one root there and changes sign at it.
 
     ``ref`` is the sign just right of ``a``.  The loop runs until the width
-    is at most ``tol`` and neither end is a root; a midpoint that is the root
-    comes back as ``(mid, mid)``.
+    is at most ``tol`` and no point of ``avoid`` lies in the closed
+    ``[a, b]``; a midpoint that is the root comes back as ``(mid, mid)``.
+    The root is not in ``avoid``, so every point there is bisected off in
+    finitely many steps.  An end that may itself be a root must be named in
+    ``avoid``: the ends are never evaluated.
     """
-    sa, sb = sign(a), sign(b)
-    while b - a > tol or not sa or not sb:
+    while b - a > tol or any(a <= x <= b for x in avoid):
         mid = (a + b) / 2
         s = sign(mid)
         if s == 0:
             return mid, mid
         if s == ref:
-            a, sa = mid, s
+            a = mid
         else:
-            b, sb = mid, s
+            b = mid
     return a, b
 
 
@@ -219,10 +214,13 @@ def isolate_real_roots(
     (the constant-free part is deflated).  Sturm counts of the roots in an
     open interval split every interval that holds two or more roots at its
     midpoint; a midpoint that is a root comes back as an exact point, and
-    both halves keep their counts.  An interval that holds one root is
-    narrowed by bisecting on the sign of the square-free part.  The window
-    stays half-open: a root at ``hi`` comes back as an exact point, a root
-    at ``lo`` is left out, and every enclosure lies inside the window.
+    both halves keep their counts.  Each leaf, an open interval that holds
+    one root, is narrowed by :func:`_sign_bisect` until the enclosure lies
+    strictly inside the leaf and does not hold a deflated 0.  Leaves do not
+    overlap, so neither do their enclosures, and the results are only
+    sorted.  The window stays half-open: a root at ``hi`` comes back as an
+    exact point, a root at ``lo`` is left out, and every enclosure lies
+    inside the window.
     """
     tol = _as_fraction(tol)
     if tol <= 0:
@@ -241,11 +239,12 @@ def isolate_real_roots(
     chain = sturm_chain(work)
     if intpoly.sign_at(chain.squarefree, hi) == 0:
         results.append(_exact_enclosure(hi))
+    deflated = (Fraction(0),) if t0 else ()
     stack = [(lo, hi, _open_count(chain, lo, hi))]
     while stack:
         a, b, cnt = stack.pop()
         if cnt == 1:
-            results.append(_refine_one(coeffs, work, chain, lo, a, b, tol))
+            results.append(_refine_one(coeffs, chain, a, b, tol, deflated))
         elif cnt > 1:
             mid = (a + b) / 2
             left = _open_count(chain, a, mid)
@@ -254,49 +253,28 @@ def isolate_real_roots(
                 cnt -= 1
             stack.append((a, mid, left))
             stack.append((mid, b, cnt - left))
-    _separate(results, coeffs, work, chain, lo)
+    results.sort(key=attrgetter("interval.lo"))
     return results
 
 
-def _refine_one(orig, work, chain, lo, a: Fraction, b: Fraction, tol) -> RootEnclosure:
-    """Enclose the one root of the square-free part in the open ``(a, b)``.
+def _refine_one(orig, chain, a: Fraction, b: Fraction, tol, deflated) -> RootEnclosure:
+    """Enclose the one root of the square-free part in the open leaf ``(a, b)``.
 
-    The window excludes ``lo``, so an end there is bisected off like a root.
+    The bisection avoids the leaf's ends, which may be roots, split points
+    or the excluded window end ``lo``, and the points of ``deflated`` (0 when
+    it was split off), so the enclosure lies strictly inside the leaf and
+    its ends are not roots of ``orig``.
     """
     f = chain.squarefree
     # just right of a root at a, f takes the sign of f'; chain.polys[1] is a
     # positive multiple of f'
     ref = intpoly.sign_at(f, a) or intpoly.sign_at(chain.polys[1], a)
-    a, b = _sign_bisect(lambda t: intpoly.sign_at(f, t) if t != lo else 0, a, b, ref, tol)
+    a, b = _sign_bisect(lambda t: intpoly.sign_at(f, t), a, b, ref, tol, (a, b, *deflated))
     if a == b:
         return _exact_enclosure(a)
-    sl = _sign_for_cert(orig, work, a)
-    sh = _sign_for_cert(orig, work, b)
+    sl, sh = intpoly.sign_at(orig, a), intpoly.sign_at(orig, b)
     note = NOTE_SIMPLE if sl * sh == -1 else NOTE_STURM
     return RootEnclosure(RationalInterval(a, b), sl, sh, note)
-
-
-_ends = attrgetter("interval.lo", "interval.hi")
-
-
-def _separate(results: list, orig, work, chain, lo) -> None:
-    """Sort the enclosures and bisect neighbours until they are strictly disjoint."""
-    results.sort(key=_ends)
-    for i in range(len(results) - 1):
-        guard = 0
-        while results[i].interval.hi >= results[i + 1].interval.lo:
-            for j in (i, i + 1):
-                e = results[j]
-                if e.note != NOTE_EXACT:
-                    # a tolerance of half the width bisects exactly once
-                    results[j] = _refine_one(orig, work, chain, lo, e.interval.lo,
-                                             e.interval.hi, e.width / 2)
-            # the root 0 is split off before isolation, so it can lie inside
-            # an enclosure that bisection then moves past it
-            results[i:i + 2] = sorted(results[i:i + 2], key=_ends)
-            guard += 1
-            if guard > 512:
-                raise InternalInvariantError("failed to separate adjacent enclosures")
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +366,8 @@ def star_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
         hi *= 2
     if _g_sign(k, hi) == 0:
         return _exact_enclosure(hi)
-    lo, hi = _sign_bisect(lambda q: _g_sign(k, q), lo, hi, -1, tol)
+    # g(lo) < 0 < g(hi): neither end is a root, so there is nothing to avoid
+    lo, hi = _sign_bisect(lambda q: _g_sign(k, q), lo, hi, -1, tol, ())
     if lo == hi:
         return _exact_enclosure(lo)
     return RootEnclosure(RationalInterval(lo, hi), -1, +1, NOTE_SIMPLE)

@@ -30,7 +30,11 @@ and -2 (both from ``K_2``) short-cut windows containing them.  Every other
 cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
 composed polynomial.  Signs come from the integer numerator of the
-``K_{a,b}`` closed form, never from reduced fractions.
+``K_{a,b}`` closed form, never from reduced fractions.  The bisection is
+:func:`domroots.realroots._sign_bisect`, the one that also narrows
+isolation leaves and star roots.  It stops once the width is at most
+``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
+and it has no step limit, so a fine ``tol`` gets every halving it needs.
 
 Endpoint signs decide as much as a Sturm count would, because in each
 interval the search uses its family has at most one real root, and a
@@ -84,6 +88,7 @@ from .realroots import (
     RootEnclosure,
     _as_fraction,
     _exact_enclosure,
+    _sign_bisect,
     star_root_estimate,
 )
 # unused here; bench/spans.py wraps these names on this module
@@ -104,8 +109,6 @@ FAMILY_STAR = "star"
 # identity; above it the verifier, like the search at every degree, takes
 # exact signs through the identity.
 VERIFY_EXPANSION_MAX_DEGREE = 120
-
-_REFINE_GUARD = 400
 
 
 @dataclass(frozen=True)
@@ -418,30 +421,21 @@ class _Search:
             self.z, self.eps, self.kind, p, m, deg, enc, self.case
         )
 
-    def _strict(self, lo: Fraction, hi: Fraction) -> bool:
-        return self.z - self.eps < lo and hi < self.z + self.eps
-
     def _certify_sign_bisection(self, m: int, p: int) -> Optional[RootEnclosure]:
-        """Bisection on exact composed-value signs."""
+        """Bisection on exact composed-value signs, by the one bisection of
+        root isolation: it runs until the width is at most ``tol`` and the
+        enclosure holds neither end of the target window, so the enclosure
+        lies strictly inside ``(z - eps, z + eps)``."""
         sides = self._sides(p)
         sign = lambda t: _composed_sign(sides, m, t)
-        lo, hi = self.w_lo, self.w_hi
-        s_lo = sign(lo)
-        s_hi = sign(hi)
+        s_lo, s_hi = sign(self.w_lo), sign(self.w_hi)
         if s_lo * s_hi >= 0:
             return None
-        for _ in range(_REFINE_GUARD):
-            if hi - lo <= self.tol and self._strict(lo, hi):
-                return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
-            mid = (lo + hi) / 2
-            s_mid = sign(mid)
-            if s_mid == 0:
-                return _exact_enclosure(mid) if self._strict(mid, mid) else None
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        return None
+        avoid = (self.z - self.eps, self.z + self.eps)
+        lo, hi = _sign_bisect(sign, self.w_lo, self.w_hi, s_lo, self.tol, avoid)
+        if lo == hi:
+            return _exact_enclosure(lo)
+        return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
 
 
 def construct_witness(

@@ -208,6 +208,10 @@ def isolation_cases(draw):
 @example(([0, -2, 1], [0, 2], Fraction(0), Fraction(2), Fraction(2)))  # x(x-2), root ends
 @example(([2, 3, 1], [-2, -1], Fraction(-3), Fraction(0), Fraction(2)))  # midpoint -3/2, no root
 @example(([0, -1, 0, 1], [-1, 0, 1], Fraction(-7, 4), Fraction(5, 4), Fraction(2)))  # 0 inside
+# x(4x - 1) and x(16x - 1): without 0 among the points the bisection avoids,
+# the enclosure of the positive root would end on the deflated 0, or hold it
+@example(([0, -1, 4], [0, Fraction(1, 4)], Fraction(-1), Fraction(1), Fraction(2)))
+@example(([0, -1, 16], [0, Fraction(1, 16)], Fraction(-3, 4), Fraction(1, 2), Fraction(2)))
 @given(isolation_cases())
 def test_isolation_contract(case):
     coeffs, distinct, lo, hi, tol = case

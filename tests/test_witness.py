@@ -181,6 +181,48 @@ def test_default_budget_reach_at_one_hundredth():
     assert exc.value.frontier["cells_tested"] == 33390
 
 
+def test_fine_tolerance_is_not_a_false_exhaustion():
+    # about 428 halvings take the window's width 1/10 below 10^-130; the
+    # search certifies instead of reporting an exhausted budget
+    tol = Fraction(1, 10 ** 130)
+    budget = SearchBudget(max_m=5, max_param=41, max_degree=400)
+    cert = construct_witness(Fraction(-3, 2), Fraction(1, 20), budget, tol=tol)
+    assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_K2_ELL, 7, 3)
+    assert 0 < cert.enclosure.width <= tol
+    assert verify_certificate(cert).ok
+
+
+# targets within 1/2 of -2, -1 and 0, the ends of the regimes: a point of
+# the 1/64 grid moved by a fraction with a large denominator
+@st.composite
+def _near_anchor(draw):
+    d = draw(st.integers(10 ** 6, 10 ** 12))
+    offset = Fraction(draw(st.integers(-31, 31)), 64) + Fraction(draw(st.integers(0, d)), 64 * d)
+    return draw(st.sampled_from((-2, -1, 0))) + offset
+
+
+@settings(max_examples=100)
+@given(
+    z=_near_anchor(),
+    eps=st.fractions(Fraction(1, 100), Fraction(1, 10), max_denominator=10 ** 9),
+    tol=st.sampled_from((DEFAULT_TOL, Fraction(1, 10 ** 130)))
+    | st.integers(0, 60).map(lambda k: Fraction(1, 2 ** k)),
+    max_m=st.integers(1, 7),
+    max_param=st.integers(1, 61),
+)
+def test_witness_verifies_or_exhausts(z, eps, tol, max_m, max_param):
+    assume(z <= 0)
+    try:
+        cert = construct_witness(z, eps, SearchBudget(max_m, max_param, 400), tol=tol)
+    except BudgetExhaustedError:
+        return
+    assert verify_certificate(cert).ok
+    enc = cert.enclosure
+    if enc.note != NOTE_EXACT:
+        assert z - eps < enc.interval.lo < enc.interval.hi < z + eps
+        assert enc.width <= tol
+
+
 def _sign(v):
     return (v > 0) - (v < 0)
 
@@ -306,7 +348,7 @@ def _count_bisection(chain, poly, m, z, eps, lo, hi, tol):
     count = count_roots_in(chain, RationalInterval(phi(lo), phi(hi)))
     if count < 1:
         return None
-    for _ in range(witness._REFINE_GUARD):
+    for _ in range(400):
         if count == 1 and hi - lo <= tol and strict(lo, hi):
             s_lo, s_hi = sign(lo), sign(hi)
             if s_lo * s_hi == -1:
