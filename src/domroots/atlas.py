@@ -1,15 +1,19 @@
 """Desk-scale sweeps: root clouds, extremal-root tables and growth checks.
 
-The labeled sweep enumerates every graph on ``n`` labeled vertices (capped
-at 7 by default, ~2 million graphs), computes each domination polynomial by
-the Gray-coded inclusion-exclusion, and certifies the real roots of every
-*distinct* polynomial it meets.  Root finding is float-first: locations come
-from floating bisection over monotone segments, then exact endpoint signs
-certify each enclosure and an exact Sturm count certifies completeness;
-anything inconclusive (values within ``1e3 * machine epsilon`` of zero,
-mismatched counts, overlapping enclosures) escalates to fully exact
-isolation.  Workers process mask chunks and the writer merges in submission
-order, so parallel output is byte-identical to a single worker's.
+The labeled sweep covers every graph on ``n`` labeled vertices (capped at 7
+by default, ~2 million graphs).  Each graph is a prefix graph on the first
+``n-1`` vertices plus the neighbourhood of the last one; one subset-sum
+transform per prefix gives the domination polynomials of all ``2^(n-1)``
+extensions, each packed into one int (see :func:`_polynomial_ids`).  Every
+*distinct* polynomial has its real roots certified once, and the CSV writer
+formats each one's enclosures once.  Root finding is float-first: locations
+come from floating bisection over monotone segments, then exact endpoint
+signs certify each enclosure and an exact Sturm count certifies
+completeness; anything inconclusive (values within ``1e3 * machine
+epsilon`` of zero, mismatched counts, overlapping enclosures) escalates to
+fully exact isolation.  Workers take contiguous prefix ranges and the
+parent places their polynomial ids by edge mask, so parallel output is
+byte-identical to a single worker's.
 """
 
 from __future__ import annotations
@@ -21,9 +25,17 @@ from math import comb, log
 from typing import Iterable, Iterator, Optional
 
 from . import intpoly
-from .dompoly import _ie_coeffs, dom_poly_inclusion_exclusion
+from .dompoly import dom_poly_inclusion_exclusion
 from .errors import CapacityError, DomainError
-from .graph import Graph, _bits, mask_to_graph6, refinement_signature, star, to_graph6
+from .graph import (
+    Graph,
+    _bits,
+    labeled_graph6,
+    mask_to_graph6,
+    refinement_signature,
+    star,
+    to_graph6,
+)
 from .realroots import (
     DEFAULT_TOL,
     RationalInterval,
@@ -265,46 +277,155 @@ def _roots_cached(coeffs, tol) -> list:
     return got
 
 
-def _scan_chunk(args) -> tuple:
-    n, start, stop, tol = args
-    pairs = _edge_pairs(n)
-    binom_rows = [[comb(s, k) for k in range(s + 1)] for s in range(n + 1)]
-    bit_lists = [list(_bits(m)) for m in range(1 << n)]
-    adj = list(_graph_from_mask(start, n, pairs).adj)
-    rows = []
-    mask = start
-    while mask < stop:
-        if mask != start:
-            flipped = mask ^ (mask - 1)
-            idx = 0
-            while flipped:
-                if flipped & 1:
-                    u, v = pairs[idx]
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                flipped >>= 1
-                idx += 1
-        nbh_lists = [bit_lists[adj[v] | (1 << v)] for v in range(n)]
-        coeffs = _ie_coeffs(n, nbh_lists, binom_rows)
-        rows.append((mask_to_graph6(mask, n), _roots_cached(coeffs, tol)))
-        mask += 1
-    return start, rows
+def _prefix_chunk(args) -> tuple:
+    """Packed polynomials, ``digit`` bits per coefficient, of the order-``n``
+    graphs whose prefix lies in ``range(start, stop)`` (see
+    :func:`_polynomial_ids`).
+
+    Returns ``(keys, ids)``: the distinct packed polynomials in order of
+    first appearance, and for the graph with prefix ``p`` and last-vertex
+    neighbourhood ``S`` the index of its key at
+    ``ids[S * (stop - start) + p - start]``, so each ``S`` is one run.
+    """
+    from array import array
+    from collections import defaultdict
+    from operator import add, getitem
+
+    n, digit, start, stop = args
+    k = n - 1
+    size = 1 << k
+    full = size - 1
+    base = 1 << digit
+    pairs = _edge_pairs(k)
+    # table[A][M] is the transform's input at A when N'[A] = M:
+    # x (-1)^|A| (1+x)^(k-|M|), less x^|A| when A dominates (M = V')
+    term = [base * (base + 1) ** (k - m.bit_count()) for m in range(size)]
+    table = []
+    for a in range(size):
+        row = [-v for v in term] if a.bit_count() & 1 else list(term)
+        row[full] -= base ** a.bit_count()
+        table.append(row)
+    index = defaultdict()
+    index.default_factory = index.__len__  # a new key gets the next id
+    width = stop - start
+    ids = array("I", [0]) * (size * width)
+    for prefix in range(start, stop):
+        nbh = [1 << v for v in range(k)]
+        for e in _bits(prefix):
+            u, v = pairs[e]
+            nbh[u] |= 1 << v
+            nbh[v] |= 1 << u
+        cover = [0]  # cover[A] = N'[A]
+        for b in nbh:
+            cover += [c | b for c in cover]
+        z = list(map(getitem, table, cover))
+        # each step sums over the lowest index bit and rotates it to the
+        # top, so after k steps every bit is done and back in its place
+        for _ in range(k):
+            lo, hi = z[0::2], z[1::2]
+            z = lo + list(map(add, lo, hi))
+        # z[V'] = (x - 1) D(G'), as P(V') = H(V') = D(G'); S ascending is
+        # T = V' \ S descending
+        keys = map((z[full] // (base - 1)).__add__, reversed(z))
+        ids[prefix - start::width] = array("I", map(index.__getitem__, keys))
+    return list(index), ids
+
+
+def _polynomial_ids(n: int, workers: int) -> tuple:
+    """Distinct domination polynomials of the labeled graphs of order ``n``
+    and, for every edge mask, the index of its polynomial in that list.
+
+    A graph is a prefix graph ``G'`` on ``V' = {0..n-2}`` (the low mask
+    bits) plus the neighbourhood ``S`` of vertex ``n-1`` (the high bits).
+    A dominating set of ``G`` either omits ``n-1``, and then dominates
+    ``G'`` and meets ``S``, or holds it, and then the rest ``W`` covers
+    ``T = V' \\ S``.  So ``D(G) = D(G') - H(T) + x P(T)`` with
+    ``H(T) = sum x^|W|`` over the ``W`` inside ``T`` that dominate ``G'``
+    and ``P(T) = sum x^|W|`` over the ``W`` with ``T`` inside ``N'[W]``,
+    which by inclusion-exclusion is
+    ``sum_(A inside T) (-1)^|A| (1+x)^(n-1-|N'[A]|)``.  Both are subset
+    sums over ``T``, so one zeta transform per prefix (Bjorklund, Husfeldt,
+    Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
+    STOC 2007) gives ``x P - H`` at every ``T``, and each of the
+    ``2^(n-1)`` extensions costs one addition.  A polynomial is packed into
+    one int as its value at ``x = 2^digit``, where ``2^digit`` exceeds
+    ``C(n, n // 2)`` and so every coefficient of ``D(G)``: the digits of the
+    int are the coefficients, and equal keys mean equal polynomials.
+
+    Workers take contiguous prefix ranges; the ids they return are mapped
+    onto the keys in order of first appearance over the chunks, so the
+    result does not depend on the worker count.
+    """
+    from array import array
+
+    k = n - 1
+    prefix_bits = k * (k - 1) // 2
+    prefixes = 1 << prefix_bits
+    digit = comb(n, n // 2).bit_length()
+    if workers <= 1 or prefixes << k < 4096:
+        keys, ids = _prefix_chunk((n, digit, 0, prefixes))
+    else:
+        import multiprocessing as mp
+
+        step = -(-prefixes // workers)
+        jobs = [(n, digit, a, min(a + step, prefixes)) for a in range(0, prefixes, step)]
+        index = {}
+        ids = array("I", [0]) * (prefixes << k)
+        ctx = mp.get_context("fork") if sys.platform != "win32" else mp.get_context()
+        with ctx.Pool(workers) as pool:
+            results = pool.imap(_prefix_chunk, jobs)
+            for (*_, start, stop), (chunk_keys, local) in zip(jobs, results):
+                remap = [index.setdefault(key, len(index)) for key in chunk_keys]
+                local = array("I", map(remap.__getitem__, local))
+                width = stop - start
+                for s in range(1 << k):
+                    at = s << prefix_bits
+                    ids[at + start:at + stop] = local[s * width:(s + 1) * width]
+        keys = list(index)
+    mask = (1 << digit) - 1
+    return [tuple(key >> digit * j & mask for j in range(n + 1)) for key in keys], ids
+
+
+def _scan(n: int, tol: Fraction, workers: int) -> tuple:
+    """``(roots, ids)``: the certified enclosures of each distinct polynomial
+    of order ``n`` and, per edge mask, the index of its graph's list."""
+    polys, ids = _polynomial_ids(n, workers)
+    return [_roots_cached(c, tol) for c in polys], ids
 
 
 def _iter_scan_rows(n: int, tol: Fraction, workers: int):
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
-    if workers <= 1 or total < 4096:
-        yield from _scan_chunk((n, 0, total, tol))[1]
-        return
-    import multiprocessing as mp
+    """``(graph6, enclosures)`` for every labeled graph of order ``n``, in
+    ascending edge-mask order."""
+    roots, ids = _scan(n, tol, workers)
+    return zip(labeled_graph6(n), map(roots.__getitem__, ids))
 
-    chunk = max(1024, total // 256)
-    jobs = [(n, a, min(a + chunk, total), tol) for a in range(0, total, chunk)]
-    ctx = mp.get_context("fork") if sys.platform != "win32" else mp.get_context()
-    with ctx.Pool(workers) as pool:
-        for _, rows in pool.imap(_scan_chunk, jobs):
-            yield from rows
+
+@dataclass(frozen=True)
+class _LabeledCloud:
+    """The root cloud of every labeled graph of one order.  Iterating yields
+    :class:`RootCloudRecord` rows; :func:`write_root_cloud_csv` instead
+    formats each distinct polynomial's enclosures once."""
+
+    n: int
+    tol: Fraction
+    workers: int
+
+    def __iter__(self) -> Iterator[RootCloudRecord]:
+        for g6, roots in _iter_scan_rows(self.n, self.tol, self.workers):
+            for lo, hi in roots:
+                yield RootCloudRecord(g6, self.n, lo, hi)
+
+    def write_rows(self, out) -> None:
+        from itertools import islice
+
+        roots, ids = _scan(self.n, self.tol, self.workers)
+        n = self.n
+        # g6.join(("", tail_1, tail_2, ...)) is one row per enclosure
+        tails = [("",) + tuple(f",{n},{format_fixed(lo)},{format_fixed(hi)}\n"
+                               for lo, hi in r) for r in roots]
+        rows = map(str.join, labeled_graph6(n), map(tails.__getitem__, ids))
+        while batch := list(islice(rows, 4096)):
+            out.write("".join(batch))
 
 
 def root_cloud(
@@ -312,15 +433,14 @@ def root_cloud(
     tol: Fraction = DEFAULT_TOL,
     workers: int = 1,
     labeled_cap: int = LABELED_CAP_DEFAULT,
-) -> Iterator[RootCloudRecord]:
+) -> Iterable[RootCloudRecord]:
     """Certified real-root enclosures for every labeled graph of order ``n``.
 
     Rows come in enumeration order with roots ascending per graph.  The
     order and cap are checked when this is called, before the first row.
     """
     _check_order(n, labeled_cap)
-    return (RootCloudRecord(g6, n, lo, hi)
-            for g6, roots in _iter_scan_rows(n, tol, workers) for lo, hi in roots)
+    return _LabeledCloud(n, tol, workers)
 
 
 def root_cloud_from_graphs(
@@ -357,15 +477,10 @@ def smallest_root_table(
         raise DomainError("n_max must be >= 1")
     records = []
     for n in range(1, min(n_max, labeled_cap) + 1):
-        best = None
-        best_g6 = None
-        for g6, roots in _iter_scan_rows(n, tol, workers):
-            if not roots:
-                continue
-            lo, hi = roots[0]
-            if best is None or (lo, hi) < best:
-                best = (lo, hi)
-                best_g6 = g6
+        roots, ids = _scan(n, tol, workers)
+        best = min(r[0] for r in roots)  # every list holds at least the root 0
+        first = min(ids.index(i) for i, r in enumerate(roots) if r[0] == best)
+        best_g6 = mask_to_graph6(first, n)
         note = _N2_NOTE if n == 2 else ""
         records.append(ExtremalRecord(n, best[0], best[1], best_g6, True, note))
     for n in range(min(n_max, labeled_cap) + 1, n_max + 1):
@@ -396,8 +511,14 @@ def growth_check(n_max: int, tol: Fraction = DEFAULT_TOL) -> list:
 # ---------------------------------------------------------------------------
 
 def write_root_cloud_csv(records: Iterable, out) -> None:
-    """``graph6,n,root_lo,root_hi`` with 12-digit fixed-point rationals."""
+    """``graph6,n,root_lo,root_hi`` with 12-digit fixed-point rationals.
+
+    For the cloud of :func:`root_cloud` each distinct polynomial's rows are
+    formatted once and every graph's rows are its graph6 joined to them."""
     out.write("graph6,n,root_lo,root_hi\n")
+    if isinstance(records, _LabeledCloud):
+        records.write_rows(out)
+        return
     for r in records:
         out.write(f"{r.graph6},{r.n},{format_fixed(r.root_lo)},{format_fixed(r.root_hi)}\n")
 

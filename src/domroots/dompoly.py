@@ -96,25 +96,17 @@ def dom_poly_bruteforce(g: Graph) -> DomPolynomial:
 
 
 def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
-    """Inclusion-exclusion over sets of undominated vertices (see :func:`_ie_coeffs`)."""
-    n = g.n
-    nbh_lists = [list(_bits(g.adj[v] | (1 << v))) for v in range(n)]
-    binom_rows = [[comb(s, k) for k in range(s + 1)] for s in range(n + 1)]
-    return DomPolynomial(_ie_coeffs(n, nbh_lists, binom_rows))
-
-
-def _ie_coeffs(n: int, nbh_lists, binom_rows) -> tuple:
-    """Coefficients of ``D(G, x)`` for the graph of order ``n`` whose closed
-    neighbourhoods are ``nbh_lists[v]`` (vertex lists), with
-    ``binom_rows[s][k] = C(s, k)``.
+    """Inclusion-exclusion over sets of undominated vertices.
 
     For each A subseteq V, the k-subsets avoiding N[A] number C(n-|N[A]|, k),
     so ``d_k = sum_A (-1)^{|A|} C(n-|N[A]|, k)``; equivalently
     ``D(G,x) = sum_A (-1)^{|A|} (1+x)^{n-|N[A]|}``.  The subsets A are walked
     in Gray-code order so that |N[A]| is maintained incrementally via
-    per-vertex coverage counters - this loop is the atlas hot path, which
-    calls it with tables built once per chunk of graphs.
+    per-vertex coverage counters.  The labeled sweep's prefix transforms
+    are tested against this route.
     """
+    n = g.n
+    nbh_lists = [list(_bits(g.adj[v] | (1 << v))) for v in range(n)]
     weight = [0] * (n + 1)
     weight[n] = 1  # A = {} covers nothing
     cover = [0] * n
@@ -139,13 +131,11 @@ def _ie_coeffs(n: int, nbh_lists, binom_rows) -> tuple:
                     covered -= 1
         weight[n - covered] += -1 if gray.bit_count() & 1 else 1
     coeffs = [0] * (n + 1)
-    for s in range(n + 1):
-        w = weight[s]
+    for s, w in enumerate(weight):
         if w:
-            row = binom_rows[s]
             for k in range(s + 1):
-                coeffs[k] += w * row[k]
-    return tuple(coeffs)
+                coeffs[k] += w * comb(s, k)
+    return DomPolynomial(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,24 @@ def mask_to_graph6(mask: int, n: int) -> str:
     return bytes(head + body).decode("ascii")
 
 
+def labeled_graph6(n: int) -> Iterator[str]:
+    """graph6 of every graph on ``n`` labeled vertices, in ascending edge
+    mask order: the strings ``mask_to_graph6(mask, n)`` for every mask."""
+    from itertools import product
+
+    nbits = n * (n - 1) // 2
+    # one character per 6-bit group of the mask; the low group varies fastest
+    groups = [[chr(_REV6[v] + 63) for v in range(1 << min(6, nbits - g))]
+              for g in range(0, nbits, 6)]
+    empty = mask_to_graph6(0, n)
+    header = empty[:len(empty) - len(groups)]
+    heads = [header + c for c in groups[0]] if groups else [header]
+    for high in product(*reversed(groups[1:])):
+        tail = "".join(reversed(high))
+        for head in heads:
+            yield head + tail
+
+
 def read_graph6_file(path) -> Iterator[Graph]:
     """Stream graphs from a one-graph-per-line graph6 corpus file."""
     with open(path, "r", encoding="ascii") as fh:

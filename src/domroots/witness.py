@@ -336,10 +336,9 @@ class _Search:
     def run(self) -> WitnessCertificate:
         cells = self._star_cells() if self.case == CASE_2 else self._diagonal_cells()
         for m, p, mapped in cells:
-            if self._hit(p, mapped):
-                cert = self._certify(m, p)
-                if cert is not None:
-                    return cert
+            signs = self._hit(p, mapped)
+            if signs is not None:
+                return self._certify(m, p, *signs)
         b = self.budget
         raise BudgetExhaustedError(
             "witness search budget exhausted (this does not prove nonexistence); "
@@ -404,38 +403,34 @@ class _Search:
             sides = self.sides[p] = _sides(self.kind, p)
         return sides
 
-    def _hit(self, p: int, mapped: RationalInterval) -> bool:
+    def _hit(self, p: int, mapped: RationalInterval) -> Optional[tuple]:
+        """The family's signs at the mapped window's ends when they differ,
+        else ``None``.  The composed polynomial at ``t`` is the family's at
+        ``_phi(t, m)``, and ``_numerator`` is homogeneous, so these are also
+        the signs that ``_composed_sign`` gives at the target window's ends."""
         if not _param_band_plausible(self.case, p, mapped):
-            return False
+            return None
         sides = self._sides(p)
-        return _family_sign(sides, mapped.lo) * _family_sign(sides, mapped.hi) < 0
+        s_lo, s_hi = _family_sign(sides, mapped.lo), _family_sign(sides, mapped.hi)
+        return (s_lo, s_hi) if s_lo * s_hi < 0 else None
 
     # -- certification ------------------------------------------------------
 
-    def _certify(self, m: int, p: int) -> Optional[WitnessCertificate]:
-        enc = self._certify_sign_bisection(m, p)
-        if enc is None:
-            return None
-        deg = sum(self._sides(p)) * m
-        return WitnessCertificate(
-            self.z, self.eps, self.kind, p, m, deg, enc, self.case
-        )
-
-    def _certify_sign_bisection(self, m: int, p: int) -> Optional[RootEnclosure]:
+    def _certify(self, m: int, p: int, s_lo: int, s_hi: int) -> WitnessCertificate:
         """Bisection on exact composed-value signs, by the one bisection of
         root isolation: it runs until the width is at most ``tol`` and the
         enclosure holds neither end of the target window, so the enclosure
         lies strictly inside ``(z - eps, z + eps)``."""
         sides = self._sides(p)
         sign = lambda t: _composed_sign(sides, m, t)
-        s_lo, s_hi = sign(self.w_lo), sign(self.w_hi)
-        if s_lo * s_hi >= 0:
-            return None
         avoid = (self.z - self.eps, self.z + self.eps)
         lo, hi = _sign_bisect(sign, self.w_lo, self.w_hi, s_lo, self.tol, avoid)
         if lo == hi:
-            return _exact_enclosure(lo)
-        return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
+            enc = _exact_enclosure(lo)
+        else:
+            enc = RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
+        deg = sum(sides) * m
+        return WitnessCertificate(self.z, self.eps, self.kind, p, m, deg, enc, self.case)
 
 
 def construct_witness(

@@ -16,7 +16,7 @@ from domroots.errors import CapacityError, DomainError
 from domroots.graph import from_graph6, read_graph6_file, to_graph6
 from domroots.realroots import DEFAULT_TOL
 
-from conftest import random_graph
+from conftest import all_labeled_graphs, random_graph
 
 
 def test_enumerate_counts():
@@ -69,11 +69,35 @@ def test_root_cloud_cap():
 
 
 def test_parallel_output_identical():
+    # order 6 (32,768 graphs) is above the serial cutoff, so two workers
+    # each take half of the prefixes and the parent merges their ids
     serial = io.StringIO()
     parallel = io.StringIO()
-    atlas.write_root_cloud_csv(root_cloud(4, workers=1), serial)
-    atlas.write_root_cloud_csv(root_cloud(4, workers=3), parallel)
+    atlas.write_root_cloud_csv(root_cloud(6, workers=1), serial)
+    atlas.write_root_cloud_csv(root_cloud(6, workers=2), parallel)
     assert serial.getvalue() == parallel.getvalue()
+
+
+def test_csv_of_the_sweep_matches_its_records():
+    # the writer formats each distinct polynomial once; formatting every
+    # record (a plain iterator takes that route) must give the same bytes
+    cached = io.StringIO()
+    per_record = io.StringIO()
+    atlas.write_root_cloud_csv(root_cloud(5), cached)
+    atlas.write_root_cloud_csv(iter(root_cloud(5)), per_record)
+    assert cached.getvalue() == per_record.getvalue()
+
+
+def test_sweep_polynomials_match_inclusion_exclusion():
+    distinct = []
+    for n in range(1, 7):
+        polys, ids = atlas._polynomial_ids(n, 1)
+        assert len(ids) == 1 << (n * (n - 1) // 2)
+        assert len(set(polys)) == len(polys)
+        for g, i in zip(all_labeled_graphs(n), ids):
+            assert polys[i] == dom_poly_inclusion_exclusion(g).coeffs
+        distinct.append(len(polys))
+    assert distinct == [1, 2, 4, 10, 27, 88]
 
 
 def test_root_cloud_from_graphs_matches_labeled():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,13 @@ def test_atlas_cloud(capsys):
     assert lines[0] == "graph6,n,root_lo,root_hi"
     ids = {line.split(",")[0] for line in lines[1:]}
     assert len(ids) == 8  # all labeled graphs of order 3 appear
+
+
+def test_atlas_order6_golden_sha256(capsys):
+    code, out, _ = run(capsys, "--workers", "1", "atlas", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == "dfbd6435e9dd5fac8e3e5f6a35c224fe08ae6dce96cfd3aaac676a82c247e4ca"
 
 
 def test_atlas_over_cap_exit_3(capsys):

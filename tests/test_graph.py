@@ -12,6 +12,7 @@ from domroots.graph import (
     family,
     from_edges,
     from_graph6,
+    labeled_graph6,
     refinement_signature,
     star,
     substitute_complete,
@@ -87,6 +88,11 @@ def test_graph6_round_trip_exhaustive_small():
     for n in (1, 2, 3, 4):
         for g in all_labeled_graphs(n):
             assert from_graph6(to_graph6(g)) == g
+
+
+def test_labeled_graph6_follows_mask_order():
+    for n in range(1, 7):
+        assert list(labeled_graph6(n)) == [to_graph6(g) for g in all_labeled_graphs(n)]
 
 
 @given(st.integers(2, 16), st.data())

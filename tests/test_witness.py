@@ -251,9 +251,29 @@ def _diagonal_star_search(z, eps, budget):
                 continue
             gated.append((m, k))
             star = family_polynomial(FAMILY_STAR, k)
-            if cert is None and _sign(eval_rational(star, lo)) * _sign(eval_rational(star, hi)) < 0:
-                cert = search._certify(m, k)
+            if cert is None:
+                s_lo, s_hi = _sign(eval_rational(star, lo)), _sign(eval_rational(star, hi))
+                if s_lo * s_hi < 0:
+                    cert = search._certify(m, k, s_lo, s_hi)
     return gated, cert, cells
+
+
+@pytest.mark.parametrize("z, eps", [("-3", "1/10"), ("-1.5", "1/20"), ("-0.9", "1/20")])
+def test_hit_signs_are_the_composed_signs(z, eps):
+    # certification starts from the signs of the hit test, taken from the
+    # family at the mapped ends; they must be the composed signs at the
+    # target window's ends
+    search = witness._Search(F(z), F(eps), SearchBudget(5, 41, 400), DEFAULT_TOL)
+    cells = search._star_cells() if search.case == CASE_2 else search._diagonal_cells()
+    hits = 0
+    for m, p, mapped in cells:
+        signs = search._hit(p, mapped)
+        if signs is not None:
+            sides = search._sides(p)
+            assert signs == (witness._composed_sign(sides, m, search.w_lo),
+                             witness._composed_sign(sides, m, search.w_hi))
+            hits += 1
+    assert hits > 0
 
 
 @settings(max_examples=100)
