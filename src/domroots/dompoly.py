@@ -1,13 +1,13 @@
 """Exact domination polynomials.
 
 ``D(G, x) = sum_k d_k x^k`` where ``d_k`` counts dominating sets of size
-``k``.  Two independent general algorithms are provided (a direct subset
-scan and an inclusion-exclusion sum over undominated vertex sets) plus
-closed forms for the three shapes of :data:`domroots.graph.FAMILIES` -
-complete, edgeless and complete bipartite, which covers stars, ``K_{2,l}``
-and ``K_{k,k}`` - and exact composition under clique substitution.
-Coefficients are Python ints (arbitrary precision) from the start; nothing
-here ever wraps around.
+``k``.  Two independent general algorithms check each other: a scan of all
+``2^n`` subsets, and inclusion-exclusion over undominated vertex sets with
+the subsets of up to ``BLOCK`` vertices held as the bits of one int.  Closed
+forms cover the three shapes of :data:`domroots.graph.FAMILIES` - complete,
+edgeless and complete bipartite, so stars, ``K_{2,l}`` and ``K_{k,k}`` - and
+composition under clique substitution is exact.  Coefficients are Python
+ints (arbitrary precision); nothing here ever wraps around.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import intpoly
 from .errors import CapacityError, DomainError
-from .graph import Graph, _bits, complete, complete_bipartite, empty_graph, family_shape
+from .graph import (Graph, _bits, closed_neighborhood_mask, complete, complete_bipartite,
+                    empty_graph, family_shape)
 
 BRUTE_FORCE_CAP = 24
+BLOCK = 14  # low vertices whose subsets are the bits of one int
 
 
 @dataclass(frozen=True)
@@ -95,41 +98,50 @@ def dom_poly_bruteforce(g: Graph) -> DomPolynomial:
     return DomPolynomial(tuple(counts))
 
 
+@lru_cache(maxsize=BLOCK + 1)
+def _index_masks(low: int) -> tuple:
+    """``(full, X, odd)`` with one bit per subset ``A`` of vertices ``0..low-1``:
+    bit ``A`` of ``X[w]`` is set iff ``w`` is in ``A``, of ``odd`` iff ``|A|`` is odd."""
+    full = (1 << (1 << low)) - 1
+    xs, odd = [], 0
+    for w in range(low):
+        half = 1 << w
+        xs.append(full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+        odd ^= xs[-1]
+    return full, tuple(xs), odd
+
+
 def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
-    """Inclusion-exclusion over sets of undominated vertices.
+    """Inclusion-exclusion over sets of undominated vertices, bit-parallel.
 
     For each A subseteq V, the k-subsets avoiding N[A] number C(n-|N[A]|, k),
-    so ``d_k = sum_A (-1)^{|A|} C(n-|N[A]|, k)``; equivalently
-    ``D(G,x) = sum_A (-1)^{|A|} (1+x)^{n-|N[A]|}``.  The subsets A are walked
-    in Gray-code order so that |N[A]| is maintained incrementally via
-    per-vertex coverage counters.  The labeled sweep's prefix transforms
-    are tested against this route.
+    so ``D(G,x) = sum_A (-1)^{|A|} (1+x)^{n-|N[A]|}``.  The subsets of the
+    low ``L = min(n, BLOCK)`` vertices are the bits of one int.  A DP over
+    the vertices splits them into ``layers[j]``, the subsets that cover
+    exactly ``j`` vertices; popcounts under the parity mask give each
+    layer's signed count.  The subsets ``B`` of the vertices above ``L`` are
+    walked one at a time: vertices in ``N[B]`` skip the DP and the layers
+    shift by ``|N[B]|``.  No int is wider than ``2^BLOCK`` bits at any order.
+    This route checks :func:`dom_poly_bruteforce` and the sweep's transforms.
     """
     n = g.n
-    nbh_lists = [list(_bits(g.adj[v] | (1 << v))) for v in range(n)]
+    low = min(n, BLOCK)
+    full, xs, odd = _index_masks(low)
+    covers = [0] * n  # covers[u]: U_u, the low subsets A with u in N[A]
+    for w, xw in enumerate(xs):
+        for u in _bits(g.adj[w] | 1 << w):
+            covers[u] |= xw
     weight = [0] * (n + 1)
-    weight[n] = 1  # A = {} covers nothing
-    cover = [0] * n
-    covered = 0
-    prev = 0
-    for i in range(1, 1 << n):
-        gray = i ^ (i >> 1)
-        flip = gray ^ prev
-        prev = gray
-        lst = nbh_lists[flip.bit_length() - 1]
-        if gray & flip:
-            for u in lst:
-                c = cover[u] + 1
-                cover[u] = c
-                if c == 1:
-                    covered += 1
-        else:
-            for u in lst:
-                c = cover[u] - 1
-                cover[u] = c
-                if c == 0:
-                    covered -= 1
-        weight[n - covered] += -1 if gray.bit_count() & 1 else 1
+    for b in range(1 << (n - low)):
+        taken = closed_neighborhood_mask(g, b << low)  # N[B], B the high subset b
+        layers = [full]
+        for u, x in enumerate(covers):
+            if x and not taken >> u & 1:
+                layers = [a & ~x | c & x for a, c in zip(layers + [0], [0] + layers)]
+        sign = -1 if b.bit_count() & 1 else 1
+        top = n - taken.bit_count()
+        for j, layer in enumerate(layers):
+            weight[top - j] += sign * (layer.bit_count() - 2 * (layer & odd).bit_count())
     coeffs = [0] * (n + 1)
     for s, w in enumerate(weight):
         if w:

@@ -265,7 +265,7 @@ def from_graph6(text: str) -> Graph:
     text = text.rstrip("\r\n")
     if not text:
         raise Graph6ParseError("empty graph6 input", 0)
-    data = text.encode("ascii", errors="replace")
+    data = [ord(c) for c in text]
     for off, b in enumerate(data):
         if not 63 <= b <= 126:
             raise Graph6ParseError(f"byte {b} outside the printable graph6 range", off)

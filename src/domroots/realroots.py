@@ -97,8 +97,8 @@ class RootEnclosure:
     def __post_init__(self):
         if self.note == NOTE_SIMPLE and self.sign_lo * self.sign_hi != -1:
             raise DomainError("simple-certified enclosures need opposite endpoint signs")
-        if self.note == NOTE_EXACT and self.interval.width != 0:
-            raise DomainError("exact enclosures are point intervals")
+        if self.note == NOTE_EXACT and (self.interval.width or self.sign_lo or self.sign_hi):
+            raise DomainError("exact enclosures are point intervals with zero end signs")
 
 
 @dataclass(frozen=True)

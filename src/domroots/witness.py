@@ -493,8 +493,10 @@ def _certified_signs(cert: WitnessCertificate):
     Up to :data:`VERIFY_EXPANSION_MAX_DEGREE` the polynomial is re-expanded
     (once) and evaluated, independently of the substitution identity the
     search uses; above it the sign is taken through that identity, in
-    integers."""
-    if cert.composed_degree <= VERIFY_EXPANSION_MAX_DEGREE:
+    integers.  The degree the descriptor implies picks the route, not the
+    stored one, so a wrong stored degree or ``m < 1`` expands nothing."""
+    degree = family_order(cert.family_kind, cert.family_param) * cert.m
+    if 0 < degree <= VERIFY_EXPANSION_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m
         )

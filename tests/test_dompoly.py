@@ -22,6 +22,7 @@ from domroots.graph import (
     complete_bipartite,
     disjoint_union,
     empty_graph,
+    from_edges,
     star,
     substitute_complete,
 )
@@ -64,6 +65,28 @@ def test_oracle_equivalence_sampled_n5(rng):
     for _ in range(120):
         g = random_graph(rng, 5)
         assert dom_poly_inclusion_exclusion(g).coeffs == dom_poly_bruteforce(g).coeffs
+
+
+# orders BLOCK-1 .. BLOCK+2 walk the subsets of the vertices above the block
+@settings(max_examples=80)
+@given(st.integers(1, 16) | st.integers(dompoly.BLOCK - 1, dompoly.BLOCK + 2), st.data())
+def test_inclusion_exclusion_matches_bruteforce_across_the_block(n, data):
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
+    assert dom_poly_inclusion_exclusion(g).coeffs == dom_poly_bruteforce(g).coeffs
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_inclusion_exclusion_closed_forms_across_the_block(n):
+    cases = [
+        (complete(n), ("complete", n)),
+        (empty_graph(n), ("empty_graph", n)),
+        (star(n - 1), ("star", n - 1)),
+        (complete_bipartite(3, n - 3), ("complete_bipartite", 3, n - 3)),
+    ]
+    for g, form in cases:
+        assert dom_poly_inclusion_exclusion(g).coeffs == dom_poly_closed_form(*form).coeffs
 
 
 def test_closed_form_star1():
@@ -197,8 +220,6 @@ def test_graph_polynomial_invariants(n, data):
         for u in range(v):
             if data.draw(st.booleans()):
                 edges.append((u, v))
-    from domroots.graph import from_edges
-
     g = from_edges(n, edges)
     p = dom_poly_inclusion_exclusion(g)
     assert len(p.coeffs) == n + 1

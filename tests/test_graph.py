@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from domroots.errors import CapacityError, DomainError, Graph6ParseError
+from domroots.errors import CapacityError, DomainError, DomRootsError, Graph6ParseError
 from domroots.graph import (
     Graph,
     closed_neighborhood_union,
@@ -104,6 +104,34 @@ def test_graph6_round_trip_random(n, data):
                 edges.append((u, v))
     g = from_edges(n, edges)
     assert from_graph6(to_graph6(g)) == g
+
+
+@st.composite
+def _graph6_shaped(draw):
+    """An order byte and about as many payload bytes as it needs, mostly
+    printable, so decoding gets past the length check to the padding bits."""
+    n = draw(st.integers(1, 20))
+    need = max((n * (n - 1) // 2 + 5) // 6 + draw(st.integers(-1, 1)), 0)
+    body = draw(st.lists(st.integers(63, 126) | st.integers(0, 255), min_size=need, max_size=need))
+    return bytes([63 + n] + body)
+
+
+@given(st.binary(max_size=40) | _graph6_shaped())
+def test_graph6_decoder_raises_only_package_errors(raw):
+    text = raw.decode("latin-1")  # one character per byte, printable or not
+    try:
+        g = from_graph6(text)
+    except DomRootsError:
+        return
+    body = text.removeprefix(">>graph6<<").rstrip("\r\n")
+    assert all(63 <= ord(c) <= 126 for c in body)
+    assert from_graph6(to_graph6(g)) == g
+
+
+def test_graph6_non_ascii_rejected():
+    with pytest.raises(Graph6ParseError) as exc:
+        from_graph6("A\xe9")
+    assert exc.value.offset == 1
 
 
 def test_family_c4():

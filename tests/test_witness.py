@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 from fractions import Fraction
@@ -27,6 +28,7 @@ from domroots.witness import (
     CASE_12,
     CASE_2,
     CASE_EXACT,
+    FAMILY_EXACT_K2,
     FAMILY_K2_ELL,
     FAMILY_KKK,
     FAMILY_STAR,
@@ -504,6 +506,72 @@ def test_verify_rejects_tampered_interval():
     assert "enclosure_within_window" in failed
 
 
+_TAMPER_QUERIES = ((F(0), F("1/10")), (F(-2), F("1/10")), (F("-1.5"), F("1/20")),
+                   (F("-0.75"), F("1/10")), (F("-2.5"), F("1/10")))
+_TAMPER_FIELDS = ("family", "param", "m", "degree", "lo", "hi", "sign_lo", "sign_hi",
+                  "case", "z", "eps")
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_certificate(i):
+    return construct_witness(*_TAMPER_QUERIES[i])
+
+
+def _tampered(cert, field, draw):
+    """``cert`` with one field changed so that its claim is false.
+
+    An endpoint moves out of the window or onto or past the other endpoint,
+    and the query moves off the enclosure: a wider window, or a narrower bracket on
+    the same sides of the root, would still be a true claim.
+    """
+    enc, lo, hi = cert.enclosure, cert.enclosure.interval.lo, cert.enclosure.interval.hi
+    z, eps = cert.target_z, cert.epsilon
+    r = draw(st.fractions(0, 4, max_denominator=10 ** 6))
+    shift = draw(st.integers(-200, 200).filter(bool))
+
+    def other(values, current):
+        value = draw(st.sampled_from(values))
+        assume(value != current)
+        return value
+
+    def enclosure(lo=lo, hi=hi, sign_lo=enc.sign_lo, sign_hi=enc.sign_hi):
+        return RootEnclosure(RationalInterval(lo, hi), sign_lo, sign_hi, enc.note)
+
+    kinds = (FAMILY_EXACT_K2, FAMILY_K2_ELL, FAMILY_KKK, FAMILY_STAR, "K_9")
+    changed = {
+        "family": lambda: {"family_kind": other(kinds, cert.family_kind)},
+        "param": lambda: {"family_param": other((None, shift, abs(shift)), cert.family_param)},
+        "m": lambda: {"m": cert.m + shift},
+        "degree": lambda: {"composed_degree": cert.composed_degree + shift},
+        "lo": lambda: {"enclosure": enclosure(lo=other((z - eps - r, hi + r), lo))},
+        "hi": lambda: {"enclosure": enclosure(hi=other((z + eps + r, lo - r), hi))},
+        "sign_lo": lambda: {"enclosure": enclosure(sign_lo=other(range(-2, 3), enc.sign_lo))},
+        "sign_hi": lambda: {"enclosure": enclosure(sign_hi=other(range(-2, 3), enc.sign_hi))},
+        "case": lambda: {"case_tag": other((CASE_EXACT, CASE_11, CASE_12, CASE_2, "case-3"),
+                                           cert.case_tag)},
+        "z": lambda: {"target_z": draw(st.sampled_from((lo + eps + r, hi - eps - r)))},
+        "eps": lambda: {"epsilon": max(z - lo, hi - z) - r},
+    }[field]
+    return dataclasses.replace(cert, **changed())
+
+
+@settings(max_examples=200)
+@given(st.integers(0, len(_TAMPER_QUERIES) - 1), st.sampled_from(_TAMPER_FIELDS), st.data())
+def test_single_field_tamper_never_verifies(which, field, data):
+    cert = _valid_certificate(which)
+    assert verify_certificate(cert).ok
+    try:
+        report = verify_certificate(_tampered(cert, field, data.draw))
+    except DomainError:
+        return
+    assert not report.ok
+
+
+def test_exact_enclosure_carries_zero_signs():
+    with pytest.raises(DomainError):
+        RootEnclosure(RationalInterval(F(-2), F(-2)), 1, 0, NOTE_EXACT)
+
+
 def test_verify_rejects_even_m():
     cert = construct_witness(F("-1.5"), F("0.05"))
     bad = dataclasses.replace(cert, m=cert.m + 1, composed_degree=cert.composed_degree)
@@ -544,6 +612,20 @@ def test_verify_expands_the_composed_polynomial_once(monkeypatch):
     monkeypatch.setattr(witness, "compose_with_complete", counted)
     assert verify_certificate(cert).ok
     assert calls == [cert.m]
+
+
+def test_verify_routes_by_the_implied_degree(monkeypatch):
+    # degree 27 is stored, but l = 5001 implies 15009: no expansion
+    cert = construct_witness(F("-1.5"), F("0.05"))
+    calls = []
+
+    def counted(p, m):
+        calls.append(m)
+        return compose_with_complete(p, m)
+
+    monkeypatch.setattr(witness, "compose_with_complete", counted)
+    assert not verify_certificate(dataclasses.replace(cert, family_param=5001)).ok
+    assert calls == []
 
 
 def test_verify_rejects_even_family_parameter():
