@@ -155,7 +155,11 @@ def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
 # ---------------------------------------------------------------------------
 
 def _one_plus_x_pow(e: int) -> list:
-    return [comb(e, i) for i in range(e + 1)]
+    """Coefficients of ``(1+x)^e``, each binomial from the one before it."""
+    c = [1] * (e + 1)
+    for i in range(e):
+        c[i + 1] = c[i] * (e - i) // (i + 1)
+    return c
 
 
 def closed_form_complete(n: int) -> DomPolynomial:

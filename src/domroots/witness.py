@@ -29,8 +29,14 @@ is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
 and -2 (both from ``K_2``) short-cut windows containing them.  Every other
 cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
-composed polynomial.  Signs come from the integer numerator of the
-``K_{a,b}`` closed form, never from reduced fractions.  The bisection is
+composed polynomial.  Signs are those of the integer numerator of the
+``K_{a,b}`` closed form, never of reduced fractions.  For ``K_{2,l}`` and
+``K_{k,k}`` the search expands that integer.  For a star it is
+``u (u+v)^k + u^k v``, and :func:`domroots.realroots.star_sign` decides
+its sign from three correctly rounded ``decimal`` logarithms when their
+rigorously bounded error allows, else from the integer; the answer is the
+integer's sign either way.  :func:`verify_certificate` takes no
+logarithm: every sign it checks is an integer's.  The bisection is
 :func:`domroots.realroots._sign_bisect`, the one that also narrows
 isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
@@ -90,6 +96,7 @@ from .realroots import (
     _exact_enclosure,
     _sign_bisect,
     star_root_estimate,
+    star_sign,
 )
 # unused here; bench/spans.py wraps these names on this module
 from .realroots import count_roots_in, isolate_real_roots, sturm_chain  # noqa: F401
@@ -210,8 +217,15 @@ def _numerator(sides: tuple, u: int, v: int) -> int:
     return (wa - va) * (wb - vb) + ua * vb + ub * va
 
 
-def _family_sign(sides: tuple, q: Fraction) -> int:
-    return _sign(_numerator(sides, q.numerator, q.denominator))
+def _search_sign(sides: tuple, u: int, v: int) -> int:
+    """The sign of ``_numerator(sides, u, v)`` as the search takes it.  For
+    a star, ``sides = (1, k)``, the numerator is the star form
+    ``u (u+v)^k + u^k v``, whose sign :func:`star_sign` decides from
+    logarithms where the integer is large; other families expand it.  The
+    verifier does not come here."""
+    if sides[0] == 1:
+        return star_sign(sides[1], u, v)
+    return _sign(_numerator(sides, u, v))
 
 
 def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
@@ -411,7 +425,8 @@ class _Search:
         if not _param_band_plausible(self.case, p, mapped):
             return None
         sides = self._sides(p)
-        s_lo, s_hi = _family_sign(sides, mapped.lo), _family_sign(sides, mapped.hi)
+        s_lo = _search_sign(sides, mapped.lo.numerator, mapped.lo.denominator)
+        s_hi = _search_sign(sides, mapped.hi.numerator, mapped.hi.denominator)
         return (s_lo, s_hi) if s_lo * s_hi < 0 else None
 
     # -- certification ------------------------------------------------------
@@ -422,7 +437,13 @@ class _Search:
         enclosure holds neither end of the target window, so the enclosure
         lies strictly inside ``(z - eps, z + eps)``."""
         sides = self._sides(p)
-        sign = lambda t: _composed_sign(sides, m, t)
+
+        def sign(t: Fraction) -> int:
+            # _composed_sign's point, with the search's sign
+            q = t.denominator
+            v = q ** m
+            return _search_sign(sides, (t.numerator + q) ** m - v, v)
+
         avoid = (self.z - self.eps, self.z + self.eps)
         lo, hi = _sign_bisect(sign, self.w_lo, self.w_hi, s_lo, self.tol, avoid)
         if lo == hi:

@@ -35,6 +35,13 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def star_form_sign(k, u, v):
+    """Sign of ``u (u+v)^k + u^k v`` from the integer itself: the reference
+    for the star kernel."""
+    val = u * (u + v) ** k + u ** k * v
+    return (val > 0) - (val < 0)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xD07)

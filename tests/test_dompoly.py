@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -18,10 +19,12 @@ from domroots.dompoly import (
 )
 from domroots.errors import CapacityError, DomainError
 from domroots.graph import (
+    FAMILIES,
     complete,
     complete_bipartite,
     disjoint_union,
     empty_graph,
+    family_shape,
     from_edges,
     star,
     substitute_complete,
@@ -128,6 +131,32 @@ def test_kkk_consistency(k):
         dom_poly_closed_form("Kkk", k).coeffs
         == dom_poly_closed_form("complete_bipartite", k, k).coeffs
     )
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 10, 63, 64, 101, 1000, 2001])
+def test_one_plus_x_pow_is_the_binomial_row(e):
+    assert dompoly._one_plus_x_pow(e) == [comb(e, i) for i in range(e + 1)]
+
+
+# each shape's closed form as an integer function of x
+_FORMULAS = {
+    complete: lambda x, n: (1 + x) ** n - 1,
+    empty_graph: lambda x, n: x ** n,
+    complete_bipartite: lambda x, a, b: ((1 + x) ** a - 1) * ((1 + x) ** b - 1) + x ** a + x ** b,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_closed_forms_are_their_formulas(kind):
+    # coefficients of a polynomial on n vertices count subsets, so they lie
+    # in [0, 2^n); at x = 2^(n+1) its value fixes every coefficient
+    arity = len(FAMILIES[kind].params)
+    for ps in itertools.product((1, 2, 3, 7, 30, 101), repeat=arity):
+        shape, args = family_shape(kind, *ps)
+        poly = dom_poly_closed_form(kind, *ps)
+        assert poly.degree == sum(args)
+        x = 2 ** (poly.degree + 1)
+        assert sum(c * x ** i for i, c in enumerate(poly.coeffs)) == _FORMULAS[shape](x, *args), ps
 
 
 def test_closed_form_zero_parameter():

@@ -1,3 +1,4 @@
+import functools
 import math
 import signal
 from contextlib import contextmanager
@@ -14,6 +15,7 @@ from domroots.errors import DomainError, EndpointRootError
 from domroots.intpoly import mul, sign_at
 from domroots.realroots import (
     DEFAULT_TOL,
+    STAR_EXACT_BITS,
     NOTE_EXACT,
     NOTE_SIMPLE,
     NOTE_STURM,
@@ -28,8 +30,12 @@ from domroots.realroots import (
     star_root,
     star_root_estimate,
     star_shifted_polynomial,
+    star_sign,
     sturm_chain,
+    _star_log_sign,
 )
+
+from conftest import star_form_sign
 
 
 def interval(lo, hi):
@@ -334,6 +340,55 @@ def test_star_root_estimate_close():
     e50 = abs(star_root_estimate(50) - float(star_root(50).midpoint)) / 50
     e200 = abs(star_root_estimate(200) - float(star_root(200).midpoint)) / 200
     assert e200 < e50
+
+
+@functools.cache
+def _undecidable_star_points():
+    """Both ends of ``star_root(k, 10^-40)`` for three ``k`` as star-form
+    points ``(k, -num, den)``: that close to a root the log test cannot
+    decide."""
+    points = []
+    for k in (150, 400, 1000):
+        enc = star_root(k, Fraction(1, 10 ** 40))
+        points += [(k, -q.numerator, q.denominator) for q in (enc.interval.lo, enc.interval.hi)]
+    return tuple(points)
+
+
+@st.composite
+def star_points(draw):
+    """``(k, u, v)`` with ``k * bits`` on both sides of the exact cutoff;
+    half of them next to the star root ``-r_k``, where the terms nearly
+    cancel."""
+    k = draw(st.integers(1, 2000))
+    bits = draw(st.integers(1, 120))
+    v = draw(st.integers(1, 2 ** bits))
+    if draw(st.booleans()):
+        u = -round(star_root_estimate(k) * v) + draw(st.integers(-3, 3))
+    else:
+        u = draw(st.integers(-(2 ** bits), 2 ** bits))
+    return k, u, v
+
+
+@example((1, -2, 1))  # k = 1: the root -2
+@example((1, -2 * 3 ** 80, 3 ** 80))
+@example((5000, 0, 3 ** 80))  # u = 0
+@example((5000, -(3 ** 80), 3 ** 80))  # u + v = 0: the first term is 0
+@given(star_points() | st.integers(0, 5).map(lambda i: _undecidable_star_points()[i]))
+def test_star_sign_is_the_integer_sign(point):
+    k, u, v = point
+    exact = star_form_sign(k, u, v)
+    assert star_sign(k, u, v) == exact
+    if u and u + v:
+        assert _star_log_sign(k, u, v) in (0, exact)
+
+
+def test_star_sign_falls_back_next_to_a_root():
+    # the property above draws these points; here every one of them is past
+    # the cutoff, undecided by the logarithms and decided by the integer
+    for k, u, v in _undecidable_star_points():
+        assert k * max(u.bit_length(), v.bit_length()) > STAR_EXACT_BITS
+        assert _star_log_sign(k, u, v) == 0
+        assert star_sign(k, u, v) == star_form_sign(k, u, v) != 0
 
 
 def test_gap_report_first_rows():

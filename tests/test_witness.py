@@ -2,13 +2,14 @@ import dataclasses
 import functools
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from domroots import intpoly, witness
+from domroots import intpoly, realroots, witness
 from domroots.dompoly import compose_with_complete, dom_poly_bruteforce, eval_rational
 from domroots.errors import BudgetExhaustedError, DomainError, EndpointRootError
 from domroots.graph import substitute_complete
@@ -42,6 +43,8 @@ from domroots.witness import (
     target_interval,
     verify_certificate,
 )
+
+from conftest import star_form_sign
 
 
 def F(x):
@@ -192,6 +195,78 @@ def test_fine_tolerance_is_not_a_false_exhaustion():
     assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_K2_ELL, 7, 3)
     assert 0 < cert.enclosure.width <= tol
     assert verify_certificate(cert).ok
+
+
+def _counted_log_signs(monkeypatch) -> list:
+    """Wrap the star kernel's log test; the list collects its answers."""
+    answers = []
+    log_sign = realroots._star_log_sign
+
+    def counted(k, u, v):
+        answers.append(log_sign(k, u, v))
+        return answers[-1]
+
+    monkeypatch.setattr(realroots, "_star_log_sign", counted)
+    return answers
+
+
+def test_fine_tolerance_star_steps_fall_back_to_the_integer(monkeypatch):
+    # past about 280 halvings k * bits exceeds the cutoff, and the point is
+    # then too close to the root for 30-digit logarithms: every such step
+    # is decided by the exact integer
+    answers = _counted_log_signs(monkeypatch)
+    tol = Fraction(1, 10 ** 130)
+    cert = construct_witness(F(-3), F("1/100"), tol=tol)
+    assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_STAR, 19, 3)
+    assert 0 < cert.enclosure.width <= tol
+    assert verify_certificate(cert).ok
+    assert answers and answers.count(0) == len(answers)
+
+
+# the acceptance grid (it holds the (-10, 1/100) anchor) and the K_75,75 anchor
+_GRID = [(z, e) for z in ("-0.25", "-0.75", "-1.25", "-1.5", "-1.9", "-2.5", "-5", "-10")
+         for e in ("1/10", "1/100")] + [("-0.8", "1/100")]
+
+
+def test_log_domain_star_signs_give_the_exact_certificates(monkeypatch):
+    def output(z, e):
+        cert = construct_witness(F(z), F(e))
+        return certificate_to_json(cert) + "\n" + str(verify_certificate(cert))
+
+    answers = _counted_log_signs(monkeypatch)
+    kernel = [output(z, e) for z, e in _GRID]
+    assert any(answers)  # some star sign was decided by logarithms
+    monkeypatch.setattr(witness, "star_sign", star_form_sign)
+    assert [output(z, e) for z, e in _GRID] == kernel
+
+
+def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
+    certs = [construct_witness(F(z), F(e)) for z, e in (("-10", "1/100"), ("-5", "1/10"))]
+    assert [c.family_kind for c in certs] == [FAMILY_STAR, FAMILY_STAR]
+    assert certs[0].composed_degree > witness.VERIFY_EXPANSION_MAX_DEGREE
+
+    def refuse(*args):
+        raise AssertionError("the verifier called the star kernel")
+
+    for module, name in ((witness, "star_sign"), (realroots, "star_sign"),
+                         (realroots, "_star_log_sign")):
+        monkeypatch.setattr(module, name, refuse)
+    assert all(verify_certificate(c).ok for c in certs)
+
+
+def test_star_witness_at_minus_fifteen():
+    # 21,678 leaves: through the exact integer alone the search takes about
+    # 8 s on a 2-core host, with logarithms about 0.01 s; verification, exact
+    # in both, about 0.8 s
+    budget = SearchBudget(max_m=41, max_param=30000, max_degree=100000)
+    t0 = time.perf_counter()
+    cert = construct_witness(F(-15), F("1/100"), budget)
+    t1 = time.perf_counter()
+    assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_STAR, 21678, 3)
+    assert verify_certificate(cert).ok
+    t2 = time.perf_counter()
+    assert t1 - t0 < 3.0, f"search took {t1 - t0:.1f} s"
+    assert t2 - t1 < 20.0, f"verification took {t2 - t1:.1f} s"
 
 
 # targets within 1/2 of -2, -1 and 0, the ends of the regimes: a point of
