@@ -414,22 +414,22 @@ def star_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     tol = _as_fraction(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    # For k >= 2, g(R)/R = (R-1)^k - R^(k-1) is monic with constant term
+    # +-1, so its rational roots could only be 1 and -1, and it is -1 at 1
+    # and +-(2^k + 1) at -1: the root above 1 is irrational.  For k = 1 it
+    # is 2.
+    if k == 1:
+        return _exact_enclosure(Fraction(2))
     est = star_root_estimate(k)
-    for cand in (round(est), round(est) - 1, round(est) + 1):
-        if cand > 1 and _g_sign(k, Fraction(cand)) == 0:
-            return _exact_enclosure(Fraction(cand))
     lo = Fraction(max(1, math.floor(est) - 2))
     if lo > 1 and _g_sign(k, lo) >= 0:
         lo = Fraction(1)
     hi = Fraction(math.ceil(est) + 2)
     while _g_sign(k, hi) < 0:
         hi *= 2
-    if _g_sign(k, hi) == 0:
-        return _exact_enclosure(hi)
-    # g(lo) < 0 < g(hi): neither end is a root, so there is nothing to avoid
+    # g(lo) < 0 < g(hi): neither end is a root, so there is nothing to avoid,
+    # and no bisection point is one
     lo, hi = _sign_bisect(lambda q: _g_sign(k, q), lo, hi, -1, tol, ())
-    if lo == hi:
-        return _exact_enclosure(lo)
     return RootEnclosure(RationalInterval(lo, hi), -1, +1, NOTE_SIMPLE)
 
 

@@ -19,10 +19,16 @@ ascending within a diagonal, and the first cell that certifies wins:
 * windows inside ``(-1, 0)``: balanced ``K_{k,k}`` with ``k`` odd (roots
   accumulating at -1 from the right);
 * windows left of ``-2``: stars, whose extremal roots march to ``-infinity``
-  with bounded gaps.  The Lambert-W estimate of the star root increases with
-  the number of leaves ``k``, so for each ``m`` the cells whose estimate lies
-  within 1 of the mapped window form one range of ``k``, found by binary
-  search; the walk keeps the diagonal order but visits only those cells.
+  with bounded gaps.
+
+One walk serves the three.  Each family's order is affine in its
+parameter, which bounds the parameter for each ``m``, and a float band
+narrows that range to the parameters whose family can have a root in the
+mapped window: a prefix for ``K_{2,l}`` and ``K_{k,k}``, and for stars the
+range of ``k`` whose Lambert-W root estimate, increasing in ``k``, lies
+within 1 of the window, found by binary search.  The bands carry a cushion
+no float rounding crosses, and every cell in a band is still decided by
+exact signs.  The walk merges the bands of all ``m`` in diagonal order.
 
 Every witness family is a complete bipartite ``K_{a,b}`` (the family table
 is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
@@ -76,7 +82,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -289,50 +294,62 @@ def _classify(win_lo: Fraction, win_hi: Fraction):
     return FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))
 
 
-def _param_band_plausible(case: str, p: int, mapped: RationalInterval) -> bool:
-    """Cheap, conservative test that the family polynomial can have a root
-    in the mapped window at all.
+def _k2l_band(mapped: RationalInterval, ps: range) -> range:
+    """The prefix of ``ps`` whose ``D(K_{2,l})`` can have a root in the
+    mapped window.  Roots at ``-1-d`` (l odd, 0<d<1) satisfy
+    ``(1+d)^l = 2 + 2d + d^l(1-d^2)``, whose right side lies in (2, 5); in
+    the window ``d >= d_lo``, so the band keeps ``l`` while
+    ``l log(1+d_lo) <= log 5 + 1``, an e-factor cushion that float rounding
+    cannot cross.  Every ``l`` in the band still takes the exact sign test."""
+    d_hi = float(-1 - mapped.lo)
+    d_lo = float(-1 - mapped.hi)
+    if d_hi <= 0:
+        return ps[:0]  # the window underflows: it lies within 1e-323 of -1
+    if d_lo <= 0:
+        return ps
+    rate = math.log1p(d_lo)
+    return ps[:bisect.bisect_right(ps, math.log(5) + 1, key=lambda p: p * rate)]
 
-    Roots of D(K_{2,l}) at ``-1-d`` (l odd, 0<d<1) satisfy
-    ``(1+d)^l = 2 + 2d + d^l(1-d^2)``, whose right side lies in (2, 5); roots
-    of D(K_{k,k}) at ``-1+d`` (k odd, 0<d<1) satisfy
-    ``(1-d^k)^2 = 2(1-d)^k`` with left side below 1.  Parameters for which
-    the monotone side provably cannot reach those ranges anywhere in the
-    window are skipped; a cushion of a full e-factor in log space makes
-    float rounding irrelevant.  Everything inside the band still goes
-    through the exact sign test, so hits are never decided here.
-    """
-    if case == CASE_11:
-        d_hi = float(-1 - mapped.lo)  # window is left of -1
-        d_lo = float(-1 - mapped.hi)
-        if d_hi <= 0:
-            return False
-        if d_lo > 0 and p * math.log1p(d_lo) > math.log(5) + 1:
-            return False
-        if p * math.log1p(d_hi) < math.log(2) - 1:
-            return False
-        return True
-    if case == CASE_12:
-        # no root of D(K_{k,k}) lies in [-1/2, 0): there
-        # ((1+x)^k - 1)^2 >= u^2 (3 - 3u + u^2)^2 > 2u^3 >= |2x^k| for odd
-        # k >= 3 with u = -x, and K_{1,1} has no roots in (-1, 0) at all;
-        # so the window can be truncated at -1/2 before the band tests
-        hi = min(mapped.hi, Fraction(-1, 2))
-        if mapped.lo >= hi:
-            return False
-        d_lo = float(1 + mapped.lo)
-        d_hi = float(1 + hi)
-        if d_lo <= 0:
-            return True  # window touches -1: let the signs decide
-        if math.log(2) + p * math.log1p(-d_hi) > 1:
-            return False  # 2(1-d)^k stays above e > 1 >= (1-d^k)^2
-        dbk_log = p * math.log(d_hi)
-        if dbk_log < -1e-9:
-            lhs_min_log = 2 * math.log1p(-math.exp(min(dbk_log, -1e-12)))
-            if math.log(2) + p * math.log1p(-d_lo) < lhs_min_log - 2:
-                return False  # 2(1-d)^k can no longer reach (1-d^k)^2
-        return True
-    return True
+
+def _kkk_band(mapped: RationalInterval, ps: range) -> range:
+    """The prefix of ``ps`` whose ``D(K_{k,k})`` can have a root in the
+    mapped window.  No root lies in ``[-1/2, 0)``: there
+    ``((1+x)^k - 1)^2 >= u^2 (3 - 3u + u^2)^2 > 2u^3 >= |2x^k|`` for odd
+    ``k >= 3`` with ``u = -x``, and ``K_{1,1}`` has no roots in (-1, 0), so
+    the window is cut at -1/2.  Roots at ``-1+d`` (k odd, 0<d<1) satisfy
+    ``(1-d^k)^2 = 2(1-d)^k``; for ``d_lo <= d <= d_hi`` the right side is at
+    most ``2(1-d_lo)^k``, falling with ``k``, and the left at least
+    ``(1-d_hi^k)^2``, rising, so the band keeps ``k`` while the log of the
+    first is above that of the second less 2 (an e^2 cushion).  A window
+    that touches -1 keeps every ``k``."""
+    hi = min(mapped.hi, Fraction(-1, 2))
+    if mapped.lo >= hi:
+        return ps[:0]
+    d_lo = float(1 + mapped.lo)
+    d_hi = float(1 + hi)
+    if d_lo <= 0:
+        return ps
+    fall, rise = math.log1p(-d_lo), math.log(d_hi)
+
+    def dropped(k):
+        return math.log(2) + k * fall < 2 * math.log1p(-math.exp(k * rise)) - 2
+
+    return ps[:bisect.bisect_left(ps, True, key=dropped)]
+
+
+def _star_band(mapped: RationalInterval, ps: range) -> range:
+    """The ``k`` of ``ps`` whose star-root estimate, increasing in ``k``,
+    lies within 1 of the mapped window: two binary searches."""
+    try:
+        r_lo, r_hi = float(-mapped.hi), float(-mapped.lo)
+    except OverflowError:
+        return ps[:0]  # window mapped beyond any reachable star root
+    lo = bisect.bisect_left(ps, r_lo - 1.0, key=star_root_estimate)
+    hi = bisect.bisect_right(ps, r_hi + 1.0, lo=lo, key=star_root_estimate)
+    return ps[lo:hi]
+
+
+_BANDS = {FAMILY_K2_ELL: _k2l_band, FAMILY_KKK: _kkk_band, FAMILY_STAR: _star_band}
 
 
 class _Search:
@@ -343,13 +360,10 @@ class _Search:
         self.tol = tol
         self.kind, self.w_lo, self.w_hi = _classify(z - eps, z + eps)
         self.case = _KINDS[self.kind].case
-        self.sides = {}
-        self.windows = {}
         self.cells = 0  # cells of the diagonal order inside the budget
 
     def run(self) -> WitnessCertificate:
-        cells = self._star_cells() if self.case == CASE_2 else self._diagonal_cells()
-        for m, p, mapped in cells:
+        for m, p, mapped in self._cells():
             signs = self._hit(p, mapped)
             if signs is not None:
                 return self._certify(m, p, *signs)
@@ -366,65 +380,44 @@ class _Search:
             },
         )
 
-    def _diagonal_cells(self):
-        """Cells ``(m, p)`` with odd ``p``: diagonals ``m + p`` ascending,
-        odd ``m`` ascending within a diagonal."""
-        b = self.budget
-        for s in range(2, b.max_m + b.max_param + 1):
-            for m in range(1, min(b.max_m, s - 1) + 1, 2):
-                p = s - m
-                if p <= b.max_param and p % 2 == 1:
-                    if sum(self._sides(p)) * m <= b.max_degree:
-                        self.cells += 1
-                        yield m, p, self._mapped(m)
-
-    def _star_cells(self):
-        """Star cells in the same diagonal order, limited for each ``m`` to
-        the star indices ``k`` whose root estimate lies within 1 of the
-        mapped window: the gate a cell must pass before its exact sign test.
-        The estimate increases with ``k``, so those indices form one range,
-        found by two binary searches."""
-        b = self.budget
-        runs = []
-        for m in range(1, b.max_m + 1, 2):
-            cap = min(b.max_param, b.max_degree // m - 1)  # (k + 1) * m <= max_degree
-            if cap < 1:
-                continue
-            self.cells += cap
-            mapped = self._mapped(m)
-            try:
-                r_lo, r_hi = float(-mapped.hi), float(-mapped.lo)
-            except OverflowError:
-                continue  # window mapped beyond any reachable star root
-            ks = range(1, cap + 1)
-            lo = bisect.bisect_left(ks, r_lo - 1.0, key=star_root_estimate)
-            hi = bisect.bisect_right(ks, r_hi + 1.0, lo=lo, key=star_root_estimate)
-            ks = ks[lo:hi]
-            runs.append(zip(range(m + ks.start, m + ks.stop), itertools.repeat(m), ks))
-        for _, m, k in heapq.merge(*runs):
-            yield m, k, self._mapped(m)
-
-    def _mapped(self, m: int) -> RationalInterval:
-        window = self.windows.get(m)
-        if window is None:
-            window = RationalInterval(_phi(self.w_lo, m), _phi(self.w_hi, m))
-            self.windows[m] = window
-        return window
-
-    def _sides(self, p: int) -> tuple:
-        sides = self.sides.get(p)
-        if sides is None:
-            sides = self.sides[p] = _sides(self.kind, p)
-        return sides
+    def _cells(self):
+        """Cells ``(m, p, mapped window)`` in diagonal order, ``m + p``
+        ascending, then ``m``, each ``m`` limited to its family's band.
+        Every family's order is affine in ``p``, which bounds ``p`` for each
+        odd ``m``; ``cells`` counts every ``p`` in those bounds.  The first
+        cell of ``m`` lies on diagonal ``m + 1`` or later, so ``m``'s window
+        and band are opened once the walk gets there."""
+        b, kind = self.budget, self.kind
+        step = 2 if _KINDS[kind].odd else 1
+        base = family_order(kind, 1)
+        slope = family_order(kind, 2) - base
+        pending = list(range(1, b.max_m + 1, 2))[::-1]
+        heap = []  # (m + p, m, index of p in run, run, mapped window)
+        while True:
+            while pending and (not heap or heap[0][0] > pending[-1]):
+                m = pending.pop()
+                cap = min(b.max_param, (b.max_degree // m - base) // slope + 1)
+                ps = range(1, cap + 1, step)
+                self.cells += len(ps)
+                mapped = RationalInterval(_phi(self.w_lo, m), _phi(self.w_hi, m))
+                run = _BANDS[kind](mapped, ps)
+                if run:
+                    heapq.heappush(heap, (m + run[0], m, 0, run, mapped))
+            if not heap:
+                return
+            _, m, i, run, mapped = heap[0]
+            yield m, run[i], mapped
+            if i + 1 < len(run):
+                heapq.heapreplace(heap, (m + run[i + 1], m, i + 1, run, mapped))
+            else:
+                heapq.heappop(heap)
 
     def _hit(self, p: int, mapped: RationalInterval) -> Optional[tuple]:
         """The family's signs at the mapped window's ends when they differ,
         else ``None``.  The composed polynomial at ``t`` is the family's at
         ``_phi(t, m)``, and ``_numerator`` is homogeneous, so these are also
         the signs that ``_composed_sign`` gives at the target window's ends."""
-        if not _param_band_plausible(self.case, p, mapped):
-            return None
-        sides = self._sides(p)
+        sides = _sides(self.kind, p)
         s_lo = _search_sign(sides, mapped.lo.numerator, mapped.lo.denominator)
         s_hi = _search_sign(sides, mapped.hi.numerator, mapped.hi.denominator)
         return (s_lo, s_hi) if s_lo * s_hi < 0 else None
@@ -436,7 +429,7 @@ class _Search:
         root isolation: it runs until the width is at most ``tol`` and the
         enclosure holds neither end of the target window, so the enclosure
         lies strictly inside ``(z - eps, z + eps)``."""
-        sides = self._sides(p)
+        sides = _sides(self.kind, p)
 
         def sign(t: Fraction) -> int:
             # _composed_sign's point, with the search's sign

@@ -341,12 +341,11 @@ def test_hit_signs_are_the_composed_signs(z, eps):
     # family at the mapped ends; they must be the composed signs at the
     # target window's ends
     search = witness._Search(F(z), F(eps), SearchBudget(5, 41, 400), DEFAULT_TOL)
-    cells = search._star_cells() if search.case == CASE_2 else search._diagonal_cells()
     hits = 0
-    for m, p, mapped in cells:
+    for m, p, mapped in search._cells():
         signs = search._hit(p, mapped)
         if signs is not None:
-            sides = search._sides(p)
+            sides = witness._sides(search.kind, p)
             assert signs == (witness._composed_sign(sides, m, search.w_lo),
                              witness._composed_sign(sides, m, search.w_hi))
             hits += 1
@@ -367,7 +366,7 @@ def test_star_range_search_matches_diagonal_scan(z_milli, eps_den, max_m, max_pa
     budget = SearchBudget(max_m, max_param, max_degree)
     gated, expected, cells = _diagonal_star_search(z, eps, budget)
     search = witness._Search(z, eps, budget, DEFAULT_TOL)
-    assert [(m, k) for m, k, _ in search._star_cells()] == gated
+    assert [(m, k) for m, k, _ in search._cells()] == gated
     if expected is None:
         with pytest.raises(BudgetExhaustedError) as exc:
             construct_witness(z, eps, budget)
@@ -377,6 +376,36 @@ def test_star_range_search_matches_diagonal_scan(z_milli, eps_den, max_m, max_pa
         }
     else:
         assert construct_witness(z, eps, budget) == expected
+
+
+# the stretch of the axis each family's targets are drawn from; the window
+# is searched with whatever family _classify gives it
+_REGIMES = {FAMILY_K2_ELL: (-2, -1), FAMILY_KKK: (-1, 0), FAMILY_STAR: (-8, -2)}
+
+
+@settings(max_examples=100)
+@given(
+    regime=st.sampled_from(sorted(_REGIMES)),
+    at=st.fractions(0, 1, max_denominator=1000),
+    eps=st.fractions(Fraction(1, 200), Fraction(1, 5), max_denominator=200),
+    m=st.sampled_from((1, 3, 5, 7)),
+)
+def test_bands_keep_every_sign_change(regime, at, eps, m):
+    # the float bands only narrow the walk: every parameter at which the
+    # family's exact signs differ across the mapped window lies in the band
+    lo, hi = _REGIMES[regime]
+    z = lo + (hi - lo) * at
+    assume(not z - eps < 0 < z + eps and not z - eps < -2 < z + eps)
+    kind, w_lo, w_hi = witness._classify(z - eps, z + eps)
+    mapped = RationalInterval(witness._phi(w_lo, m), witness._phi(w_hi, m))
+    ps = range(1, 162, 2 if witness._KINDS[kind].odd else 1)
+    band = witness._BANDS[kind](mapped, ps)
+    for p in ps:
+        sides = witness._sides(kind, p)
+        s_lo, s_hi = (_sign(witness._numerator(sides, t.numerator, t.denominator))
+                      for t in (mapped.lo, mapped.hi))
+        if s_lo * s_hi < 0:
+            assert p in band, (kind, p, band)
 
 
 def _distinct_and_repeated_roots(poly, lo, hi):
@@ -464,9 +493,10 @@ def _count_bisection(chain, poly, m, z, eps, lo, hi, tol):
 
 def _count_route_search(z, eps, budget):
     """Reference for the bipartite regimes: the diagonal order with every
-    cell decided by Sturm counts of the family polynomial, endpoints that
-    are roots nudged inward.  Returns the first certificate, or None when
-    the budget runs out, and the number of cells in the budget."""
+    cell of the budget, none skipped by a band, decided by Sturm counts of
+    the family polynomial, endpoints that are roots nudged inward.  Returns
+    the first certificate, or None when the budget runs out, and the number
+    of cells in the budget."""
     lo, hi = z - eps, z + eps
     if lo >= -1:
         kind, case = FAMILY_KKK, CASE_12
@@ -482,8 +512,6 @@ def _count_route_search(z, eps, budget):
                 continue
             cells += 1
             mapped = RationalInterval(witness._phi(lo, m), witness._phi(hi, m))
-            if not witness._param_band_plausible(case, p, mapped):
-                continue
             poly = family_polynomial(kind, p)
             if p not in chains:
                 chains[p] = sturm_chain(poly)
