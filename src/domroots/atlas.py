@@ -8,12 +8,17 @@ extensions, each packed into one int (see :func:`_polynomial_ids`).  Every
 *distinct* polynomial has its real roots certified once, and the CSV writer
 formats each one's enclosures once.  Root finding is float-first: locations
 come from floating bisection over monotone segments, then exact endpoint
-signs certify each enclosure and an exact Sturm count certifies
-completeness; anything inconclusive (values within ``1e3 * machine
-epsilon`` of zero, mismatched counts, overlapping enclosures) escalates to
-fully exact isolation.  Workers take contiguous prefix ranges and the
-parent places their polynomial ids by edge mask, so parallel output is
-byte-identical to a single worker's.
+signs certify each enclosure and an exact count certifies completeness.
+The count is that of the Sturm chain's sign variations at -inf and +inf,
+read off each element's leading sign and degree, so nothing is evaluated.
+A domination polynomial's coefficients are positive, so it has no positive
+root (Descartes' rule of signs) and the float search covers the negative
+axis only; a polynomial with a positive root fails the count.  Anything
+inconclusive (values within ``1e3 * machine epsilon`` of zero, mismatched
+counts, overlapping enclosures) escalates to fully exact isolation.
+Workers take contiguous prefix ranges and the parent places their
+polynomial ids by edge mask, so parallel output is byte-identical to a
+single worker's.
 """
 
 from __future__ import annotations
@@ -39,13 +44,15 @@ from .graph import (
 from .realroots import (
     DEFAULT_TOL,
     RationalInterval,
-    count_roots_in,
+    count_real_roots,
     format_fixed,
     isolate_real_roots,
     star_domination_root,
     star_root,
     sturm_chain,
 )
+# unused here; bench/spans.py wraps this name on this module
+from .realroots import count_roots_in  # noqa: F401
 
 LABELED_CAP_DEFAULT = 7
 
@@ -164,13 +171,6 @@ def _float_sign(c, x: float) -> int:
     return 1 if acc > 0.0 else -1
 
 
-def _float_value(c, x: float) -> float:
-    acc = 0.0
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
 def _float_candidates(c, lo: float, hi: float) -> list:
     """Roots of the float polynomial on (lo, hi) via derivative subdivision."""
     deg = len(c) - 1
@@ -180,21 +180,25 @@ def _float_candidates(c, lo: float, hi: float) -> list:
         r = -c[0] / c[1]
         return [r] if lo < r < hi else []
     der = [i * c[i] for i in range(1, len(c))]
-    pts = [lo] + [p for p in _float_candidates(der, lo, hi)] + [hi]
+    pts = [lo, *_float_candidates(der, lo, hi), hi]
+    if not all(a < b for a, b in zip(pts, pts[1:])):
+        raise _Inconclusive
+    signs = [_float_sign(c, x) for x in pts]
+    top_down = c[::-1]
     roots = []
-    for a, b in zip(pts, pts[1:]):
-        if not a < b:
-            raise _Inconclusive
-        sa = _float_sign(c, a)
-        sb = _float_sign(c, b)
+    for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]):
         if sa == sb:
             continue
+        up = sa > 0
         x, y = a, b
         for _ in range(200):
             mid = 0.5 * (x + y)
             if mid <= x or mid >= y:
                 break
-            if (_float_value(c, mid) > 0.0) == (sa > 0.0):
+            acc = 0.0
+            for coef in top_down:
+                acc = acc * mid + coef
+            if (acc > 0.0) == up:
                 x = mid
             else:
                 y = mid
@@ -206,9 +210,16 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     """Certified enclosures (lo, hi) for every distinct real root of ``coeffs``.
 
     The root at 0 (always present for graph polynomials) comes back as the
-    exact point (0, 0).  With ``exact=True`` the float fast path is skipped
-    and everything runs through Sturm isolation; the two routes agree on a
-    per-polynomial basis, which the audit tests check on random samples.
+    exact point (0, 0).  The number of distinct nonzero real roots comes
+    from the leading signs of the Sturm chain (:func:`count_real_roots`),
+    with no evaluation.  The float fast path searches ``(-B, 0)`` only, for
+    the Cauchy bound ``B``: a domination polynomial's coefficients are
+    positive, so by Descartes' rule of signs it has no positive root.  Any
+    other polynomial with a positive root fails the count and falls back to
+    Sturm isolation.  Each float root is certified by the exact signs at its
+    ends.  With ``exact=True`` the fast path is skipped and everything runs
+    through Sturm isolation; the two routes agree on a per-polynomial basis,
+    which the audit tests check on random samples.
     """
     coeffs = intpoly.normalize(list(coeffs))
     if not coeffs:
@@ -220,9 +231,8 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     cof = coeffs[t0:]
     if intpoly.degree(cof) < 1:
         return out
-    chain = sturm_chain(cof)
+    total = count_real_roots(sturm_chain(cof))
     bound = intpoly.cauchy_root_bound(cof)
-    total = count_roots_in(chain, RationalInterval(-bound, bound))
     intervals = None
     if not exact:
         intervals = _try_float_roots(cof, bound, total, tol)
@@ -237,9 +247,8 @@ def _try_float_roots(cof, bound, total, tol) -> Optional[list]:
     try:
         fc = [float(c) for c in cof]
         fb = float(bound)
-        cands = sorted(
-            _float_candidates(fc, -fb, 0.0) + _float_candidates(fc, 0.0, fb)
-        )
+        # a positive root, which no domination polynomial has, fails the count
+        cands = _float_candidates(fc, -fb, 0.0)
         if len(cands) != total:
             return None
         rad = tol / 2

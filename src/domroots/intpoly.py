@@ -186,25 +186,6 @@ def poly_gcd(f, g) -> list:
     return f
 
 
-def squarefree_part(p) -> list:
-    """Primitive square-free part with positive leading coefficient."""
-    p = normalize(p)
-    if not p:
-        raise DomainError("square-free part of the zero polynomial")
-    if degree(p) == 0:
-        return [1]
-    d = derivative(p)
-    g = poly_gcd(p, d)
-    if degree(g) == 0:
-        out = primitive(p)
-    else:
-        out = exact_div(p, g)
-        out = primitive(out)
-    if out[-1] < 0:
-        out = neg(out)
-    return out
-
-
 def trailing_zeros(p) -> int:
     """Multiplicity of the root at 0 (index of the first nonzero coefficient)."""
     for i, c in enumerate(p):

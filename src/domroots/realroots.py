@@ -2,13 +2,14 @@
 
 All certification is exact: Sturm chains over the integers (with primitive
 reduction after every Euclidean step), interval endpoints as rationals, and
-sign evaluations on homogenised integer forms.  One kernel,
-:func:`star_sign`, decides the sign of a large star form by comparing
-correctly rounded ``decimal`` logarithms, combined exactly and trusted
-only outside their rigorous error bound; inside it, it falls back to the
-exact integer.  Binary floating point appears only in
-:func:`lambert_w` / :func:`star_root_estimate`, which serve as search seeds
-and reporting checks, never as evidence.
+sign evaluations on homogenised integer forms.  The number of all distinct
+real roots comes from the chain's leading signs alone
+(:func:`count_real_roots`).  One kernel, :func:`star_sign`, decides the
+sign of a large star form by comparing correctly rounded ``decimal``
+logarithms, combined exactly and trusted only outside their rigorous error
+bound; inside it, it falls back to the exact integer.  Binary floating
+point appears only in :func:`lambert_w` / :func:`star_root_estimate`,
+which serve as search seeds and reporting checks, never as evidence.
 
 Counting convention: an interval ``(lo, hi]`` is half-open on the left, so a
 root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
@@ -20,7 +21,8 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import partial
+from operator import attrgetter, ne
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import intpoly
@@ -123,25 +125,57 @@ def _coeffs(p: Sequence[int] | DomPolynomial) -> list:
     return intpoly.normalize(list(p))
 
 
+def _sturm_sequence(f: list) -> list:
+    """``f``, ``f'`` and the negated primitive pseudo-remainders that follow,
+    up to a constant or to the first element that divides the one before."""
+    chain = [f, intpoly.primitive(intpoly.derivative(f))]
+    while intpoly.degree(chain[-1]) > 0:
+        r = intpoly.pseudo_rem_positive(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(intpoly.neg(r))
+    return chain
+
+
+def _positive_primitive(p) -> list:
+    f = intpoly.primitive(p)
+    return intpoly.neg(f) if f[-1] < 0 else f
+
+
 def sturm_chain(p: Sequence[int] | DomPolynomial) -> SturmChain:
     """Build the Sturm chain on the square-free part of ``p``.
 
+    One primitive remainder sequence runs on ``p`` and ``p'``.  When it
+    ends in a constant, ``p`` is square-free and the sequence is the chain.
+    When it ends in a ``g`` of positive degree, ``g`` is ``gcd(p, p')`` up to
+    sign, and a second sequence runs on the primitive part of ``p / g``.
     Content is removed after every Euclidean step, which keeps coefficient
     growth manageable at the degrees the witness search produces.
     """
     coeffs = _coeffs(p)
     if not coeffs:
         raise DomainError("cannot build a Sturm chain for the zero polynomial")
-    f = intpoly.squarefree_part(coeffs)
-    if intpoly.degree(f) == 0:
-        return SturmChain((tuple(f),))
-    chain = [f, intpoly.primitive(intpoly.derivative(f))]
-    while intpoly.degree(chain[-1]) > 0:
-        r = intpoly.pseudo_rem_positive(chain[-2], chain[-1])
-        if not r:
+    if intpoly.degree(coeffs) == 0:
+        return SturmChain(((1,),))
+    chain = _sturm_sequence(_positive_primitive(coeffs))
+    if intpoly.degree(chain[-1]) > 0:
+        chain = _sturm_sequence(_positive_primitive(intpoly.exact_div(coeffs, chain[-1])))
+        if intpoly.degree(chain[-1]) > 0:
             raise InternalInvariantError("square-free Sturm chain hit a zero remainder")
-        chain.append(intpoly.neg(r))
-    return SturmChain(tuple(tuple(q) for q in chain))
+    return SturmChain(tuple(map(tuple, chain)))
+
+
+def count_real_roots(chain: SturmChain) -> int:
+    """Number of distinct real roots, ``V(-inf) - V(+inf)``.
+
+    At ``+inf`` every chain element takes the sign of its leading
+    coefficient, and at ``-inf`` that sign times ``(-1)^degree``, so no
+    element is evaluated.  For a strict root bound ``B`` this is the count
+    :func:`count_roots_in` gives over ``(-B, B]``.
+    """
+    plus = [q[-1] > 0 for q in chain.polys]
+    minus = [s == (len(q) % 2 == 1) for s, q in zip(plus, chain.polys)]
+    return sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
 
 
 def _variations(chain: SturmChain, q: Fraction) -> int:
@@ -190,23 +224,35 @@ def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
                  avoid: Sequence[Fraction]) -> tuple:
     """Bisect ``(a, b)`` on ``sign``, which has one root there and changes sign at it.
 
-    ``ref`` is the sign just right of ``a``.  The loop runs until the width
-    is at most ``tol`` and no point of ``avoid`` lies in the closed
-    ``[a, b]``; a midpoint that is the root comes back as ``(mid, mid)``.
-    The root is not in ``avoid``, so every point there is bisected off in
-    finitely many steps.  An end that may itself be a root must be named in
-    ``avoid``: the ends are never evaluated.
+    ``sign(num, den)`` takes a point as an unreduced pair with ``den > 0``:
+    both ends are kept over one integer denominator, doubled when a
+    midpoint needs it, so every caller's sign must be homogeneous (the same
+    for ``(num, den)`` and ``(c num, c den)``, ``c > 0``).  ``ref`` is the
+    sign just right of ``a``.  The loop runs until the width is at most
+    ``tol`` and no point of ``avoid`` lies in the closed ``[a, b]``; a
+    midpoint that is the root comes back as ``(mid, mid)``.  The root is not
+    in ``avoid``, so every point there is bisected off in finitely many
+    steps.  An end that may itself be a root must be named in ``avoid``: the
+    ends are never evaluated.
     """
-    while b - a > tol or any(a <= x <= b for x in avoid):
-        mid = (a + b) / 2
-        s = sign(mid)
+    den = math.lcm(a.denominator, b.denominator)
+    lo = a.numerator * (den // a.denominator)
+    hi = b.numerator * (den // b.denominator)
+    tn, td = tol.numerator, tol.denominator
+    avoid = [(x.numerator, x.denominator) for x in avoid]
+    while (hi - lo) * td > tn * den or any(lo * xd <= xn * den <= hi * xd for xn, xd in avoid):
+        if (lo + hi) & 1:
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) >> 1
+        s = sign(mid, den)
         if s == 0:
+            mid = Fraction(mid, den)
             return mid, mid
         if s == ref:
-            a = mid
+            lo = mid
         else:
-            b = mid
-    return a, b
+            hi = mid
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def isolate_real_roots(
@@ -271,10 +317,15 @@ def _refine_one(orig, chain, a: Fraction, b: Fraction, tol, deflated) -> RootEnc
     its ends are not roots of ``orig``.
     """
     f = chain.squarefree
+
+    def sign(num: int, den: int) -> int:
+        v = intpoly.eval_homogeneous(f, num, den)
+        return (v > 0) - (v < 0)
+
     # just right of a root at a, f takes the sign of f'; chain.polys[1] is a
     # positive multiple of f'
     ref = intpoly.sign_at(f, a) or intpoly.sign_at(chain.polys[1], a)
-    a, b = _sign_bisect(lambda t: intpoly.sign_at(f, t), a, b, ref, tol, (a, b, *deflated))
+    a, b = _sign_bisect(sign, a, b, ref, tol, (a, b, *deflated))
     if a == b:
         return _exact_enclosure(a)
     sl, sh = intpoly.sign_at(orig, a), intpoly.sign_at(orig, b)
@@ -393,10 +444,10 @@ def star_sign(k: int, u: int, v: int) -> int:
     return (val > 0) - (val < 0)
 
 
-def _g_sign(k: int, q: Fraction) -> int:
-    # g(u/v) homogenised is u(u-v)^k - u^k v, which is (-1)^(k+1) times the
-    # star form at -u/v
-    s = star_sign(k, -q.numerator, q.denominator)
+def _g_sign(k: int, u: int, v: int) -> int:
+    # g(u/v), v > 0, homogenised is u(u-v)^k - u^k v, which is (-1)^(k+1)
+    # times the star form at -u/v
+    s = star_sign(k, -u, v)
     return s if k % 2 == 1 else -s
 
 
@@ -421,15 +472,15 @@ def star_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     if k == 1:
         return _exact_enclosure(Fraction(2))
     est = star_root_estimate(k)
-    lo = Fraction(max(1, math.floor(est) - 2))
-    if lo > 1 and _g_sign(k, lo) >= 0:
-        lo = Fraction(1)
-    hi = Fraction(math.ceil(est) + 2)
-    while _g_sign(k, hi) < 0:
+    lo = max(1, math.floor(est) - 2)
+    if lo > 1 and _g_sign(k, lo, 1) >= 0:
+        lo = 1
+    hi = math.ceil(est) + 2
+    while _g_sign(k, hi, 1) < 0:
         hi *= 2
     # g(lo) < 0 < g(hi): neither end is a root, so there is nothing to avoid,
     # and no bisection point is one
-    lo, hi = _sign_bisect(lambda q: _g_sign(k, q), lo, hi, -1, tol, ())
+    lo, hi = _sign_bisect(partial(_g_sign, k), Fraction(lo), Fraction(hi), -1, tol, ())
     return RootEnclosure(RationalInterval(lo, hi), -1, +1, NOTE_SIMPLE)
 
 
@@ -490,12 +541,16 @@ def star_gap_report(k_max: int, tol: Fraction = DEFAULT_TOL) -> list:
 
 
 def format_fixed(q: Fraction, digits: int = 12) -> str:
-    """Render a rational as a fixed-point decimal with ``digits`` places."""
+    """Render a rational as a fixed-point decimal with ``digits`` places,
+    rounding half to even."""
     q = _as_fraction(q)
-    scaled = q * 10 ** digits
-    i = round(scaled)
+    unit = 10 ** digits
+    i, r = divmod(q.numerator * unit, q.denominator)
+    r *= 2
+    if r > q.denominator or (r == q.denominator and i & 1):
+        i += 1
     sign = "-" if i < 0 else ""
-    whole, frac = divmod(abs(i), 10 ** digits)
+    whole, frac = divmod(abs(i), unit)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 

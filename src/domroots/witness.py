@@ -431,11 +431,10 @@ class _Search:
         lies strictly inside ``(z - eps, z + eps)``."""
         sides = _sides(self.kind, p)
 
-        def sign(t: Fraction) -> int:
+        def sign(num: int, den: int) -> int:
             # _composed_sign's point, with the search's sign
-            q = t.denominator
-            v = q ** m
-            return _search_sign(sides, (t.numerator + q) ** m - v, v)
+            v = den ** m
+            return _search_sign(sides, (num + den) ** m - v, v)
 
         avoid = (self.z - self.eps, self.z + self.eps)
         lo, hi = _sign_bisect(sign, self.w_lo, self.w_hi, s_lo, self.tol, avoid)

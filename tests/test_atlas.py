@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from domroots.atlas import (
 from domroots.dompoly import dom_poly_closed_form, dom_poly_inclusion_exclusion
 from domroots.errors import CapacityError, DomainError
 from domroots.graph import from_graph6, read_graph6_file, to_graph6
+from domroots.intpoly import mul
 from domroots.realroots import DEFAULT_TOL
 
 from conftest import all_labeled_graphs, random_graph
@@ -108,6 +110,7 @@ def test_root_cloud_from_graphs_matches_labeled():
 
 def test_float_fast_path_agrees_with_exact(rng):
     # audit: identical enclosure sets per polynomial on a random sample
+    cases = []
     seen = set()
     for _ in range(400):
         g = random_graph(rng, 6)
@@ -115,12 +118,31 @@ def test_float_fast_path_agrees_with_exact(rng):
         if coeffs in seen:
             continue
         seen.add(coeffs)
+        cases.append((coeffs, None))
+    # mixed signs: products of (d x - c) with roots on both sides of 0, and
+    # (x - 1)(x - 2)(x + 3) = x^3 - 7x + 6 with its zero x^2 coefficient;
+    # the float search misses their positive roots, so they must fall back
+    for _ in range(30):
+        roots = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        roots += [-Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        coeffs = [1]
+        for r in set(roots):
+            coeffs = mul(coeffs, [-r.numerator, r.denominator])
+        cases.append((coeffs, sorted(set(roots))))
+    cases.append(([6, -7, 0, 1], [-3, 1, 2]))
+    for coeffs, roots in cases:
         fast = certified_negative_roots(coeffs, DEFAULT_TOL)
         exact = certified_negative_roots(coeffs, DEFAULT_TOL, exact=True)
         assert len(fast) == len(exact)
         for (a, b), (c, d) in zip(fast, exact):
             # same root: the enclosures must overlap or touch within tol
             assert max(a, c) <= min(b, d) + DEFAULT_TOL
+        if roots is not None:
+            # every true root, positive ones included, is enclosed; exact
+            # isolation returns a rational root it bisects onto as (r, r)
+            assert len(fast) == len(roots)
+            for (a, b), r in zip(fast, roots):
+                assert a < r < b or a == r == b
 
 
 def test_certified_roots_reject_zero_poly():

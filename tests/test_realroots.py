@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from domroots.atlas import certified_negative_roots
 from domroots.dompoly import dom_poly_closed_form
 from domroots.errors import DomainError, EndpointRootError
+from domroots import intpoly
 from domroots.intpoly import mul, sign_at
 from domroots.realroots import (
     DEFAULT_TOL,
@@ -20,6 +21,7 @@ from domroots.realroots import (
     NOTE_SIMPLE,
     NOTE_STURM,
     RationalInterval,
+    count_real_roots,
     count_roots_in,
     format_fixed,
     isolate_real_roots,
@@ -60,6 +62,38 @@ def test_sturm_chain_collapses_multiplicity():
 def test_sturm_chain_zero_poly():
     with pytest.raises(DomainError):
         sturm_chain([0])
+
+
+def _chain_from_squarefree_part(p):
+    """The Sturm chain of the square-free part computed first, as
+    ``primitive(p / gcd(p, p'))``: the reference for :func:`sturm_chain`."""
+    p = intpoly.normalize(p)
+    g = intpoly.poly_gcd(p, intpoly.derivative(p))
+    f = intpoly.primitive(intpoly.exact_div(p, g))
+    if f[-1] < 0:
+        f = intpoly.neg(f)
+    chain = [f]
+    if intpoly.degree(f) > 0:
+        chain.append(intpoly.primitive(intpoly.derivative(f)))
+        while intpoly.degree(chain[-1]) > 0:
+            chain.append(intpoly.neg(intpoly.pseudo_rem_positive(chain[-2], chain[-1])))
+    return tuple(map(tuple, chain))
+
+
+_small_polys = st.lists(st.integers(-12, 12), min_size=1, max_size=7).filter(any)
+_factors = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@given(_small_polys, _factors, st.integers(0, 2))
+@example([-1, 0, 1], [1, 1], 2)  # (x^2 - 1)(x + 1)^4
+@example([3, 7, 5, 1], [1, 1], 0)  # already carries (x + 1)^2
+def test_sturm_chain_matches_squarefree_part_first(base, factor, power):
+    p = mul(base, intpoly.pow_(factor, 2 * power))
+    chain = sturm_chain(p)
+    assert chain.polys == _chain_from_squarefree_part(p)
+    if intpoly.degree(p) > 0:
+        bound = intpoly.cauchy_root_bound(p)
+        assert count_real_roots(chain) == count_roots_in(chain, interval(-bound, bound))
 
 
 def test_count_textbook():
@@ -417,3 +451,26 @@ def test_format_fixed():
     assert format_fixed(Fraction(-2)) == "-2.000000000000"
     assert format_fixed(Fraction(1, 3), 6) == "0.333333"
     assert format_fixed(Fraction(-1, 8), 3) == "-0.125"
+    # half-unit ties in the last digit round to even
+    half = Fraction(1, 2 * 10 ** 12)
+    assert format_fixed(half) == "0.000000000000"
+    assert format_fixed(3 * half) == "0.000000000002"
+    assert format_fixed(5 * half) == "0.000000000002"
+    assert format_fixed(-half) == "0.000000000000"
+    assert format_fixed(-3 * half) == "-0.000000000002"
+    assert format_fixed(-5 * half) == "-0.000000000002"
+    assert format_fixed(Fraction(7, 2) + half) == "3.500000000000"
+    assert format_fixed(Fraction(-7, 2) - 3 * half) == "-3.500000000002"
+
+
+def _rounded_fixed(q, digits):
+    i = round(q * 10 ** digits)
+    whole, frac = divmod(abs(i), 10 ** digits)
+    return f"{'-' if i < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
+@given(st.fractions() | st.builds(lambda k, d: Fraction(2 * k + 1, 2 * 10 ** d),
+                                  st.integers(-10 ** 15, 10 ** 15), st.integers(0, 14)),
+       st.integers(0, 14))
+def test_format_fixed_rounds_like_round(q, digits):
+    assert format_fixed(q, digits) == _rounded_fixed(q, digits)
