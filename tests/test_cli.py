@@ -435,3 +435,27 @@ WITNESS_GOLDEN = {
 def test_witness_golden_certificate_and_report(capsys, query):
     z, eps = query
     assert run(capsys, "witness", "-z", z, "-e", eps) == (0, *WITNESS_GOLDEN[query])
+
+
+def test_cached_parser_answers_like_fresh_ones(capsys):
+    # main builds its parser once per process; a good call, a usage error,
+    # --help and the good call again answer as they do with a new parser each
+    calls = [("witness", "-z", "-1.5", "-e", "1/20"), ("witness", "-z", "-1.5"), ("--help",),
+             ("witness", "-z", "-1.5", "-e", "1/20")]
+
+    def outcomes(fresh):
+        cli._build_parser.cache_clear()
+        answers = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            answers.append(run(capsys, *argv))
+        return answers
+
+    cached = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+    assert "the following arguments are required: -e/--eps" in cached[1][2]
+    assert cached[2][1].startswith("usage: domroots")
+    assert cached[3] == cached[0]
+    assert outcomes(fresh=True) == cached

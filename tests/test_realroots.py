@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from domroots.atlas import certified_negative_roots
 from domroots.dompoly import dom_poly_closed_form
 from domroots.errors import DomainError, EndpointRootError
-from domroots import intpoly
+from domroots import intpoly, realroots
 from domroots.intpoly import mul, sign_at
+from domroots.witness import _numerator
 from domroots.realroots import (
     DEFAULT_TOL,
-    STAR_EXACT_BITS,
     NOTE_EXACT,
     NOTE_SIMPLE,
     NOTE_STURM,
     RationalInterval,
+    bipartite_sign,
     count_real_roots,
     count_roots_in,
     format_fixed,
@@ -31,10 +32,7 @@ from domroots.realroots import (
     star_gap_report,
     star_root,
     star_root_estimate,
-    star_shifted_polynomial,
-    star_sign,
     sturm_chain,
-    _star_log_sign,
 )
 
 from conftest import star_form_sign
@@ -342,6 +340,13 @@ def test_star_root_monotone_disjoint():
         prev = cur
 
 
+def star_shifted_polynomial(k: int) -> list:
+    """Coefficients of ``g(R) = R(R-1)^k - R^k``: ``R`` is a root of ``g``
+    in (1, oo) exactly when ``-R`` is a real root of the star's domination
+    polynomial."""
+    return intpoly.add(intpoly.mul([0, 1], intpoly.pow_([-1, 1], k)), [0] * k + [-1])
+
+
 def test_star_root_sign_convention():
     enc = star_root(5)
     assert enc.sign_lo == -1 and enc.sign_hi == +1
@@ -379,8 +384,8 @@ def test_star_root_estimate_close():
 @functools.cache
 def _undecidable_star_points():
     """Both ends of ``star_root(k, 10^-40)`` for three ``k`` as star-form
-    points ``(k, -num, den)``: that close to a root the log test cannot
-    decide."""
+    points ``(k, -num, den)``: that close to a root the first working
+    precision cannot decide."""
     points = []
     for k in (150, 400, 1000):
         enc = star_root(k, Fraction(1, 10 ** 40))
@@ -390,9 +395,9 @@ def _undecidable_star_points():
 
 @st.composite
 def star_points(draw):
-    """``(k, u, v)`` with ``k * bits`` on both sides of the exact cutoff;
-    half of them next to the star root ``-r_k``, where the terms nearly
-    cancel."""
+    """``(k, u, v)`` with the integer on both sides of the kernel's exact
+    cutoff; half of them next to the star root ``-r_k``, where the terms
+    nearly cancel."""
     k = draw(st.integers(1, 2000))
     bits = draw(st.integers(1, 120))
     v = draw(st.integers(1, 2 ** bits))
@@ -403,6 +408,14 @@ def star_points(draw):
     return k, u, v
 
 
+def _in_ball(value, ball) -> bool:
+    """Whether ``value`` lies within ``r 2^e`` of ``m 2^e``."""
+    m, r, e = ball
+    if e >= 0:
+        return abs(value - (m << e)) <= r << e
+    return abs((value << -e) - m) <= r
+
+
 @example((1, -2, 1))  # k = 1: the root -2
 @example((1, -2 * 3 ** 80, 3 ** 80))
 @example((5000, 0, 3 ** 80))  # u = 0
@@ -411,18 +424,84 @@ def star_points(draw):
 def test_star_sign_is_the_integer_sign(point):
     k, u, v = point
     exact = star_form_sign(k, u, v)
-    assert star_sign(k, u, v) == exact
-    if u and u + v:
-        assert _star_log_sign(k, u, v) in (0, exact)
+    assert bipartite_sign((1, k), u, v) == exact
+    if u:
+        value = u * (u + v) ** k + u ** k * v
+        assert _in_ball(value, realroots._numerator_ball(1, k, u, v, realroots._START_BITS))
 
 
-def test_star_sign_falls_back_next_to_a_root():
-    # the property above draws these points; here every one of them is past
-    # the cutoff, undecided by the logarithms and decided by the integer
+def test_star_sign_doubles_the_precision_next_to_a_root():
+    # the property above draws these points; here the ball at the first
+    # working precision holds 0 for every one of them, and the kernel still
+    # gives the integer's sign
     for k, u, v in _undecidable_star_points():
-        assert k * max(u.bit_length(), v.bit_length()) > STAR_EXACT_BITS
-        assert _star_log_sign(k, u, v) == 0
-        assert star_sign(k, u, v) == star_form_sign(k, u, v) != 0
+        m, r, _ = realroots._numerator_ball(1, k, u, v, realroots._START_BITS)
+        assert abs(m) <= r
+        assert bipartite_sign((1, k), u, v) == star_form_sign(k, u, v) != 0
+
+
+@functools.cache
+def _family_root(sides) -> mpmath.mpf:
+    """The root of ``D(K_{a,b})`` the witness search uses, to 600 bits by
+    bisection: left of -2 for a star, in (-2, -1) for ``K_{2,l}`` and in
+    (-1, -1/2) for ``K_{k,k}`` (odd ``l, k >= 3``)."""
+    a, b = sides
+    with mpmath.workprec(600):
+        def f(x):
+            return ((1 + x) ** a - 1) * ((1 + x) ** b - 1) + x ** a + x ** b
+        if a == 1:
+            lo, hi = -star_root_estimate(b) - 2, -2 - mpmath.mpf(2) ** -40
+        elif a == 2:
+            lo, hi = -2, -1 - mpmath.mpf(2) ** -40
+        else:
+            lo, hi = -1 + mpmath.mpf(2) ** -40, mpmath.mpf(-1) / 2
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        ref = mpmath.sign(f(lo))
+        assert ref * mpmath.sign(f(hi)) < 0
+        for _ in range(620):
+            mid = (lo + hi) / 2
+            if mpmath.sign(f(mid)) == ref:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@st.composite
+def family_points(draw):
+    """``(sides, u, v)`` for a star, ``K_{2,l}`` or ``K_{k,k}``: ``u/v``
+    within a few ``1/v`` of the family's root, ``v`` up to 400 bits; or, a
+    quarter of the time, any ``u`` of that size."""
+    kind = draw(st.sampled_from(("star", "K2l", "Kkk")))
+    if kind == "star":
+        sides = (1, draw(st.integers(2, 2000)))
+    elif kind == "K2l":
+        sides = (2, draw(st.integers(1, 500)) * 2 + 1)
+    else:
+        sides = (k := draw(st.integers(1, 120)) * 2 + 1, k)
+    bits = draw(st.integers(8, 400))
+    v = draw(st.integers(2 ** (bits - 1), 2 ** bits))
+    if draw(st.integers(0, 3)):
+        with mpmath.workprec(bits + 64):
+            u = int(mpmath.nint(_family_root(sides) * v)) + draw(st.integers(-3, 3))
+    else:
+        u = draw(st.integers(-(2 ** bits), 2 ** bits))
+    return sides, u, v
+
+
+@example(((2, 2), -2 * 5 ** 90, 5 ** 90))  # -2 is a root of K_{2,2}
+@example(((3, 3), -(5 ** 90), 5 ** 90))  # u + v = 0
+@given(family_points())
+def test_bipartite_sign_is_the_integer_sign(point):
+    # the kernel's sign is the integer's, and at every working precision
+    # its ball holds the integer
+    sides, u, v = point
+    value = _numerator(sides, u, v)
+    assert bipartite_sign(sides, u, v) == (value > 0) - (value < 0)
+    assert bipartite_sign(sides[::-1], u, v) == (value > 0) - (value < 0)
+    if u:
+        for prec in range(2, 420, 6):
+            assert _in_ball(value, realroots._numerator_ball(*sides, u, v, prec)), prec
 
 
 def test_gap_report_first_rows():

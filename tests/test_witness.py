@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from domroots import intpoly, realroots, witness
@@ -44,7 +44,6 @@ from domroots.witness import (
     verify_certificate,
 )
 
-from conftest import star_form_sign
 
 
 def F(x):
@@ -197,30 +196,52 @@ def test_fine_tolerance_is_not_a_false_exhaustion():
     assert verify_certificate(cert).ok
 
 
-def _counted_log_signs(monkeypatch) -> list:
-    """Wrap the star kernel's log test; the list collects its answers."""
-    answers = []
-    log_sign = realroots._star_log_sign
+def _counted_passes(monkeypatch) -> list:
+    """Wrap the sign kernel's ball pass; the list collects the working
+    precision of every pass and whether its ball decided."""
+    passes = []
+    ball = realroots._numerator_ball
 
-    def counted(k, u, v):
-        answers.append(log_sign(k, u, v))
-        return answers[-1]
+    def counted(a, b, u, v, prec):
+        m, r, e = ball(a, b, u, v, prec)
+        passes.append((prec, abs(m) > r))
+        return m, r, e
 
-    monkeypatch.setattr(realroots, "_star_log_sign", counted)
-    return answers
+    monkeypatch.setattr(realroots, "_numerator_ball", counted)
+    return passes
 
 
-def test_fine_tolerance_star_steps_fall_back_to_the_integer(monkeypatch):
-    # past about 280 halvings k * bits exceeds the cutoff, and the point is
-    # then too close to the root for 30-digit logarithms: every such step
-    # is decided by the exact integer
-    answers = _counted_log_signs(monkeypatch)
+def _integer_sign(sides, u, v):
+    return _sign(witness._numerator(sides, u, v))
+
+
+def test_fine_tolerance_star_steps_double_the_precision(monkeypatch):
+    # past about 40 halvings the point is too close to the root for the
+    # first working precision, and the kernel doubles it; the certificate is
+    # the one the plain integer gives
+    passes = _counted_passes(monkeypatch)
     tol = Fraction(1, 10 ** 130)
     cert = construct_witness(F(-3), F("1/100"), tol=tol)
     assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_STAR, 19, 3)
     assert 0 < cert.enclosure.width <= tol
     assert verify_certificate(cert).ok
-    assert answers and answers.count(0) == len(answers)
+    assert max(prec for prec, _ in passes) > realroots._START_BITS
+    assert not all(decided for _, decided in passes)
+    monkeypatch.setattr(witness, "bipartite_sign", _integer_sign)
+    assert construct_witness(F(-3), F("1/100"), tol=tol) == cert
+
+
+def test_fine_tolerance_deep_star_builds():
+    # 4,792 leaves at m = 3: every bisection step takes a star sign of
+    # integers of millions of bits, which the balls decide at a few hundred
+    tol = Fraction(1, 10 ** 130)
+    t0 = time.perf_counter()
+    cert = construct_witness(F(-10), F("1/100"), tol=tol)
+    t1 = time.perf_counter()
+    assert (cert.family_kind, cert.family_param, cert.m) == (FAMILY_STAR, 4792, 3)
+    assert 0 < cert.enclosure.width <= tol
+    assert t1 - t0 < 2.0, f"search took {t1 - t0:.1f} s"
+    assert verify_certificate(cert).ok
 
 
 # the acceptance grid (it holds the (-10, 1/100) anchor) and the K_75,75 anchor
@@ -228,36 +249,37 @@ _GRID = [(z, e) for z in ("-0.25", "-0.75", "-1.25", "-1.5", "-1.9", "-2.5", "-5
          for e in ("1/10", "1/100")] + [("-0.8", "1/100")]
 
 
-def test_log_domain_star_signs_give_the_exact_certificates(monkeypatch):
+def test_ball_signs_give_the_exact_certificates(monkeypatch):
     def output(z, e):
         cert = construct_witness(F(z), F(e))
         return certificate_to_json(cert) + "\n" + str(verify_certificate(cert))
 
-    answers = _counted_log_signs(monkeypatch)
+    passes = _counted_passes(monkeypatch)
     kernel = [output(z, e) for z, e in _GRID]
-    assert any(answers)  # some star sign was decided by logarithms
-    monkeypatch.setattr(witness, "star_sign", star_form_sign)
+    assert any(decided for _, decided in passes)  # some sign was decided by balls
+    monkeypatch.setattr(witness, "bipartite_sign", _integer_sign)
     assert [output(z, e) for z, e in _GRID] == kernel
 
 
 def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
-    certs = [construct_witness(F(z), F(e)) for z, e in (("-10", "1/100"), ("-5", "1/10"))]
-    assert [c.family_kind for c in certs] == [FAMILY_STAR, FAMILY_STAR]
-    assert certs[0].composed_degree > witness.VERIFY_EXPANSION_MAX_DEGREE
+    certs = [construct_witness(F(z), F(e)) for z, e in (("-10", "1/100"), ("-5", "1/10"),
+                                                        ("-0.8", "1/100"))]
+    assert [c.family_kind for c in certs] == [FAMILY_STAR, FAMILY_STAR, FAMILY_KKK]
+    assert all(c.composed_degree > witness.VERIFY_EXPANSION_MAX_DEGREE for c in certs[::2])
 
     def refuse(*args):
-        raise AssertionError("the verifier called the star kernel")
+        raise AssertionError("the verifier called the sign kernel")
 
-    for module, name in ((witness, "star_sign"), (realroots, "star_sign"),
-                         (realroots, "_star_log_sign")):
+    for module, name in ((witness, "bipartite_sign"), (realroots, "bipartite_sign"),
+                         (realroots, "_numerator_ball")):
         monkeypatch.setattr(module, name, refuse)
     assert all(verify_certificate(c).ok for c in certs)
 
 
 def test_star_witness_at_minus_fifteen():
     # 21,678 leaves: through the exact integer alone the search takes about
-    # 8 s on a 2-core host, with logarithms about 0.01 s; verification, exact
-    # in both, about 0.8 s
+    # 8 s on a 2-core host, with the sign kernel about 0.01 s; verification,
+    # exact in both, about 0.8 s
     budget = SearchBudget(max_m=41, max_param=30000, max_degree=100000)
     t0 = time.perf_counter()
     cert = construct_witness(F(-15), F("1/100"), budget)
@@ -381,20 +403,27 @@ def test_star_range_search_matches_diagonal_scan(z_milli, eps_den, max_m, max_pa
 # the stretch of the axis each family's targets are drawn from; the window
 # is searched with whatever family _classify gives it
 _REGIMES = {FAMILY_K2_ELL: (-2, -1), FAMILY_KKK: (-1, 0), FAMILY_STAR: (-8, -2)}
+# windows that end at -1, or lie within 1/100 of it, on either side
+_NEAR_MINUS_ONE = {"-1 from the left": -1, "-1 from the right": 1}
 
 
-@settings(max_examples=100)
+@settings(max_examples=150)
 @given(
-    regime=st.sampled_from(sorted(_REGIMES)),
+    regime=st.sampled_from(sorted(_REGIMES) + sorted(_NEAR_MINUS_ONE)),
     at=st.fractions(0, 1, max_denominator=1000),
     eps=st.fractions(Fraction(1, 200), Fraction(1, 5), max_denominator=200),
     m=st.sampled_from((1, 3, 5, 7)),
 )
+@example(regime="-1 from the left", at=Fraction(0), eps=Fraction(1, 100), m=1)
+@example(regime="-1 from the right", at=Fraction(0), eps=Fraction(1, 100), m=1)
 def test_bands_keep_every_sign_change(regime, at, eps, m):
     # the float bands only narrow the walk: every parameter at which the
     # family's exact signs differ across the mapped window lies in the band
-    lo, hi = _REGIMES[regime]
-    z = lo + (hi - lo) * at
+    if regime in _NEAR_MINUS_ONE:
+        z = -1 + _NEAR_MINUS_ONE[regime] * (eps + at / 100)
+    else:
+        lo, hi = _REGIMES[regime]
+        z = lo + (hi - lo) * at
     assume(not z - eps < 0 < z + eps and not z - eps < -2 < z + eps)
     kind, w_lo, w_hi = witness._classify(z - eps, z + eps)
     mapped = RationalInterval(witness._phi(w_lo, m), witness._phi(w_hi, m))
