@@ -6,12 +6,18 @@ by default, ~2 million graphs).  Each graph is a prefix graph on the first
 transform per prefix gives the domination polynomials of all ``2^(n-1)``
 extensions, each packed into one int (see :func:`_polynomial_ids`).  Every
 *distinct* polynomial has its real roots certified once, and the CSV writer
-formats each one's enclosures once.  Root finding is float-first: locations
-come from floating bisection over monotone segments, then exact endpoint
-signs certify each enclosure and an exact count certifies completeness.
-The count is that of the Sturm chain's sign variations at -inf and +inf,
-read off each element's leading sign and degree, so nothing is evaluated.
-A domination polynomial's coefficients are positive, so it has no positive
+formats each one's enclosures once; ``x^t q`` shares one certification for
+every ``t >= 1``.  Root finding is float-first: locations come from
+floating bisection over monotone segments, then exact endpoint signs
+certify each enclosure and an exact count certifies completeness.  The
+float signs and bisections run in one straight-line Horner kernel per
+degree, generated and compiled on first use, which performs the same float
+operations in the same order as a loop over the coefficients; the printed
+digits follow the bisection path, so no step of it may change.  The count
+is that of the Sturm chain's sign variations at -inf and +inf, read off
+each element's leading sign and degree, so nothing is evaluated, and the
+chain is built only once the float search has its candidates.  A
+domination polynomial's coefficients are positive, so it has no positive
 root (Descartes' rule of signs) and the float search covers the negative
 axis only; a polynomial with a positive root fails the count.  Anything
 inconclusive (values within ``1e3 * machine epsilon`` of zero, mismatched
@@ -23,6 +29,7 @@ single worker's.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,15 +167,55 @@ class _Inconclusive(Exception):
     pass
 
 
-def _float_sign(c, x: float) -> int:
-    acc = 0.0
-    scale = 0.0
-    for coef in reversed(c):
-        acc = acc * x + coef
-        scale = scale * abs(x) + abs(coef)
-    if abs(acc) <= _FLOAT_MARGIN * max(1.0, scale):
-        raise _Inconclusive
+@functools.cache
+def _horner_kernels(deg: int) -> tuple:
+    """``(sign, bisect)`` for polynomials of degree ``deg``, compiled once.
+
+    Both take the ``deg + 1`` float coefficients as their last parameters,
+    top coefficient first, and write the Horner recurrence out as ``deg``
+    statements, so no interpreter loop runs over the coefficients.  Each
+    statement is one ``acc * x + c``: the floats and their order are those
+    of a loop from ``acc = 0.0`` (``0.0 * x + c`` is ``c`` for finite
+    ``x``), and statements, unlike one nested expression, meet no parser
+    limit at any degree.
+
+    ``sign(x, *c)`` is the sign at ``x``, or :class:`_Inconclusive` when
+    the value is within ``_FLOAT_MARGIN`` of zero relative to the sum of
+    the terms' magnitudes.  ``bisect(x, y, up, *c)`` halves ``[x, y]``,
+    moving ``x`` to the midpoint when the value there is positive iff
+    ``up`` (the sign at ``x``) and ``y`` otherwise, until the midpoint is
+    no longer strictly between the ends (at most 200 halvings), and
+    returns the final midpoint.
+    """
+    coefs = [f"c{i}" for i in range(deg + 1)]
+    params = ", ".join(coefs)
+    horner = "".join(f"\n        acc = acc * mid + {c}" for c in coefs[1:])
+    scaled = "".join(f"\n    acc = acc * x + {c}\n    scale = scale * ax + abs({c})"
+                     for c in coefs[1:])
+    src = f"""
+def sign(x, {params}):
+    ax = abs(x)
+    acc = c0
+    scale = abs(c0){scaled}
+    if abs(acc) <= margin * max(1.0, scale):
+        raise inconclusive
     return 1 if acc > 0.0 else -1
+
+def bisect(x, y, up, {params}):
+    for _ in range(200):
+        mid = 0.5 * (x + y)
+        if mid <= x or mid >= y:
+            break
+        acc = c0{horner}
+        if (acc > 0.0) == up:
+            x = mid
+        else:
+            y = mid
+    return 0.5 * (x + y)
+"""
+    ns = {"margin": _FLOAT_MARGIN, "inconclusive": _Inconclusive}
+    exec(compile(src, f"<horner kernels, degree {deg}>", "exec"), ns)
+    return ns["sign"], ns["bisect"]
 
 
 def _float_candidates(c, lo: float, hi: float) -> list:
@@ -183,41 +230,29 @@ def _float_candidates(c, lo: float, hi: float) -> list:
     pts = [lo, *_float_candidates(der, lo, hi), hi]
     if not all(a < b for a, b in zip(pts, pts[1:])):
         raise _Inconclusive
-    signs = [_float_sign(c, x) for x in pts]
+    sign, bisect = _horner_kernels(deg)
     top_down = c[::-1]
-    roots = []
-    for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]):
-        if sa == sb:
-            continue
-        up = sa > 0
-        x, y = a, b
-        for _ in range(200):
-            mid = 0.5 * (x + y)
-            if mid <= x or mid >= y:
-                break
-            acc = 0.0
-            for coef in top_down:
-                acc = acc * mid + coef
-            if (acc > 0.0) == up:
-                x = mid
-            else:
-                y = mid
-        roots.append(0.5 * (x + y))
-    return roots
+    signs = [sign(x, *top_down) for x in pts]
+    return [bisect(a, b, sa > 0, *top_down)
+            for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]) if sa != sb]
 
 
 def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = False) -> list:
     """Certified enclosures (lo, hi) for every distinct real root of ``coeffs``.
 
     The root at 0 (always present for graph polynomials) comes back as the
-    exact point (0, 0).  The number of distinct nonzero real roots comes
-    from the leading signs of the Sturm chain (:func:`count_real_roots`),
-    with no evaluation.  The float fast path searches ``(-B, 0)`` only, for
+    exact point (0, 0).  The float fast path searches ``(-B, 0)`` only, for
     the Cauchy bound ``B``: a domination polynomial's coefficients are
-    positive, so by Descartes' rule of signs it has no positive root.  Any
-    other polynomial with a positive root fails the count and falls back to
-    Sturm isolation.  Each float root is certified by the exact signs at its
-    ends.  With ``exact=True`` the fast path is skipped and everything runs
+    positive, so by Descartes' rule of signs it has no positive root.  Its
+    signs and bisections run in straight-line Horner kernels compiled once
+    per degree (:func:`_horner_kernels`).  Only when the search finds its
+    candidates is the Sturm chain built: the number of distinct nonzero
+    real roots comes from the chain's leading signs
+    (:func:`count_real_roots`), with no evaluation, and must equal the
+    number of candidates, so any other polynomial with a positive root
+    fails the count and falls back to Sturm isolation, which builds its own
+    chain.  Each float root is certified by the exact signs at its ends.
+    With ``exact=True`` the fast path is skipped and everything runs
     through Sturm isolation; the two routes agree on a per-polynomial basis,
     which the audit tests check on random samples.
     """
@@ -231,11 +266,8 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     cof = coeffs[t0:]
     if intpoly.degree(cof) < 1:
         return out
-    total = count_real_roots(sturm_chain(cof))
     bound = intpoly.cauchy_root_bound(cof)
-    intervals = None
-    if not exact:
-        intervals = _try_float_roots(cof, bound, total, tol)
+    intervals = None if exact else _try_float_roots(cof, bound, tol)
     if intervals is None:
         encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
         intervals = [(e.interval.lo, e.interval.hi) for e in encs]
@@ -243,31 +275,29 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     return merged
 
 
-def _try_float_roots(cof, bound, total, tol) -> Optional[list]:
+def _try_float_roots(cof, bound, tol) -> Optional[list]:
     try:
-        fc = [float(c) for c in cof]
-        fb = float(bound)
         # a positive root, which no domination polynomial has, fails the count
-        cands = _float_candidates(fc, -fb, 0.0)
-        if len(cands) != total:
-            return None
-        rad = tol / 2
-        intervals = []
-        prev_hi = None
-        for r in cands:
-            a = Fraction(r) - rad
-            b = Fraction(r) + rad
-            sa = intpoly.sign_at(cof, a)
-            sb = intpoly.sign_at(cof, b)
-            if sa * sb != -1:
-                return None
-            if prev_hi is not None and a <= prev_hi:
-                return None
-            prev_hi = b
-            intervals.append((a, b))
-        return intervals
+        cands = _float_candidates([float(c) for c in cof], -float(bound), 0.0)
     except (_Inconclusive, OverflowError):
         return None
+    if len(cands) != count_real_roots(sturm_chain(cof)):
+        return None
+    rad = tol / 2
+    intervals = []
+    prev_hi = None
+    for r in cands:
+        a = Fraction(r) - rad
+        b = Fraction(r) + rad
+        sa = intpoly.sign_at(cof, a)
+        sb = intpoly.sign_at(cof, b)
+        if sa * sb != -1:
+            return None
+        if prev_hi is not None and a <= prev_hi:
+            return None
+        prev_hi = b
+        intervals.append((a, b))
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +308,9 @@ _SCAN_CACHE = {}
 
 
 def _roots_cached(coeffs, tol) -> list:
-    key = (coeffs, tol)
+    # x^t q has the roots of q and, for every t >= 1, the root 0
+    t0 = intpoly.trailing_zeros(coeffs)
+    key = (coeffs[t0:], t0 > 0, tol)
     got = _SCAN_CACHE.get(key)
     if got is None:
         got = certified_negative_roots(coeffs, tol)

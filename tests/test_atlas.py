@@ -1,7 +1,12 @@
 import io
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from domroots import atlas
 from domroots.atlas import (
@@ -14,8 +19,15 @@ from domroots.atlas import (
 )
 from domroots.dompoly import dom_poly_closed_form, dom_poly_inclusion_exclusion
 from domroots.errors import CapacityError, DomainError
-from domroots.graph import from_graph6, read_graph6_file, to_graph6
-from domroots.intpoly import mul
+from domroots.graph import (
+    complete_bipartite,
+    disjoint_union,
+    empty_graph,
+    from_graph6,
+    read_graph6_file,
+    to_graph6,
+)
+from domroots.intpoly import cauchy_root_bound, mul, trailing_zeros
 from domroots.realroots import DEFAULT_TOL
 
 from conftest import all_labeled_graphs, random_graph
@@ -143,6 +155,162 @@ def test_float_fast_path_agrees_with_exact(rng):
             assert len(fast) == len(roots)
             for (a, b), r in zip(fast, roots):
                 assert a < r < b or a == r == b
+
+
+# The float search as a loop over the coefficients: the reference that the
+# per-degree kernels must match float for float.
+
+_MARGIN = 1e3 * sys.float_info.epsilon
+
+
+def _loop_float_sign(c, x):
+    acc = 0.0
+    scale = 0.0
+    for coef in reversed(c):
+        acc = acc * x + coef
+        scale = scale * abs(x) + abs(coef)
+    if abs(acc) <= _MARGIN * max(1.0, scale):
+        raise atlas._Inconclusive
+    return 1 if acc > 0.0 else -1
+
+
+def _loop_float_candidates(c, lo, hi):
+    deg = len(c) - 1
+    if deg < 1:
+        return []
+    if deg == 1:
+        r = -c[0] / c[1]
+        return [r] if lo < r < hi else []
+    der = [i * c[i] for i in range(1, len(c))]
+    pts = [lo, *_loop_float_candidates(der, lo, hi), hi]
+    if not all(a < b for a, b in zip(pts, pts[1:])):
+        raise atlas._Inconclusive
+    signs = [_loop_float_sign(c, x) for x in pts]
+    top_down = c[::-1]
+    roots = []
+    for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]):
+        if sa == sb:
+            continue
+        up = sa > 0
+        x, y = a, b
+        for _ in range(200):
+            mid = 0.5 * (x + y)
+            if mid <= x or mid >= y:
+                break
+            acc = 0.0
+            for coef in top_down:
+                acc = acc * mid + coef
+            if (acc > 0.0) == up:
+                x = mid
+            else:
+                y = mid
+        roots.append(0.5 * (x + y))
+    return roots
+
+
+def _outcome(fn, *args):
+    """Every float bit of ``fn(*args)``, or the inconclusive verdict."""
+    try:
+        got = fn(*args)
+    except atlas._Inconclusive:
+        return "inconclusive"
+    return [r.hex() for r in got] if isinstance(got, list) else got
+
+
+_HUGE = (st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
+         | st.sampled_from([1e308, -1e308, 1e307, -1e307]))
+
+
+@st.composite
+def float_searches(draw):
+    """``(coefficients, lo, hi)``: small integer coefficients; products with
+    repeated factors, whose multiple roots are roots of the derivative too,
+    so a segment end lands within the margin; or huge coefficients, whose
+    derivatives and Horner sums overflow to inf and nan."""
+    kind = draw(st.sampled_from(["small", "repeated", "huge"]))
+    if kind == "repeated":
+        ints = [1]
+        while len(ints) < 3 or (len(ints) < 38 and draw(st.booleans())):
+            p, q = draw(st.integers(-9, 9)), draw(st.integers(1, 4))
+            for _ in range(draw(st.integers(1, 3))):
+                ints = mul(ints, [p, q])
+        c = [float(v) for v in ints]
+    else:
+        small = st.integers(-50, 50).map(float)
+        top = (st.integers(1, 50) | st.integers(-50, -1)).map(float)
+        if kind == "huge":
+            small, top = small | _HUGE, top | _HUGE.filter(bool)
+        deg = draw(st.integers(1, 40))
+        c = draw(st.lists(small, min_size=deg, max_size=deg))
+        c.append(draw(top))
+    bound = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
+    bound = min(bound, 1e308)
+    bracket = draw(st.sampled_from(["negative axis", "both axes", "random"]))
+    if bracket == "negative axis":
+        lo, hi = -bound, 0.0
+    elif bracket == "both axes":
+        lo, hi = -bound, bound
+    else:
+        lo, hi = sorted(draw(st.lists(st.floats(-100, 100) | _HUGE, min_size=2, max_size=2)))
+    event(kind)
+    return c, lo, hi
+
+
+@settings(max_examples=300)
+@given(float_searches())
+def test_horner_kernels_match_the_coefficient_loop(case):
+    # the printed digits follow the bisection path, so the kernels must give
+    # the loop's floats bit for bit and raise where it raises
+    c, lo, hi = case
+    want = _outcome(_loop_float_candidates, c, lo, hi)
+    event("inconclusive" if want == "inconclusive" else "candidates")
+    assert _outcome(atlas._float_candidates, c, lo, hi) == want
+    sign, _ = atlas._horner_kernels(len(c) - 1)
+    # the search evaluates at finite points only, where 0.0 * x + c is c
+    for x in (lo, hi, 0.5 * lo + 0.5 * hi, -1.0, -2.0):
+        assert _outcome(sign, x, *c[::-1]) == _outcome(_loop_float_sign, c, x)
+
+
+def test_horner_kernels_match_the_coefficient_loop_on_domination_polynomials(rng):
+    # near a root the float sign is noisy, so on about 3% of these another
+    # midpoint or Horner order lands on other floats
+    for _ in range(400):
+        coeffs = dom_poly_inclusion_exclusion(random_graph(rng, rng.randint(8, 12))).coeffs
+        cof = coeffs[trailing_zeros(coeffs):]
+        c, lo = [float(v) for v in cof], -float(cauchy_root_bound(cof))
+        assert _outcome(atlas._float_candidates, c, lo, 0.0) == \
+            _outcome(_loop_float_candidates, c, lo, 0.0)
+
+
+def test_horner_kernels_match_the_coefficient_loop_at_degree_300():
+    # sum a_i x^i / i! scaled by 10^300: every derivative stays finite, so
+    # the search bisects at each of the 300 degrees (245 bisections)
+    rng = random.Random(0)
+    c = [float(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)) * 10 ** 300, math.factorial(i)))
+         for i in range(301)]
+    want = _outcome(_loop_float_candidates, c, -5.0, 0.0)
+    assert want == ["-0x1.c7ccada1687fep+1", "-0x1.20192a62d10dep-1"]
+    assert _outcome(atlas._float_candidates, c, -5.0, 0.0) == want
+
+
+def test_isolated_vertices_share_one_certification(monkeypatch):
+    # D(G + 2K_1) = x^2 D(G): the same roots, 0 included, from one certification
+    calls = []
+
+    def counted(coeffs, tol):
+        calls.append(coeffs)
+        return certified_negative_roots(coeffs, tol)
+
+    monkeypatch.setattr(atlas, "_SCAN_CACHE", {})
+    monkeypatch.setattr(atlas, "certified_negative_roots", counted)
+    g = complete_bipartite(2, 3)
+    h = disjoint_union(g, empty_graph(2))
+    rows = list(root_cloud_from_graphs([g, h]))
+    assert len(calls) == 1
+    ours = [(r.root_lo, r.root_hi) for r in rows if r.n == g.n]
+    theirs = [(r.root_lo, r.root_hi) for r in rows if r.n == h.n]
+    assert ours[-1] == (0, 0) and len(ours) >= 2 and ours == theirs
+    assert theirs == certified_negative_roots(dom_poly_inclusion_exclusion(h).coeffs)
 
 
 def test_certified_roots_reject_zero_poly():
