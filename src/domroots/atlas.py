@@ -42,6 +42,8 @@ from .errors import CapacityError, DomainError
 from .graph import (
     Graph,
     _bits,
+    _edge_pairs,
+    _graph_from_mask,
     labeled_graph6,
     mask_to_graph6,
     refinement_signature,
@@ -51,6 +53,7 @@ from .graph import (
 from .realroots import (
     DEFAULT_TOL,
     RationalInterval,
+    _tolerance,
     count_real_roots,
     format_fixed,
     isolate_real_roots,
@@ -101,21 +104,6 @@ class GrowthRecord:
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def _edge_pairs(n: int) -> list:
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ... matches
-    # the graph6 bit order, so an edge mask doubles as the g6 payload
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _graph_from_mask(mask: int, n: int, pairs) -> Graph:
-    adj = [0] * n
-    for idx, (u, v) in enumerate(pairs):
-        if mask >> idx & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
 
 def _check_order(n: int, labeled_cap: int) -> None:
     if n < 1:
@@ -237,7 +225,7 @@ def _float_candidates(c, lo: float, hi: float) -> list:
             for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]) if sa != sb]
 
 
-def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = False) -> list:
+def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     """Certified enclosures (lo, hi) for every distinct real root of ``coeffs``.
 
     The root at 0 (always present for graph polynomials) comes back as the
@@ -252,10 +240,10 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     number of candidates, so any other polynomial with a positive root
     fails the count and falls back to Sturm isolation, which builds its own
     chain.  Each float root is certified by the exact signs at its ends.
-    With ``exact=True`` the fast path is skipped and everything runs
-    through Sturm isolation; the two routes agree on a per-polynomial basis,
-    which the audit tests check on random samples.
+    The audit tests check on random samples that the fast path agrees, root
+    for root, with Sturm isolation alone.
     """
+    tol = _tolerance(tol)
     coeffs = intpoly.normalize(list(coeffs))
     if not coeffs:
         raise DomainError("zero polynomial")
@@ -267,7 +255,7 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL, exact: bool = 
     if intpoly.degree(cof) < 1:
         return out
     bound = intpoly.cauchy_root_bound(cof)
-    intervals = None if exact else _try_float_roots(cof, bound, tol)
+    intervals = _try_float_roots(cof, bound, tol)
     if intervals is None:
         encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
         intervals = [(e.interval.lo, e.interval.hi) for e in encs]

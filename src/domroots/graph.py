@@ -12,6 +12,7 @@ witness families and the CLI's family spellings are looked up in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, Graph6ParseError
@@ -258,6 +259,27 @@ def refinement_signature(g: Graph, rounds: int = 3) -> tuple:
 # graph6
 # ---------------------------------------------------------------------------
 
+# 6-bit groups reversed (an involution): graph6 puts a group's first bit high
+_REV6 = [int(f"{i:06b}"[::-1], 2) for i in range(64)]
+
+
+@cache
+def _edge_pairs(n: int) -> tuple:
+    """Vertex pair of each edge-mask bit: (0,1), (0,2), (1,2), (0,3), ...,
+    the graph6 bit order, so an edge mask doubles as the graph6 payload."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+def _graph_from_mask(mask: int, n: int, pairs) -> Graph:
+    """The graph whose edges are ``pairs[i]`` (:func:`_edge_pairs`) for each set bit ``i``."""
+    adj = [0] * n
+    for idx, (u, v) in enumerate(pairs):
+        if mask >> idx & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
 def from_graph6(text: str) -> Graph:
     """Decode one graph6-encoded graph (optionally prefixed with the header)."""
     if text.startswith(_G6_HEADER):
@@ -292,22 +314,12 @@ def from_graph6(text: str) -> Graph:
             f"expected {need} edge byte(s) for order {n}, got {len(body)}",
             body_off + min(len(body), need),
         )
-    adj = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[idx // 6] - 63
-            bit = byte >> (5 - idx % 6) & 1
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    if need:
-        tail = body[-1] - 63
-        pad = 6 * need - nbits
-        if tail & ((1 << pad) - 1):
-            raise Graph6ParseError("nonzero padding bits", body_off + need - 1)
-    return Graph(n, tuple(adj))
+    mask = 0
+    for b in reversed(body):
+        mask = mask << 6 | _REV6[b - 63]
+    if mask >> nbits:
+        raise Graph6ParseError("nonzero padding bits", body_off + need - 1)
+    return _graph_from_mask(mask, n, _edge_pairs(n))
 
 
 def to_graph6(g: Graph) -> str:
@@ -317,10 +329,6 @@ def to_graph6(g: Graph) -> str:
         mask |= (g.adj[j] & ((1 << j) - 1)) << idx
         idx += j
     return mask_to_graph6(mask, g.n)
-
-
-# 6-bit groups reversed: graph6 puts the group's first bit in the high place
-_REV6 = [int(f"{i:06b}"[::-1], 2) for i in range(64)]
 
 
 def mask_to_graph6(mask: int, n: int) -> str:

@@ -4,12 +4,12 @@ All certification is exact: Sturm chains over the integers (with primitive
 reduction after every Euclidean step), interval endpoints as rationals, and
 sign evaluations on homogenised integer forms.  The number of all distinct
 real roots comes from the chain's leading signs alone
-(:func:`count_real_roots`).  One kernel, :func:`bipartite_sign`, decides
-the sign of a complete bipartite graph's homogenised domination polynomial,
-the form behind every star root and witness: midpoint-radius balls of
+(:func:`count_real_roots`).  :func:`bipartite_numerator` owns the integer
+``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness, and one
+kernel, :func:`bipartite_sign`, decides its sign: midpoint-radius balls of
 integers at a working precision that doubles until the ball excludes 0,
-with the exact integer once that is no more work, so its answer is always
-the integer's sign.  Binary floating point appears only in
+with that integer once it is no more work.  Star roots are bisected on
+``D(K_{1,k})`` itself.  Binary floating point appears only in
 :func:`lambert_w` / :func:`star_root_estimate`, which serve as search seeds
 and reporting checks, never as evidence.
 
@@ -54,6 +54,14 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise DomainError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _tolerance(tol) -> Fraction:
+    """``tol`` as a :class:`Fraction`, which every bisection needs positive."""
+    tol = _as_fraction(tol)
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -274,9 +282,7 @@ def isolate_real_roots(
     exact point, a root at ``lo`` is left out, and every enclosure lies
     inside the window.
     """
-    tol = _as_fraction(tol)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    tol = _tolerance(tol)
     coeffs = _coeffs(p)
     if not coeffs:
         raise DomainError("cannot isolate roots of the zero polynomial")
@@ -463,6 +469,20 @@ def _short_side(a: int, u: int, v: int) -> tuple:
     return va, d, u ** a - d
 
 
+def bipartite_numerator(sides: tuple, u: int, v: int) -> int:
+    """``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v``, for ``sides = (a, b)``,
+    which for ``v > 0`` has the value's sign.  The short side is expanded
+    first (:func:`_short_side`): a star takes two long powers, ``K_{2,l}``
+    three, and ``K_{k,k}`` is ``(w^k - v^k)^2 + 2 u^k v^k``, ``w = u + v``."""
+    a, b = sorted(sides)
+    w = u + v
+    if a == b:
+        va = v ** a
+        return (w ** a - va) ** 2 + 2 * u ** a * va
+    va, d, c = _short_side(a, u, v)
+    return va * u ** b + (d * w ** b if d else 0) + (c * v ** b if c else 0)
+
+
 def _numerator_ball(a: int, b: int, u: int, v: int, prec: int) -> tuple:
     """The ``K_{a,b}`` numerator (``a <= b``) as a ball at ``prec`` bits.
     With ``a < b`` the short side's integers are exact; with ``a = b`` the
@@ -496,7 +516,8 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
     working precision of ``P`` bits, and a ball that excludes 0 decides;
     otherwise ``P`` doubles.  A pass squares ``steps`` numbers of ``P``
     bits, and once the exact integer is no larger than those together it
-    is expanded instead, so the answer is always the integer's sign."""
+    is expanded instead (:func:`bipartite_numerator`), so the answer is
+    always the integer's sign."""
     if not u:
         return 0  # x = 0 is a root of every domination polynomial
     a, b = sorted(sides)
@@ -508,73 +529,53 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
         if abs(m) > r:
             return (m > 0) - (m < 0)
         prec *= 2
-    w = u + v
-    if a < b:
-        va, d, c = _short_side(a, u, v)
-        val = va * u ** b + (d * w ** b if d else 0) + (c * v ** b if c else 0)
-    else:
-        wa, va = w ** a, v ** a
-        val = (wa - va) ** 2 + 2 * u ** a * va
+    val = bipartite_numerator((a, b), u, v)
     return (val > 0) - (val < 0)
 
 
-def _g_sign(k: int, u: int, v: int) -> int:
-    # g(u/v), v > 0, homogenised is u(u-v)^k - u^k v, which is (-1)^(k+1)
-    # times the star form at -u/v
-    s = bipartite_sign((1, k), -u, v)
-    return s if k % 2 == 1 else -s
+def star_domination_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
+    """Certified enclosure of the extremal real root of ``D(K_{1,k}, x) =
+    x(x+1)^k + x^k``, the one left of -1.
 
-
-def star_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Certified enclosure of the unique root of ``R(R-1)^k - R^k`` above 1.
-
-    On (1, oo) the equation ``(R/(R-1))^k = R`` balances a strictly decreasing
-    against a strictly increasing side, so there is exactly one crossing; the
-    enclosure is certified by exact endpoint signs (``g(1) = -1`` always).
-    The search is seeded by the floating asymptotic estimate but all evidence
-    is exact.
+    With ``R = -x`` the equation is ``(R/(R-1))^k = R``, which on ``R > 1``
+    balances a strictly decreasing against a strictly increasing side, so
+    there is exactly one crossing.  The search is seeded by the floating
+    asymptotic estimate, and the enclosure is certified by exact signs of
+    the star form (:func:`bipartite_sign`): ``(-1)^(k+1)`` far left, and
+    ``(-1)^k`` at -1.
     """
     if k < 1:
         raise DomainError("star index must be >= 1")
-    tol = _as_fraction(tol)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    # For k >= 2, g(R)/R = (R-1)^k - R^(k-1) is monic with constant term
-    # +-1, so its rational roots could only be 1 and -1, and it is -1 at 1
-    # and +-(2^k + 1) at -1: the root above 1 is irrational.  For k = 1 it
-    # is 2.
+    tol = _tolerance(tol)
+    # For k >= 2, D(x)/x = (x+1)^k + x^(k-1) is monic with constant term 1,
+    # so its rational roots could only be 1 and -1, where it is 2^k + 1 and
+    # (-1)^(k-1): the root is irrational.  For k = 1 it is -2.
     if k == 1:
-        return _exact_enclosure(Fraction(2))
+        return _exact_enclosure(Fraction(-2))
+    sign = partial(bipartite_sign, (1, k))
+    far = 1 if k % 2 else -1
     est = star_root_estimate(k)
-    lo = max(1, math.floor(est) - 2)
-    if lo > 1 and _g_sign(k, lo, 1) >= 0:
-        lo = 1
-    hi = math.ceil(est) + 2
-    while _g_sign(k, hi, 1) < 0:
-        hi *= 2
-    # g(lo) < 0 < g(hi): neither end is a root, so there is nothing to avoid,
-    # and no bisection point is one
-    lo, hi = _sign_bisect(partial(_g_sign, k), Fraction(lo), Fraction(hi), -1, tol, ())
-    return RootEnclosure(RationalInterval(lo, hi), -1, +1, NOTE_SIMPLE)
+    near = max(1, math.floor(est) - 2)
+    if near > 1 and sign(-near, 1) == far:
+        near = 1
+    reach = math.ceil(est) + 2
+    while sign(-reach, 1) != far:
+        reach *= 2
+    # neither end is a root, so there is nothing to avoid, and no bisection
+    # point is one
+    lo, hi = _sign_bisect(sign, Fraction(-reach), Fraction(-near), far, tol, ())
+    return RootEnclosure(RationalInterval(lo, hi), far, -far, NOTE_SIMPLE)
 
 
-def star_domination_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Certified enclosure of the extremal real root of the star's domination polynomial.
-
-    Negates :func:`star_root` and fixes up the endpoint signs so they refer to
-    ``D(K_{1,k}, x) = x(x+1)^k + x^k`` itself (the two polynomials differ by a
-    mirror and a factor of ``(-1)^(k+1)``).
-    """
-    enc = star_root(k, tol)
+def star_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
+    """Certified enclosure of ``r_k``, the unique root of ``R(R-1)^k - R^k``
+    above 1: the mirror of :func:`star_domination_root`, with the signs of
+    ``g(R) = R(R-1)^k - R^k``, which is -1 at 1."""
+    enc = star_domination_root(k, tol)
+    lo, hi = enc.interval.lo, enc.interval.hi
     if enc.note == NOTE_EXACT:
-        return _exact_enclosure(-enc.interval.lo)
-    sigma = 1 if k % 2 == 1 else -1
-    return RootEnclosure(
-        RationalInterval(-enc.interval.hi, -enc.interval.lo),
-        sigma * enc.sign_hi,
-        sigma * enc.sign_lo,
-        enc.note,
-    )
+        return _exact_enclosure(-lo)
+    return RootEnclosure(RationalInterval(-hi, -lo), -1, +1, NOTE_SIMPLE)
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,13 @@ and -2 (both from ``K_2``) short-cut windows containing them.  Every other
 cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
 composed polynomial.  Signs are those of the integer numerator of the
-``K_{a,b}`` closed form, never of reduced fractions.  The search takes them
-from :func:`domroots.realroots.bipartite_sign` for every family: balls of
-integers whose precision doubles until they exclude 0, or else the integer
-itself, so the answer is always the integer's sign.
-:func:`verify_certificate` expands every integer it checks
-(:func:`_numerator`).  The bisection is
+``K_{a,b}`` closed form, never of reduced fractions; that integer has one
+owner, :func:`domroots.realroots.bipartite_numerator`.  The search takes
+the signs from :func:`domroots.realroots.bipartite_sign` for every family:
+balls of integers whose precision doubles until they exclude 0, or else
+that integer, so the answer is always the integer's sign.
+:func:`verify_certificate` never calls the balls: it expands every integer
+it checks, through ``bipartite_numerator``.  The bisection is
 :func:`domroots.realroots._sign_bisect`, the one that also narrows
 isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
@@ -100,6 +101,8 @@ from .realroots import (
     _as_fraction,
     _exact_enclosure,
     _sign_bisect,
+    _tolerance,
+    bipartite_numerator,
     bipartite_sign,
     star_root_estimate,
 )
@@ -136,6 +139,15 @@ class SearchBudget:
     more than ``max_param`` leaves, and only windows that contain a root of
     a star with at most ``max_param`` leaves (``m = 1``) certify;
     ``z = -10.5, eps = 1/100`` exhausts the budget after 33,390 cells.
+
+    Near -1 the caps put the nearest roots at ``m = 1`` (``m >= 3`` maps
+    distance ``d`` from -1 to ``d^m``): ``K_{2,5001}`` at ``-1 - 1.3864e-4``
+    and ``K_{5001,5001}`` at ``-1 + 1.3859e-4``.  Measured on windows ending
+    at -1, 41 widths from 1e-5 to 1e-3 a side: every width of 1.41e-4 or
+    more certifies, every one of 1.26e-4 or less exhausts.  Windows 1e-6
+    wide all certify at distances 1.5e-4 to 7.5e-4 (step 5e-5), but from
+    8.5e-4 to 2e-3 only 4 and 6 of 24 (left, right) do: the root gaps,
+    about ``2 d^2 / log 2``, outgrow the width.
     """
 
     max_m: int = 41
@@ -209,19 +221,6 @@ def family_graph(kind: str, param: Optional[int]) -> graph.Graph:
     return graph.family(*_named(kind, param))
 
 
-def _numerator(sides: tuple, u: int, v: int) -> int:
-    """``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v``, for ``sides = (a, b)``.
-
-    The closed form ``((1+x)^a - 1)((1+x)^b - 1) + x^a + x^b`` is
-    homogenised over ``v^(a+b)``, so for ``v > 0`` this integer has the sign
-    of the polynomial's value and is zero exactly when the value is."""
-    a, b = sides
-    w = u + v
-    wa, va, ua = w ** a, v ** a, u ** a
-    wb, vb, ub = (wa, va, ua) if b == a else (w ** b, v ** b, u ** b)
-    return (wa - va) * (wb - vb) + ua * vb + ub * va
-
-
 def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
     """Sign of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)`` in integers
     alone: with ``t = p/q`` the inner point is ``((p+q)^m - q^m) / q^m``."""
@@ -229,7 +228,7 @@ def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
         raise DomainError("substitution order must be >= 1")
     p, q = t.numerator, t.denominator
     v = q ** m
-    return _sign(_numerator(sides, (p + q) ** m - v, v))
+    return _sign(bipartite_numerator(sides, (p + q) ** m - v, v))
 
 
 def _sign(v) -> int:
@@ -412,7 +411,7 @@ class _Search:
     def _hit(self, p: int, mapped: RationalInterval) -> Optional[tuple]:
         """The family's signs at the mapped window's ends when they differ,
         else ``None``.  The composed polynomial at ``t`` is the family's at
-        ``_phi(t, m)``, and ``_numerator`` is homogeneous, so these are also
+        ``_phi(t, m)``, and the numerator is homogeneous, so these are also
         the signs that ``_composed_sign`` gives at the target window's ends."""
         sides = _sides(self.kind, p)
         s_lo = bipartite_sign(sides, mapped.lo.numerator, mapped.lo.denominator)
@@ -456,6 +455,7 @@ def construct_witness(
     """
     z = _as_fraction(z)
     eps = _as_fraction(eps)
+    tol = _tolerance(tol)
     if z > 0:
         raise DomainError("targets must satisfy z <= 0; positive reals carry no domination roots")
     if eps <= 0:
@@ -466,7 +466,7 @@ def construct_witness(
         return _exact_certificate(z, eps, Fraction(0))
     if z - eps < -2 < z + eps:
         return _exact_certificate(z, eps, Fraction(-2))
-    return _Search(z, eps, budget, _as_fraction(tol)).run()
+    return _Search(z, eps, budget, tol).run()
 
 
 # ---------------------------------------------------------------------------

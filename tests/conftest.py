@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from domroots import intpoly
 from domroots.graph import Graph
+from domroots.realroots import DEFAULT_TOL, RationalInterval, isolate_real_roots
 
 settings.register_profile(
     "domroots",
@@ -40,6 +43,30 @@ def star_form_sign(k, u, v):
     for the star kernel."""
     val = u * (u + v) ** k + u ** k * v
     return (val > 0) - (val < 0)
+
+
+def bipartite_form(sides, u, v):
+    """``(w^a - v^a)(w^b - v^b) + u^a v^b + u^b v^a`` with ``w = u + v``:
+    ``v^(a+b) D(K_{a,b}, u/v)`` in the direct closed form, the reference for
+    the sign kernel and for the verifier's numerator."""
+    a, b = sides
+    w = u + v
+    return (w ** a - v ** a) * (w ** b - v ** b) + u ** a * v ** b + u ** b * v ** a
+
+
+def exact_negative_roots(coeffs, tol=DEFAULT_TOL):
+    """``certified_negative_roots`` by Sturm isolation alone, with no float
+    search: the exact point 0 when ``x`` divides ``coeffs``, and the
+    isolation of the zero-free part over ``(-B, B]`` for its Cauchy bound."""
+    coeffs = intpoly.normalize(list(coeffs))
+    t0 = intpoly.trailing_zeros(coeffs)
+    out = [(Fraction(0), Fraction(0))] if t0 else []
+    cof = coeffs[t0:]
+    if intpoly.degree(cof) >= 1:
+        bound = intpoly.cauchy_root_bound(cof)
+        encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
+        out += [(e.interval.lo, e.interval.hi) for e in encs]
+    return sorted(out)
 
 
 @pytest.fixture

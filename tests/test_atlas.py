@@ -30,7 +30,7 @@ from domroots.graph import (
 from domroots.intpoly import cauchy_root_bound, mul, trailing_zeros
 from domroots.realroots import DEFAULT_TOL
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import all_labeled_graphs, exact_negative_roots, random_graph
 
 
 def test_enumerate_counts():
@@ -144,7 +144,7 @@ def test_float_fast_path_agrees_with_exact(rng):
     cases.append(([6, -7, 0, 1], [-3, 1, 2]))
     for coeffs, roots in cases:
         fast = certified_negative_roots(coeffs, DEFAULT_TOL)
-        exact = certified_negative_roots(coeffs, DEFAULT_TOL, exact=True)
+        exact = exact_negative_roots(coeffs, DEFAULT_TOL)
         assert len(fast) == len(exact)
         for (a, b), (c, d) in zip(fast, exact):
             # same root: the enclosures must overlap or touch within tol

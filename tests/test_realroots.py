@@ -9,12 +9,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from domroots.atlas import certified_negative_roots
+from domroots.atlas import (
+    certified_negative_roots,
+    enumerate_graphs,
+    growth_check,
+    root_cloud,
+    root_cloud_from_graphs,
+    smallest_root_table,
+)
 from domroots.dompoly import dom_poly_closed_form
 from domroots.errors import DomainError, EndpointRootError
 from domroots import intpoly, realroots
 from domroots.intpoly import mul, sign_at
-from domroots.witness import _numerator
 from domroots.realroots import (
     DEFAULT_TOL,
     NOTE_EXACT,
@@ -34,8 +40,9 @@ from domroots.realroots import (
     star_root_estimate,
     sturm_chain,
 )
+from domroots.witness import construct_witness
 
-from conftest import star_form_sign
+from conftest import bipartite_form, exact_negative_roots, star_form_sign
 
 
 def interval(lo, hi):
@@ -277,7 +284,7 @@ def test_exact_isolation_midpoint_root_pinned():
     # x^5 (x + 2)(x^2 + 3x + 1): the third midpoint in the bisection of the
     # Cauchy window (-8, 8) is the root -2, which comes back exact
     with time_limit(5):
-        got = certified_negative_roots((0, 0, 0, 0, 0, 2, 7, 5, 1), exact=True)
+        got = exact_negative_roots((0, 0, 0, 0, 0, 2, 7, 5, 1))
     assert got == [
         (Fraction(-2811092591, 1073741824), Fraction(-1405546295, 536870912)),
         (Fraction(-2), Fraction(-2)),
@@ -291,6 +298,30 @@ def test_interval_validation():
         RationalInterval(Fraction(1), Fraction(0))
     with pytest.raises(DomainError):
         isolate_real_roots([0, 1], interval(-1, 1), tol=Fraction(0))
+
+
+# every public route to a bisection, called with the tolerance ``tol``
+_TOLERANT_CALLS = {
+    "isolate_real_roots": lambda tol: isolate_real_roots([0, 1, 3, 1], interval(-4, 4), tol),
+    "certified_negative_roots": lambda tol: certified_negative_roots([0, 1, 3, 1], tol),
+    "root_cloud": lambda tol: list(root_cloud(3, tol)),
+    "root_cloud_from_graphs": lambda tol: list(root_cloud_from_graphs(enumerate_graphs(3), tol)),
+    "smallest_root_table": lambda tol: smallest_root_table(3, tol),
+    "star_root": lambda tol: star_root(5, tol),
+    "star_domination_root": lambda tol: star_domination_root(5, tol),
+    "star_gap_report": lambda tol: star_gap_report(3, tol),
+    "growth_check": lambda tol: growth_check(4, tol),
+    "construct_witness": lambda tol: construct_witness(-3, Fraction(1, 10), tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TOLERANT_CALLS))
+@pytest.mark.parametrize("tol", [0, Fraction(-1, 1000)])
+def test_tolerance_must_be_positive(entry, tol):
+    # a bisection to a width of at most tol <= 0 never ends, and a route
+    # that skips it would widen each float root backwards, to lo > hi
+    with time_limit(5), pytest.raises(DomainError, match="tolerance must be positive"):
+        _TOLERANT_CALLS[entry](tol)
 
 
 # f(w) = w e^w inverse checks
@@ -496,7 +527,7 @@ def test_bipartite_sign_is_the_integer_sign(point):
     # the kernel's sign is the integer's, and at every working precision
     # its ball holds the integer
     sides, u, v = point
-    value = _numerator(sides, u, v)
+    value = bipartite_form(sides, u, v)
     assert bipartite_sign(sides, u, v) == (value > 0) - (value < 0)
     assert bipartite_sign(sides[::-1], u, v) == (value > 0) - (value < 0)
     if u:

@@ -44,6 +44,7 @@ from domroots.witness import (
     verify_certificate,
 )
 
+from conftest import bipartite_form
 
 
 def F(x):
@@ -212,7 +213,7 @@ def _counted_passes(monkeypatch) -> list:
 
 
 def _integer_sign(sides, u, v):
-    return _sign(witness._numerator(sides, u, v))
+    return _sign(bipartite_form(sides, u, v))
 
 
 def test_fine_tolerance_star_steps_double_the_precision(monkeypatch):
@@ -431,7 +432,7 @@ def test_bands_keep_every_sign_change(regime, at, eps, m):
     band = witness._BANDS[kind](mapped, ps)
     for p in ps:
         sides = witness._sides(kind, p)
-        s_lo, s_hi = (_sign(witness._numerator(sides, t.numerator, t.denominator))
+        s_lo, s_hi = (_sign(bipartite_form(sides, t.numerator, t.denominator))
                       for t in (mapped.lo, mapped.hi))
         if s_lo * s_hi < 0:
             assert p in band, (kind, p, band)
