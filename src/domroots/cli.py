@@ -6,8 +6,8 @@ Subcommands: ``poly``, ``roots``, ``witness``, ``atlas``, ``star-roots``,
 
 Exit codes: 0 success, 2 usage or parse error, 3 capacity or budget
 exhaustion, 4 internal invariant violation.  Results go to stdout,
-diagnostics to stderr.  ``DOMROOTS_WORKERS`` overrides any worker count
-given on the command line.
+diagnostics to stderr.  ``--workers N`` sets the worker processes of the
+labeled sweeps and the extremal table.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .graph import FAMILIES, Graph, family, from_graph6, read_graph6_file
-from .realroots import DEFAULT_TOL, RationalInterval, format_fixed
+from .realroots import DEFAULT_TOL, RationalInterval, _tolerance, format_fixed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,8 +48,6 @@ class CliConfig:
     worker_count: int
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
         if self.worker_count < 1:
             raise DomainError("worker count must be >= 1")
 
@@ -232,12 +231,23 @@ def _add_input_flags(sp) -> None:
     sp.add_argument("--family", help=_FAMILY_USAGE)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative number, such as ``-3/2``, as a value: argparse's
+    own pattern covers ``-3`` and ``-1.5`` only, and takes ``-3/2`` for an
+    unknown option.  No option starts with a digit."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and kept for the
     process: parsing does not change it, and a build costs about 15 times
     a parse."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="domroots",
         description="Exact domination polynomials, certified real roots, "
         "and constructive root-density witnesses.",
@@ -285,17 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> CliConfig:
-    tol = _rational(args.tol) if args.tol else DEFAULT_TOL
+    tol = _tolerance(_rational(args.tol)) if args.tol else DEFAULT_TOL
     given = {name: getattr(args, name, None) for name in ("max_m", "max_param", "max_degree")}
     budget = witness.SearchBudget(**{k: v for k, v in given.items() if v is not None})
-    workers = args.workers
-    env = os.environ.get("DOMROOTS_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise DomainError(f"DOMROOTS_WORKERS must be an integer, got {env!r}") from None
-    return CliConfig(tol, budget, args.format, workers)
+    return CliConfig(tol, budget, args.format, args.workers)
 
 
 def main(argv=None) -> int:

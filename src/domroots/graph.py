@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, Graph6ParseError
@@ -234,27 +235,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def refinement_signature(g: Graph, rounds: int = 3) -> tuple:
-    """Coarse isomorphism-invariant signature by iterated degree refinement.
-
-    This is a heuristic: non-isomorphic graphs may collide (regular graphs
-    frequently do), so it is only suitable for duplicate *filtering*, never
-    for proving isomorphism.
-    """
-    colors = [m.bit_count() for m in g.adj]
-    for _ in range(rounds):
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
-            break
-        colors = new
-    return (g.n, g.edge_count(), tuple(sorted(colors)))
-
-
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------
@@ -268,6 +248,28 @@ def _edge_pairs(n: int) -> tuple:
     """Vertex pair of each edge-mask bit: (0,1), (0,2), (1,2), (0,3), ...,
     the graph6 bit order, so an edge mask doubles as the graph6 payload."""
     return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+def class_masks(n: int) -> Iterator[int]:
+    """The smallest edge mask (:func:`_edge_pairs`) of every isomorphism
+    class of order-``n`` graphs, in ascending order, by orbit marking.
+
+    The masks are walked in ascending order; one not yet marked is the
+    smallest of a new class, and its images under all ``n!`` relabelings
+    are marked in a table of ``2^(n(n-1)/2)`` bytes.
+    """
+    pairs = _edge_pairs(n)
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    # per relabeling, the mask bit that each edge's bit moves to
+    moves = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+             for p in permutations(range(n))]
+    marked = bytearray(1 << len(pairs))
+    for mask in range(len(marked)):
+        if not marked[mask]:
+            yield mask
+            edges = list(_bits(mask))
+            for move in moves:
+                marked[sum(map(move.__getitem__, edges))] = 1
 
 
 def _graph_from_mask(mask: int, n: int, pairs) -> Graph:
@@ -345,8 +347,6 @@ def mask_to_graph6(mask: int, n: int) -> str:
 def labeled_graph6(n: int) -> Iterator[str]:
     """graph6 of every graph on ``n`` labeled vertices, in ascending edge
     mask order: the strings ``mask_to_graph6(mask, n)`` for every mask."""
-    from itertools import product
-
     nbits = n * (n - 1) // 2
     # one character per 6-bit group of the mask; the low group varies fastest
     groups = [[chr(_REV6[v] + 63) for v in range(1 << min(6, nbits - g))]

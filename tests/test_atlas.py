@@ -50,8 +50,20 @@ def test_enumerate_cap():
 def test_enumerate_modes():
     with pytest.raises(DomainError):
         list(enumerate_graphs(3, "unknown"))
-    # order 3: the four isomorphism classes all have distinct signatures
-    assert sum(1 for _ in enumerate_graphs(3, "dedup")) == 4
+    # the smallest masks of order 3: no edge, an edge, a path and a triangle
+    assert [to_graph6(g) for g in enumerate_graphs(3, "dedup")] == ["B?", "B_", "Bo", "Bw"]
+
+
+def test_dedup_counts_are_the_isomorphism_classes():
+    # OEIS A000088: graphs on n unlabeled vertices
+    counts = [sum(1 for _ in enumerate_graphs(n, "dedup")) for n in range(1, 7)]
+    assert counts == [1, 2, 4, 11, 34, 156]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dedup_classes_give_the_sweep_polynomials(n):
+    classes = {dom_poly_inclusion_exclusion(g).coeffs for g in enumerate_graphs(n, "dedup")}
+    assert classes == set(atlas._polynomial_ids(n, 1)[0])
 
 
 def test_corpus_round_trip(tmp_path):

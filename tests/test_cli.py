@@ -158,6 +158,18 @@ def test_atlas_order6_golden_sha256(capsys):
     assert digest == "dfbd6435e9dd5fac8e3e5f6a35c224fe08ae6dce96cfd3aaac676a82c247e4ca"
 
 
+def test_atlas_dedup_rows_are_the_labeled_rows(capsys):
+    # one graph per isomorphism class, each printed as the full sweep prints it
+    code, dedup, _ = run(capsys, "atlas", "6", "--mode", "dedup")
+    assert code == 0
+    code, labeled, _ = run(capsys, "atlas", "6")
+    assert code == 0
+    classes = {line.split(",")[0] for line in dedup.splitlines()[1:]}
+    assert len(classes) == 156
+    assert dedup.splitlines() == [line for line in labeled.splitlines()
+                                  if line.split(",")[0] in classes | {"graph6"}]
+
+
 def test_atlas_over_cap_exit_3(capsys):
     code, _, err = run(capsys, "atlas", "9")
     assert code == 3
@@ -249,14 +261,20 @@ def test_usage_error_without_command(capsys):
     assert main([]) == 2
 
 
-def test_workers_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DOMROOTS_WORKERS", "2")
-    code, out, _ = run(capsys, "atlas", "3")
+def test_negative_fraction_values(capsys):
+    # argparse's own negative-number pattern does not cover fractions
+    code, decimal, _ = run(capsys, "witness", "-z", "-1.5", "-e", "1/10")
     assert code == 0
-    assert len(out.strip().splitlines()) > 1
-    monkeypatch.setenv("DOMROOTS_WORKERS", "zebra")
-    code, _, err = run(capsys, "atlas", "3")
+    code, fraction, _ = run(capsys, "witness", "-z", "-3/2", "-e", "1/10")
+    assert code == 0
+    assert fraction == decimal
+    code, out, _ = run(capsys, "roots", "--graph6", "A_", "--window", "-3", "-1/2")
+    assert code == 0
+    assert abs(float(out.split()[0]) + 2) < 1e-9
+    assert run(capsys, "roots", "--graph6", "A_", "--window", "-3", "-0.5")[1] == out
+    code, _, err = run(capsys, "--tol", "-1/1000", "roots", "--graph6", "A_")
     assert code == 2
+    assert "tolerance must be positive" in err
 
 
 def test_tolerance_flag(capsys):

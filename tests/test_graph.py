@@ -1,9 +1,14 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from domroots.errors import CapacityError, DomainError, DomRootsError, Graph6ParseError
 from domroots.graph import (
     Graph,
+    _edge_pairs,
+    class_masks,
     closed_neighborhood_union,
     complete,
     complete_bipartite,
@@ -13,7 +18,6 @@ from domroots.graph import (
     from_edges,
     from_graph6,
     labeled_graph6,
-    refinement_signature,
     star,
     substitute_complete,
     to_graph6,
@@ -257,10 +261,34 @@ def test_from_edges_rejects_bad_edges():
         from_edges(2, [(0, 5)])
 
 
-def test_refinement_signature_iso_invariant():
-    # the signature must agree across relabelings of the same graph
-    g1 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    g2 = from_edges(4, [(3, 2), (2, 1), (1, 0)])
-    g3 = from_edges(4, [(1, 0), (0, 3), (3, 2)])
-    assert refinement_signature(g1) == refinement_signature(g2) == refinement_signature(g3)
-    assert refinement_signature(g1) != refinement_signature(complete(4))
+@functools.cache
+def _class_masks(n):
+    return frozenset(class_masks(n))
+
+
+def _relabel(mask, n, p):
+    """The edge mask of the graph of ``mask`` with vertex ``v`` renamed ``p[v]``."""
+    pairs = _edge_pairs(n)
+    image = 0
+    for i, (u, v) in enumerate(pairs):
+        if mask >> i & 1:
+            image |= 1 << pairs.index((min(p[u], p[v]), max(p[u], p[v])))
+    return image
+
+
+def _representative(mask, n):
+    """The emitted masks in the orbit of ``mask``, found by brute force over
+    all ``n!`` relabelings, and the orbit's smallest mask."""
+    orbit = {_relabel(mask, n, q) for q in itertools.permutations(range(n))}
+    return {r for r in _class_masks(n) if r in orbit}, min(orbit)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1),
+                        st.permutations(range(n)))))
+def test_class_masks_one_smallest_mask_per_orbit(drawn):
+    n, mask, p = drawn
+    reps, smallest = _representative(mask, n)
+    # the mask and its image reach the same one emitted mask, the smallest
+    assert reps == {smallest}
+    assert _representative(_relabel(mask, n, p), n) == (reps, smallest)
