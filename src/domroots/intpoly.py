@@ -53,21 +53,6 @@ def mul(p, q) -> list:
     return normalize(out)
 
 
-def pow_(p, e: int) -> list:
-    """``p**e`` by binary powering; ``e >= 0``."""
-    if e < 0:
-        raise DomainError("negative polynomial power")
-    out = [1]
-    base = list(p)
-    while e:
-        if e & 1:
-            out = mul(out, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return out
-
-
 def derivative(p) -> list:
     return normalize([i * p[i] for i in range(1, len(p))])
 
@@ -173,17 +158,6 @@ def pseudo_rem_positive(f, g) -> list:
     if lc < 0 and steps % 2 == 1:
         r = neg(r)
     return primitive(r)
-
-
-def poly_gcd(f, g) -> list:
-    """Primitive gcd with positive leading coefficient (primitive PRS)."""
-    f = primitive(f)
-    g = primitive(g)
-    while g:
-        f, g = g, pseudo_rem_positive(f, g)
-    if f and f[-1] < 0:
-        f = neg(f)
-    return f
 
 
 def trailing_zeros(p) -> int:

@@ -21,15 +21,26 @@ ascending within a diagonal, and the first cell that certifies wins:
 * windows left of ``-2``: stars, whose extremal roots march to ``-infinity``
   with bounded gaps.
 
-One walk serves the three.  Each family's order is affine in its
-parameter, which bounds the parameter for each ``m``, and a float band
-narrows that range to the parameters whose family can have a root in the
-mapped window: for ``K_{2,l}`` and ``K_{k,k}`` the parameters whose root
-equation can balance at the window's distance from -1, and for stars the
-range of ``k`` whose Lambert-W root estimate, increasing in ``k``, lies
-within 1 of the window, each found by binary search.  The bands carry a
-cushion no float rounding crosses, and every cell in a band is still
-decided by exact signs.  The walk merges the bands of all ``m`` in diagonal order.
+Each family's root in its region moves one way as the parameter ``p``
+grows: star roots march to ``-infinity``, ``K_{2,l}`` roots climb and
+``K_{k,k}`` roots fall towards -1.  The root of ``F_p`` is *past* a point
+``x`` of the region when it lies strictly between ``x`` and that limit,
+one sign test: ``bipartite_sign(sides(p), x) == ahead(p)``, with ``ahead``
+``(-1)^k`` for stars, ``+1`` for ``K_{k,k}`` and ``-1`` for ``K_{2,l}``.
+It is monotone in ``p`` (``F`` and ``h`` as in the lemma below):
+
+* stars: ``R = -x`` at the root solves ``k ln(R/(R-1)) = ln R``, whose
+  left side grows with ``k`` and falls with ``R``;
+* ``K_{2,l}``: ``F_{l+2}(d) - F_l(d) =
+  (1+d)^(l-1)((1+d)^2 - 1) + d^l (1-d)(1-d^2) > 0``;
+* ``K_{k,k}``: ``h_{k+2}(d) - h_k(d) =
+  2 ln((1-d^(k+2))/(1-d^k)) - 2 ln(1-d) > 0``.
+
+The ``p = 1`` members have no root in their region and are past no point.
+So for each odd ``m`` a bisection on ``p`` finds the first root past the
+mapped window's near end (the right end for stars and ``K_{k,k}``, the left
+for ``K_{2,l}``), and it is a hit exactly when it is not also past the far
+end.  No float enters the search.
 
 Every witness family is a complete bipartite ``K_{a,b}`` (the family table
 is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
@@ -82,9 +93,7 @@ left once, by 2^-16 of the window's width.
 from __future__ import annotations
 
 import bisect
-import heapq
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -104,10 +113,9 @@ from .realroots import (
     _tolerance,
     bipartite_numerator,
     bipartite_sign,
-    star_root_estimate,
 )
 # unused here; bench/spans.py wraps these names on this module
-from .realroots import count_roots_in, isolate_real_roots, sturm_chain  # noqa: F401
+from .realroots import count_roots_in, isolate_real_roots, star_root_estimate, sturm_chain  # noqa: F401
 
 CASE_EXACT = "exact"
 CASE_11 = "case-1.1"
@@ -282,70 +290,13 @@ def _classify(win_lo: Fraction, win_hi: Fraction):
     return FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))
 
 
-def _k2l_band(mapped: RationalInterval, ps: range) -> range:
-    """The run of ``ps`` whose ``D(K_{2,l})`` can have a root in the mapped
-    window.  Roots at ``-1-d`` (l odd, 0<d<1) satisfy
-    ``(1+d)^l = 2 + 2d + d^l(1-d^2)``, whose right side lies in (2, 5).  In
-    the window ``d <= d_hi``, so a root needs ``l log(1+d_hi) > log 2``, and
-    the band starts where ``l log(1+d_hi) >= log(2)/2``; and ``d >= d_lo``,
-    so it keeps ``l`` while ``l log(1+d_lo) <= log 5 + 1``.  Both carry a
-    cushion that float rounding cannot cross, and every ``l`` in the band
-    still takes the exact sign test."""
-    d_hi = float(-1 - mapped.lo)
-    d_lo = float(-1 - mapped.hi)
-    if d_hi <= 0:
-        return ps[:0]  # the window underflows: it lies within 1e-323 of -1
-    reach = math.log1p(d_hi)
-    first = bisect.bisect_left(ps, math.log(2) / 2, key=lambda p: p * reach)
-    if d_lo <= 0:
-        return ps[first:]
-    rate = math.log1p(d_lo)
-    return ps[first:bisect.bisect_right(ps, math.log(5) + 1, key=lambda p: p * rate)]
-
-
-def _kkk_band(mapped: RationalInterval, ps: range) -> range:
-    """The run of ``ps`` whose ``D(K_{k,k})`` can have a root in the
-    mapped window.  No root lies in ``[-1/2, 0)``: there
-    ``((1+x)^k - 1)^2 >= u^2 (3 - 3u + u^2)^2 > 2u^3 >= |2x^k|`` for odd
-    ``k >= 3`` with ``u = -x``, and ``K_{1,1}`` has no roots in (-1, 0), so
-    the window is cut at -1/2.  Roots at ``-1+d`` (k odd, 0<d<1) satisfy
-    ``(1-d^k)^2 = 2(1-d)^k``, so ``2(1-d)^k <= 1``: with ``d <= d_hi`` a root
-    needs ``-k log(1-d_hi) >= log 2``, and the band starts where that
-    product is at least ``log(2)/2``.  For ``d_lo <= d`` the right side is
-    at most ``2(1-d_lo)^k``, falling with ``k``, and the left at least
-    ``(1-d_hi^k)^2``, rising, so the band keeps ``k`` while the log of the
-    first is above that of the second less 2 (an e^2 cushion).  A window
-    that touches -1 keeps every ``k`` from the first on."""
-    hi = min(mapped.hi, Fraction(-1, 2))
-    if mapped.lo >= hi:
-        return ps[:0]
-    d_lo = float(1 + mapped.lo)
-    d_hi = float(1 + hi)
-    reach = -math.log1p(-d_hi)
-    first = bisect.bisect_left(ps, math.log(2) / 2, key=lambda k: k * reach)
-    if d_lo <= 0:
-        return ps[first:]
-    fall, rise = math.log1p(-d_lo), math.log(d_hi)
-
-    def dropped(k):
-        return math.log(2) + k * fall < 2 * math.log1p(-math.exp(k * rise)) - 2
-
-    return ps[first:bisect.bisect_left(ps, True, key=dropped)]
-
-
-def _star_band(mapped: RationalInterval, ps: range) -> range:
-    """The ``k`` of ``ps`` whose star-root estimate, increasing in ``k``,
-    lies within 1 of the mapped window: two binary searches."""
-    try:
-        r_lo, r_hi = float(-mapped.hi), float(-mapped.lo)
-    except OverflowError:
-        return ps[:0]  # window mapped beyond any reachable star root
-    lo = bisect.bisect_left(ps, r_lo - 1.0, key=star_root_estimate)
-    hi = bisect.bisect_right(ps, r_hi + 1.0, lo=lo, key=star_root_estimate)
-    return ps[lo:hi]
-
-
-_BANDS = {FAMILY_K2_ELL: _k2l_band, FAMILY_KKK: _kkk_band, FAMILY_STAR: _star_band}
+# per searched kind: ahead(p), and whether the root climbs, so that it
+# passes the window's left end first
+_AHEAD = {
+    FAMILY_K2_ELL: (lambda ell: -1, True),
+    FAMILY_KKK: (lambda k: 1, False),
+    FAMILY_STAR: (lambda k: -1 if k & 1 else 1, False),
+}
 
 
 class _Search:
@@ -356,75 +307,69 @@ class _Search:
         self.tol = tol
         self.kind, self.w_lo, self.w_hi = _classify(z - eps, z + eps)
         self.case = _KINDS[self.kind].case
-        self.cells = 0  # cells of the diagonal order inside the budget
 
     def run(self) -> WitnessCertificate:
-        for m, p, mapped in self._cells():
-            signs = self._hit(p, mapped)
-            if signs is not None:
-                return self._certify(m, p, *signs)
-        b = self.budget
+        """The first hit in diagonal order.  Every family's order is affine
+        in ``p``, which bounds ``p`` for each odd ``m``.  An ``m`` is searched
+        while ``m + 1`` is below the best diagonal found, and only its ``p``
+        below that diagonal: the first one whose root is past the mapped
+        window's near end is a hit when it is not also past the far end, and
+        no other one can be.  When even the top ``p`` is not past the near
+        end, no larger ``m`` has a hit either: as ``m`` grows the range never
+        grows, and the mapped near end never moves away from the limit."""
+        b, row = self.budget, _KINDS[self.kind]
+        sides = graph.FAMILIES[row.family].to_shape
+        ahead, climbs = _AHEAD[self.kind]
+        base = sum(sides(1))
+        slope = sum(sides(2)) - base
+        ranges = [(m, range(1, min(b.max_param, (b.max_degree // m - base) // slope + 1) + 1,
+                             2 if row.odd else 1))
+                  for m in range(1, b.max_m + 1, 2)]
+
+        def toward(p: int, x: Fraction) -> int:
+            # 1 when the root of the family at p is past x, 0 at x, else -1
+            return bipartite_sign(sides(p), x.numerator, x.denominator) * ahead(p)
+
+        best = None  # (m + p, m, p) of the first hit so far
+        for m, ps in ranges:
+            if best:
+                if m + 1 >= best[0]:
+                    break
+                ps = ps[:bisect.bisect_left(ps, best[0] - m)]
+            near, far = _phi(self.w_lo, m), _phi(self.w_hi, m)
+            if not climbs:
+                near, far = far, near
+            if not ps or toward(ps[-1], near) < 1:
+                break
+            p = ps[bisect.bisect_left(ps, 1, hi=len(ps) - 1, key=lambda p: toward(p, near))]
+            if toward(p, far) == -1:
+                best = (m + p, m, p)
+        if best:
+            _, m, p = best
+            return self._certify(m, p, ahead(p) if climbs else -ahead(p))
+        cells = sum(len(ps) for _, ps in ranges)
         raise BudgetExhaustedError(
             "witness search budget exhausted (this does not prove nonexistence); "
-            f"explored {self.cells} cells for case {self.case}",
+            f"explored {cells} cells for case {self.case}",
             frontier={
                 "case": self.case,
-                "cells_tested": self.cells,
+                "cells_tested": cells,
                 "max_m": b.max_m,
                 "max_param": b.max_param,
                 "max_degree": b.max_degree,
             },
         )
 
-    def _cells(self):
-        """Cells ``(m, p, mapped window)`` in diagonal order, ``m + p``
-        ascending, then ``m``, each ``m`` limited to its family's band.
-        Every family's order is affine in ``p``, which bounds ``p`` for each
-        odd ``m``; ``cells`` counts every ``p`` in those bounds.  The first
-        cell of ``m`` lies on diagonal ``m + 1`` or later, so ``m``'s window
-        and band are opened once the walk gets there."""
-        b, kind = self.budget, self.kind
-        step = 2 if _KINDS[kind].odd else 1
-        base = family_order(kind, 1)
-        slope = family_order(kind, 2) - base
-        pending = list(range(1, b.max_m + 1, 2))[::-1]
-        heap = []  # (m + p, m, index of p in run, run, mapped window)
-        while True:
-            while pending and (not heap or heap[0][0] > pending[-1]):
-                m = pending.pop()
-                cap = min(b.max_param, (b.max_degree // m - base) // slope + 1)
-                ps = range(1, cap + 1, step)
-                self.cells += len(ps)
-                mapped = RationalInterval(_phi(self.w_lo, m), _phi(self.w_hi, m))
-                run = _BANDS[kind](mapped, ps)
-                if run:
-                    heapq.heappush(heap, (m + run[0], m, 0, run, mapped))
-            if not heap:
-                return
-            _, m, i, run, mapped = heap[0]
-            yield m, run[i], mapped
-            if i + 1 < len(run):
-                heapq.heapreplace(heap, (m + run[i + 1], m, i + 1, run, mapped))
-            else:
-                heapq.heappop(heap)
-
-    def _hit(self, p: int, mapped: RationalInterval) -> Optional[tuple]:
-        """The family's signs at the mapped window's ends when they differ,
-        else ``None``.  The composed polynomial at ``t`` is the family's at
-        ``_phi(t, m)``, and the numerator is homogeneous, so these are also
-        the signs that ``_composed_sign`` gives at the target window's ends."""
-        sides = _sides(self.kind, p)
-        s_lo = bipartite_sign(sides, mapped.lo.numerator, mapped.lo.denominator)
-        s_hi = bipartite_sign(sides, mapped.hi.numerator, mapped.hi.denominator)
-        return (s_lo, s_hi) if s_lo * s_hi < 0 else None
-
     # -- certification ------------------------------------------------------
 
-    def _certify(self, m: int, p: int, s_lo: int, s_hi: int) -> WitnessCertificate:
+    def _certify(self, m: int, p: int, s_lo: int) -> WitnessCertificate:
         """Bisection on exact composed-value signs, by the one bisection of
         root isolation: it runs until the width is at most ``tol`` and the
         enclosure holds neither end of the target window, so the enclosure
-        lies strictly inside ``(z - eps, z + eps)``."""
+        lies strictly inside ``(z - eps, z + eps)``.  ``s_lo`` is the family's
+        sign at the mapped window's left end, which is the composed sign at
+        the target window's: the composed polynomial at ``t`` is the family's
+        at ``_phi(t, m)``, and the numerator is homogeneous."""
         sides = _sides(self.kind, p)
 
         def sign(num: int, den: int) -> int:
@@ -437,7 +382,7 @@ class _Search:
         if lo == hi:
             enc = _exact_enclosure(lo)
         else:
-            enc = RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
+            enc = RootEnclosure(RationalInterval(lo, hi), s_lo, -s_lo, NOTE_SIMPLE)
         deg = sum(sides) * m
         return WitnessCertificate(self.z, self.eps, self.kind, p, m, deg, enc, self.case)
 
@@ -564,6 +509,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
             s = sign(enc.interval.lo)
             detail = "value at exact root = 0" if s == 0 else f"value at exact root has sign {s}"
             add("endpoint_certification", s == 0, detail)
+        elif enc.note != NOTE_SIMPLE:
+            add("endpoint_certification", False, f"unknown enclosure note {enc.note!r}")
         else:
             s_lo = sign(enc.interval.lo)
             s_hi = sign(enc.interval.hi)

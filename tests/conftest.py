@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from domroots import intpoly
+from domroots.errors import DomainError
 from domroots.graph import Graph
 from domroots.realroots import DEFAULT_TOL, RationalInterval, isolate_real_roots
 
@@ -52,6 +53,32 @@ def bipartite_form(sides, u, v):
     a, b = sides
     w = u + v
     return (w ** a - v ** a) * (w ** b - v ** b) + u ** a * v ** b + u ** b * v ** a
+
+
+def pow_(p, e: int) -> list:
+    """``p**e`` by binary powering; ``e >= 0``."""
+    if e < 0:
+        raise DomainError("negative polynomial power")
+    out = [1]
+    base = list(p)
+    while e:
+        if e & 1:
+            out = intpoly.mul(out, base)
+        e >>= 1
+        if e:
+            base = intpoly.mul(base, base)
+    return out
+
+
+def poly_gcd(f, g) -> list:
+    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    f = intpoly.primitive(f)
+    g = intpoly.primitive(g)
+    while g:
+        f, g = g, intpoly.pseudo_rem_positive(f, g)
+    if f and f[-1] < 0:
+        f = intpoly.neg(f)
+    return f
 
 
 def exact_negative_roots(coeffs, tol=DEFAULT_TOL):

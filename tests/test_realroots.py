@@ -42,7 +42,7 @@ from domroots.realroots import (
 )
 from domroots.witness import construct_witness
 
-from conftest import bipartite_form, exact_negative_roots, star_form_sign
+from conftest import bipartite_form, exact_negative_roots, poly_gcd, pow_, star_form_sign
 
 
 def interval(lo, hi):
@@ -73,7 +73,7 @@ def _chain_from_squarefree_part(p):
     """The Sturm chain of the square-free part computed first, as
     ``primitive(p / gcd(p, p'))``: the reference for :func:`sturm_chain`."""
     p = intpoly.normalize(p)
-    g = intpoly.poly_gcd(p, intpoly.derivative(p))
+    g = poly_gcd(p, intpoly.derivative(p))
     f = intpoly.primitive(intpoly.exact_div(p, g))
     if f[-1] < 0:
         f = intpoly.neg(f)
@@ -93,7 +93,7 @@ _factors = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c:
 @example([-1, 0, 1], [1, 1], 2)  # (x^2 - 1)(x + 1)^4
 @example([3, 7, 5, 1], [1, 1], 0)  # already carries (x + 1)^2
 def test_sturm_chain_matches_squarefree_part_first(base, factor, power):
-    p = mul(base, intpoly.pow_(factor, 2 * power))
+    p = mul(base, pow_(factor, 2 * power))
     chain = sturm_chain(p)
     assert chain.polys == _chain_from_squarefree_part(p)
     if intpoly.degree(p) > 0:
@@ -375,7 +375,7 @@ def star_shifted_polynomial(k: int) -> list:
     """Coefficients of ``g(R) = R(R-1)^k - R^k``: ``R`` is a root of ``g``
     in (1, oo) exactly when ``-R`` is a real root of the star's domination
     polynomial."""
-    return intpoly.add(intpoly.mul([0, 1], intpoly.pow_([-1, 1], k)), [0] * k + [-1])
+    return intpoly.add(intpoly.mul([0, 1], pow_([-1, 1], k)), [0] * k + [-1])
 
 
 def test_star_root_sign_convention():

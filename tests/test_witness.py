@@ -4,9 +4,10 @@ import json
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from domroots import intpoly, realroots, witness
@@ -17,11 +18,11 @@ from domroots.realroots import (
     DEFAULT_TOL,
     NOTE_EXACT,
     NOTE_SIMPLE,
+    NOTE_STURM,
     RationalInterval,
     RootEnclosure,
     _exact_enclosure,
     count_roots_in,
-    star_root_estimate,
     sturm_chain,
 )
 from domroots.witness import (
@@ -44,7 +45,7 @@ from domroots.witness import (
     verify_certificate,
 )
 
-from conftest import bipartite_form
+from conftest import bipartite_form, poly_gcd
 
 
 def F(x):
@@ -327,115 +328,103 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _diagonal_star_search(z, eps, budget):
-    """Reference for the star regime: every cell of the diagonal order, each
-    gated by the star-root estimate on a freshly mapped window and tested by
-    signs of the expanded star polynomial.  Returns the cells that pass the
-    gate, in order; the first certificate, or None when the budget runs out;
-    and the number of cells in the budget."""
-    search = witness._Search(z, eps, budget, DEFAULT_TOL)
-    assert search.case == CASE_2
-    gated, cert, cells = [], None, 0
+def _diagonal_search(z, eps, budget):
+    """Reference for the search: every cell of the diagonal order, ``m + p``
+    ascending, then ``m``, decided by the signs of the expanded family
+    polynomial at the mapped window's ends.  Returns ``(m, p, sign at the
+    left end)`` of the first cell whose signs differ, or None when the budget
+    runs out, and the number of cells in the budget."""
+    kind, lo, hi = witness._classify(z - eps, z + eps)
+    odd = witness._KINDS[kind].odd
+    first, cells = None, 0
     for s in range(2, budget.max_m + budget.max_param + 1):
         for m in range(1, min(budget.max_m, s - 1) + 1, 2):
-            k = s - m
-            if k > budget.max_param or (k + 1) * m > budget.max_degree:
+            p = s - m
+            if (p > budget.max_param or odd and p % 2 == 0
+                    or witness.family_order(kind, p) * m > budget.max_degree):
                 continue
             cells += 1
-            lo, hi = witness._phi(search.w_lo, m), witness._phi(search.w_hi, m)
-            try:
-                r_lo, r_hi = float(-hi), float(-lo)
-            except OverflowError:
-                continue
-            if not r_lo - 1.0 <= star_root_estimate(k) <= r_hi + 1.0:
-                continue
-            gated.append((m, k))
-            star = family_polynomial(FAMILY_STAR, k)
-            if cert is None:
-                s_lo, s_hi = _sign(eval_rational(star, lo)), _sign(eval_rational(star, hi))
+            if first is None:
+                poly = family_polynomial(kind, p)
+                s_lo, s_hi = (_sign(eval_rational(poly, witness._phi(t, m))) for t in (lo, hi))
                 if s_lo * s_hi < 0:
-                    cert = search._certify(m, k, s_lo, s_hi)
-    return gated, cert, cells
+                    first = (m, p, s_lo)
+    return first, cells
 
 
-@pytest.mark.parametrize("z, eps", [("-3", "1/10"), ("-1.5", "1/20"), ("-0.9", "1/20")])
-def test_hit_signs_are_the_composed_signs(z, eps):
-    # certification starts from the signs of the hit test, taken from the
-    # family at the mapped ends; they must be the composed signs at the
-    # target window's ends
-    search = witness._Search(F(z), F(eps), SearchBudget(5, 41, 400), DEFAULT_TOL)
-    hits = 0
-    for m, p, mapped in search._cells():
-        signs = search._hit(p, mapped)
-        if signs is not None:
-            sides = witness._sides(search.kind, p)
-            assert signs == (witness._composed_sign(sides, m, search.w_lo),
-                             witness._composed_sign(sides, m, search.w_hi))
-            hits += 1
-    assert hits > 0
-
-
-@settings(max_examples=100)
-@given(
-    z_milli=st.integers(2001, 8000),
-    eps_den=st.integers(2, 60),
-    max_m=st.integers(1, 7),
-    max_param=st.integers(1, 300),
-    max_degree=st.integers(1, 2500),
-)
-def test_star_range_search_matches_diagonal_scan(z_milli, eps_den, max_m, max_param, max_degree):
-    z, eps = Fraction(-z_milli, 1000), Fraction(1, eps_den)
-    assume(z + eps <= -2)
-    budget = SearchBudget(max_m, max_param, max_degree)
-    gated, expected, cells = _diagonal_star_search(z, eps, budget)
-    search = witness._Search(z, eps, budget, DEFAULT_TOL)
-    assert [(m, k) for m, k, _ in search._cells()] == gated
-    if expected is None:
-        with pytest.raises(BudgetExhaustedError) as exc:
-            construct_witness(z, eps, budget)
-        assert exc.value.frontier == {
-            "case": CASE_2, "cells_tested": cells,
-            "max_m": max_m, "max_param": max_param, "max_degree": max_degree,
-        }
-    else:
-        assert construct_witness(z, eps, budget) == expected
+def _first_hit(z, eps, budget):
+    """The ``(m, p, s_lo)`` that the search hands to certification."""
+    with mock.patch.object(witness._Search, "_certify", lambda self, *cell: cell):
+        return construct_witness(z, eps, budget)
 
 
 # the stretch of the axis each family's targets are drawn from; the window
 # is searched with whatever family _classify gives it
 _REGIMES = {FAMILY_K2_ELL: (-2, -1), FAMILY_KKK: (-1, 0), FAMILY_STAR: (-8, -2)}
-# windows that end at -1, or lie within 1/100 of it, on either side
-_NEAR_MINUS_ONE = {"-1 from the left": -1, "-1 from the right": 1}
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(
-    regime=st.sampled_from(sorted(_REGIMES) + sorted(_NEAR_MINUS_ONE)),
-    at=st.fractions(0, 1, max_denominator=1000),
-    eps=st.fractions(Fraction(1, 200), Fraction(1, 5), max_denominator=200),
-    m=st.sampled_from((1, 3, 5, 7)),
+    z=st.one_of(*(st.fractions(lo, hi, max_denominator=1000) for lo, hi in _REGIMES.values()),
+                _near_anchor()),
+    eps_den=st.integers(2, 60),
+    max_m=st.integers(1, 7),
+    max_param=st.integers(1, 61),
+    max_degree=st.integers(1, 2000),
 )
-@example(regime="-1 from the left", at=Fraction(0), eps=Fraction(1, 100), m=1)
-@example(regime="-1 from the right", at=Fraction(0), eps=Fraction(1, 100), m=1)
-def test_bands_keep_every_sign_change(regime, at, eps, m):
-    # the float bands only narrow the walk: every parameter at which the
-    # family's exact signs differ across the mapped window lies in the band
-    if regime in _NEAR_MINUS_ONE:
-        z = -1 + _NEAR_MINUS_ONE[regime] * (eps + at / 100)
+def test_search_is_the_first_sign_change_in_diagonal_order(z, eps_den, max_m, max_param,
+                                                          max_degree):
+    eps = Fraction(1, eps_den)
+    assume(z + eps <= 0 and not z - eps < -2 < z + eps)
+    budget = SearchBudget(max_m, max_param, max_degree)
+    first, cells = _diagonal_search(z, eps, budget)
+    if first is None:
+        with pytest.raises(BudgetExhaustedError) as exc:
+            _first_hit(z, eps, budget)
+        assert exc.value.frontier == {
+            "case": witness._Search(z, eps, budget, DEFAULT_TOL).case, "cells_tested": cells,
+            "max_m": max_m, "max_param": max_param, "max_degree": max_degree,
+        }
     else:
-        lo, hi = _REGIMES[regime]
-        z = lo + (hi - lo) * at
-    assume(not z - eps < 0 < z + eps and not z - eps < -2 < z + eps)
+        assert _first_hit(z, eps, budget) == first
+        expected = witness._Search(z, eps, budget, DEFAULT_TOL)._certify(*first)
+        assert construct_witness(z, eps, budget) == expected
+
+
+@settings(max_examples=80)
+@given(
+    kind=st.sampled_from(sorted(_REGIMES)),
+    at=st.fractions(0, 1, max_denominator=10 ** 4),
+    near_minus_one=st.booleans(),
+)
+def test_past_is_monotone_in_the_parameter(kind, at, near_minus_one):
+    # the bisection on p needs "the root of F_p is past x" to be false and
+    # then true as p grows, and false at p = 1
+    lo, hi = _REGIMES[kind]
+    if near_minus_one and kind != FAMILY_STAR:
+        x = -1 + (1 if kind == FAMILY_KKK else -1) * at / 1000
+    else:
+        x = lo + (hi - lo) * at
+    ahead, _ = witness._AHEAD[kind]
+    top, step = (201, 1) if kind == FAMILY_STAR else (1001, 2)
+    past = [_sign(bipartite_form(witness._sides(kind, p), x.numerator, x.denominator)) == ahead(p)
+            for p in range(1, top + 1, step)]
+    assert past == sorted(past)
+    assert not past[0]
+
+
+@pytest.mark.parametrize("z, eps", [("-3", "1/10"), ("-2.01", "1/100"), ("-1.5", "1/20"),
+                                    ("-1.9", "1/100"), ("-0.9", "1/20"), ("-0.05", "1/20")])
+def test_certification_starts_from_the_composed_signs(z, eps):
+    # the search derives the left end's sign from which end the root is
+    # past; it must be the composed polynomial's sign at the target
+    # window's ends
+    z, eps = F(z), F(eps)
+    m, p, s_lo = _first_hit(z, eps, SearchBudget())
     kind, w_lo, w_hi = witness._classify(z - eps, z + eps)
-    mapped = RationalInterval(witness._phi(w_lo, m), witness._phi(w_hi, m))
-    ps = range(1, 162, 2 if witness._KINDS[kind].odd else 1)
-    band = witness._BANDS[kind](mapped, ps)
-    for p in ps:
-        sides = witness._sides(kind, p)
-        s_lo, s_hi = (_sign(bipartite_form(sides, t.numerator, t.denominator))
-                      for t in (mapped.lo, mapped.hi))
-        if s_lo * s_hi < 0:
-            assert p in band, (kind, p, band)
+    sides = witness._sides(kind, p)
+    assert (s_lo, -s_lo) == (witness._composed_sign(sides, m, w_lo),
+                             witness._composed_sign(sides, m, w_hi))
 
 
 def _distinct_and_repeated_roots(poly, lo, hi):
@@ -443,7 +432,7 @@ def _distinct_and_repeated_roots(poly, lo, hi):
     its repeated ones (the roots of ``gcd(poly, poly')``)."""
     interval = RationalInterval(lo, hi)
     coeffs = list(poly.coeffs)
-    repeated = intpoly.poly_gcd(coeffs, intpoly.derivative(coeffs))
+    repeated = poly_gcd(coeffs, intpoly.derivative(coeffs))
     return (count_roots_in(sturm_chain(coeffs), interval),
             count_roots_in(sturm_chain(repeated), interval))
 
@@ -641,7 +630,8 @@ def test_verify_rejects_tampered_interval():
 
 _TAMPER_QUERIES = ((F(0), F("1/10")), (F(-2), F("1/10")), (F("-1.5"), F("1/20")),
                    (F("-0.75"), F("1/10")), (F("-2.5"), F("1/10")))
-_TAMPER_FIELDS = ("family", "param", "m", "degree", "lo", "hi", "sign_lo", "sign_hi",
+_NOTES = (NOTE_EXACT, NOTE_SIMPLE, NOTE_STURM, "", "banana")
+_TAMPER_FIELDS = ("family", "param", "m", "degree", "lo", "hi", "sign_lo", "sign_hi", "note",
                   "case", "z", "eps")
 
 
@@ -667,8 +657,8 @@ def _tampered(cert, field, draw):
         assume(value != current)
         return value
 
-    def enclosure(lo=lo, hi=hi, sign_lo=enc.sign_lo, sign_hi=enc.sign_hi):
-        return RootEnclosure(RationalInterval(lo, hi), sign_lo, sign_hi, enc.note)
+    def enclosure(lo=lo, hi=hi, sign_lo=enc.sign_lo, sign_hi=enc.sign_hi, note=enc.note):
+        return RootEnclosure(RationalInterval(lo, hi), sign_lo, sign_hi, note)
 
     kinds = (FAMILY_EXACT_K2, FAMILY_K2_ELL, FAMILY_KKK, FAMILY_STAR, "K_9")
     changed = {
@@ -680,6 +670,7 @@ def _tampered(cert, field, draw):
         "hi": lambda: {"enclosure": enclosure(hi=other((z + eps + r, lo - r), hi))},
         "sign_lo": lambda: {"enclosure": enclosure(sign_lo=other(range(-2, 3), enc.sign_lo))},
         "sign_hi": lambda: {"enclosure": enclosure(sign_hi=other(range(-2, 3), enc.sign_hi))},
+        "note": lambda: {"enclosure": enclosure(note=other(_NOTES, enc.note))},
         "case": lambda: {"case_tag": other((CASE_EXACT, CASE_11, CASE_12, CASE_2, "case-3"),
                                            cert.case_tag)},
         "z": lambda: {"target_z": draw(st.sampled_from((lo + eps + r, hi - eps - r)))},
@@ -698,6 +689,17 @@ def test_single_field_tamper_never_verifies(which, field, data):
     except DomainError:
         return
     assert not report.ok
+
+
+@pytest.mark.parametrize("note", [NOTE_STURM, "", "banana"])
+def test_verify_rejects_an_enclosure_note_it_does_not_check(note):
+    # the verifier checks end signs (simple-certified) or a zero (exact),
+    # and nothing that another note would claim
+    cert = construct_witness(F(-3), F("1/10"))
+    bad = dataclasses.replace(cert, enclosure=dataclasses.replace(cert.enclosure, note=note))
+    failed = [c for c in verify_certificate(bad).checks if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("endpoint_certification", f"unknown enclosure note {note!r}")]
 
 
 def test_exact_enclosure_carries_zero_signs():
