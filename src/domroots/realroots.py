@@ -5,10 +5,13 @@ reduction after every Euclidean step), interval endpoints as rationals, and
 sign evaluations on homogenised integer forms.  The number of all distinct
 real roots comes from the chain's leading signs alone
 (:func:`count_real_roots`).  :func:`bipartite_numerator` owns the integer
-``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness, and one
-kernel, :func:`bipartite_sign`, decides its sign: midpoint-radius balls of
+``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness, and
+:func:`bipartite_numerator_sign` expands it exactly for its sign: in ints,
+or past a measured crossover in an exact ``decimal`` context, whose
+libmpdec multiplies long numbers faster.  One kernel,
+:func:`bipartite_sign`, decides that sign: midpoint-radius balls of
 integers at a working precision that doubles until the ball excludes 0,
-with that integer once it is no more work.  Star roots are bisected on
+with the exact sign once it is no more work.  Star roots are bisected on
 ``D(K_{1,k})`` itself.  Binary floating point appears only in
 :func:`lambert_w` / :func:`star_root_estimate`, which serve as search seeds
 and reporting checks, never as evidence.
@@ -20,6 +23,7 @@ root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -28,6 +32,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import intpoly
 from .errors import DomainError, EndpointRootError, InternalInvariantError
+
+try:
+    import _decimal  # libmpdec; without it decimal is the pure-Python _pydecimal
+except ImportError:
+    _decimal = None
 
 if TYPE_CHECKING:
     from .dompoly import DomPolynomial
@@ -469,18 +478,87 @@ def _short_side(a: int, u: int, v: int) -> tuple:
     return va, d, u ** a - d
 
 
+class _Ints:
+    """Python ints under the names of ``decimal.Context``'s methods."""
+
+    power = pow
+    multiply = operator.mul
+    add = operator.add
+    subtract = operator.sub
+
+
+def _expand(a: int, b: int, u: int, v: int, ar):
+    """The ``K_{a,b}`` numerator (``a <= b``) in the arithmetic ``ar``:
+    :class:`_Ints`, or an exact ``decimal.Context``.  Only ``u``, ``v``,
+    ``u + v``, 2 and the short side's integers enter as ints; every long
+    power and product is taken in ``ar``."""
+    w = u + v
+    if a == b:
+        va = ar.power(v, a)
+        d = ar.subtract(ar.power(w, a), va)
+        return ar.add(ar.multiply(d, d), ar.multiply(ar.multiply(2, ar.power(u, a)), va))
+    va, d, c = _short_side(a, u, v)
+    n = ar.multiply(va, ar.power(u, b))
+    if d:
+        n = ar.add(n, ar.multiply(d, ar.power(w, b)))
+    if c:
+        n = ar.add(n, ar.multiply(c, ar.power(v, b)))
+    return n
+
+
 def bipartite_numerator(sides: tuple, u: int, v: int) -> int:
     """``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v``, for ``sides = (a, b)``,
     which for ``v > 0`` has the value's sign.  The short side is expanded
     first (:func:`_short_side`): a star takes two long powers, ``K_{2,l}``
     three, and ``K_{k,k}`` is ``(w^k - v^k)^2 + 2 u^k v^k``, ``w = u + v``."""
     a, b = sorted(sides)
-    w = u + v
-    if a == b:
-        va = v ** a
-        return (w ** a - va) ** 2 + 2 * u ** a * va
-    va, d, c = _short_side(a, u, v)
-    return va * u ** b + (d * w ** b if d else 0) + (c * v ** b if c else 0)
+    return _expand(a, b, u, v, _Ints)
+
+
+def _numerator_bits(a: int, b: int, u: int, v: int) -> int:
+    """The numerator's length in bits, estimated from its operands."""
+    return (a + b) * (max(-u if u < 0 else u, v).bit_length() + 1)
+
+
+# Above this size estimate the numerator is expanded in libmpdec, which
+# multiplies long numbers by a number-theoretic transform where CPython's
+# ints use Karatsuba.  Sign of a star numerator with 90-bit operands, int
+# against decimal (Python 3.11.7, libmpdec 2.5.1, 2-core x86-64 host):
+# 1.7k bits 3.9 us / 9.9 us; 26k bits 0.20 / 1.2 ms; 99k bits 1.6 / 3.1 ms;
+# 400k bits 15 / 12 ms; 1.6M bits 139 / 52 ms.  Decimal's time steps up
+# near 2.7e5 bits, and from there to 3.5e5 it loses on some shapes (up to
+# 1.4 times the ints' time, for stars, K_{2,l}, K_{k,k} and K_{13,b} with
+# 40- to 1,300-bit operands); from 4e5 bits on it won on every one, by
+# 0.5-0.65 of the ints' time at 5e5 and 0.2-0.45 at 2e6.
+_DECIMAL_BITS = 400_000
+
+
+def bipartite_numerator_sign(sides: tuple, u: int, v: int) -> int:
+    """Sign of :func:`bipartite_numerator`, from the integer's expansion.
+
+    Up to :data:`_DECIMAL_BITS` the integer is expanded in ints.  Above,
+    the same integer is expanded in a private ``decimal.Context`` with the
+    largest precision and exponent range, where integer arithmetic is
+    exact; ``Inexact``, ``Rounded``, ``Overflow`` and ``InvalidOperation``
+    are trapped, so a result that is not exact raises and is never read as
+    a sign.  Only the sign is read back (a long ``Decimal`` turns into an
+    int in quadratic time).  Without the C module ``_decimal``, ``decimal``
+    is the slow pure-Python one, and ints are kept at every size."""
+    a, b = sorted(sides)
+    return _exact_sign(a, b, u, v, _numerator_bits(a, b, u, v))
+
+
+def _exact_sign(a: int, b: int, u: int, v: int, size: int) -> int:
+    """:func:`bipartite_numerator_sign` for ``a <= b`` and the size
+    estimate ``size`` the caller already has."""
+    if _decimal is None or size <= _DECIMAL_BITS:
+        n = _expand(a, b, u, v, _Ints)
+        return (n > 0) - (n < 0)
+    d = _decimal
+    exact = d.Context(prec=d.MAX_PREC, Emax=d.MAX_EMAX, Emin=d.MIN_EMIN,
+                      traps=[d.Inexact, d.Rounded, d.Overflow, d.InvalidOperation])
+    n = _expand(a, b, u, v, exact)
+    return 0 if n.is_zero() else -1 if n.is_signed() else 1
 
 
 def _numerator_ball(a: int, b: int, u: int, v: int, prec: int) -> tuple:
@@ -516,12 +594,12 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
     working precision of ``P`` bits, and a ball that excludes 0 decides;
     otherwise ``P`` doubles.  A pass squares ``steps`` numbers of ``P``
     bits, and once the exact integer is no larger than those together it
-    is expanded instead (:func:`bipartite_numerator`), so the answer is
-    always the integer's sign."""
+    is expanded instead (:func:`bipartite_numerator_sign`), so the answer
+    is always the integer's sign."""
     if not u:
         return 0  # x = 0 is a root of every domination polynomial
     a, b = sorted(sides)
-    size = (a + b) * (max(-u if u < 0 else u, v).bit_length() + 1)
+    size = _numerator_bits(a, b, u, v)
     steps = (2 if a == 1 else 3) * b.bit_length()
     prec = _START_BITS
     while size > prec * steps:
@@ -529,8 +607,7 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
         if abs(m) > r:
             return (m > 0) - (m < 0)
         prec *= 2
-    val = bipartite_numerator((a, b), u, v)
-    return (val > 0) - (val < 0)
+    return _exact_sign(a, b, u, v, size)
 
 
 def star_domination_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:

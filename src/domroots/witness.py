@@ -54,7 +54,9 @@ the signs from :func:`domroots.realroots.bipartite_sign` for every family:
 balls of integers whose precision doubles until they exclude 0, or else
 that integer, so the answer is always the integer's sign.
 :func:`verify_certificate` never calls the balls: it expands every integer
-it checks, through ``bipartite_numerator``.  The bisection is
+it checks, through :func:`domroots.realroots.bipartite_numerator_sign`,
+in ints or, for integers of more than about 4e5 bits, in exact
+``decimal``.  The bisection is
 :func:`domroots.realroots._sign_bisect`, the one that also narrows
 isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
@@ -111,7 +113,7 @@ from .realroots import (
     _exact_enclosure,
     _sign_bisect,
     _tolerance,
-    bipartite_numerator,
+    bipartite_numerator_sign,
     bipartite_sign,
 )
 # unused here; bench/spans.py wraps these names on this module
@@ -236,7 +238,7 @@ def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
         raise DomainError("substitution order must be >= 1")
     p, q = t.numerator, t.denominator
     v = q ** m
-    return _sign(bipartite_numerator(sides, (p + q) ** m - v, v))
+    return bipartite_numerator_sign(sides, (p + q) ** m - v, v)
 
 
 def _sign(v) -> int:

@@ -1,8 +1,11 @@
+import decimal
 import functools
 import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import pytest
@@ -27,6 +30,7 @@ from domroots.realroots import (
     NOTE_SIMPLE,
     NOTE_STURM,
     RationalInterval,
+    bipartite_numerator_sign,
     bipartite_sign,
     count_real_roots,
     count_roots_in,
@@ -475,7 +479,9 @@ def test_star_sign_doubles_the_precision_next_to_a_root():
 def _family_root(sides) -> mpmath.mpf:
     """The root of ``D(K_{a,b})`` the witness search uses, to 600 bits by
     bisection: left of -2 for a star, in (-2, -1) for ``K_{2,l}`` and in
-    (-1, -1/2) for ``K_{k,k}`` (odd ``l, k >= 3``)."""
+    (-1, -1/2) for ``K_{k,k}`` (odd ``l, k >= 3``).  For odd ``3 <= a < b``
+    it is a root left of -2, where ``D`` changes sign between -2 and a
+    point far enough left."""
     a, b = sides
     with mpmath.workprec(600):
         def f(x):
@@ -484,8 +490,12 @@ def _family_root(sides) -> mpmath.mpf:
             lo, hi = -star_root_estimate(b) - 2, -2 - mpmath.mpf(2) ** -40
         elif a == 2:
             lo, hi = -2, -1 - mpmath.mpf(2) ** -40
-        else:
+        elif a == b:
             lo, hi = -1 + mpmath.mpf(2) ** -40, mpmath.mpf(-1) / 2
+        else:
+            lo, hi = -4, -2
+            while mpmath.sign(f(lo)) == mpmath.sign(f(hi)):
+                lo *= 2
         lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
         ref = mpmath.sign(f(lo))
         assert ref * mpmath.sign(f(hi)) < 0
@@ -500,16 +510,19 @@ def _family_root(sides) -> mpmath.mpf:
 
 @st.composite
 def family_points(draw):
-    """``(sides, u, v)`` for a star, ``K_{2,l}`` or ``K_{k,k}``: ``u/v``
-    within a few ``1/v`` of the family's root, ``v`` up to 400 bits; or, a
-    quarter of the time, any ``u`` of that size."""
-    kind = draw(st.sampled_from(("star", "K2l", "Kkk")))
+    """``(sides, u, v)`` for a star, ``K_{2,l}``, ``K_{k,k}`` or ``K_{a,b}``
+    with odd ``3 <= a <= 13 < b``: ``u/v`` within a few ``1/v`` of the
+    family's root, ``v`` up to 400 bits; or, a quarter of the time, any
+    ``u`` of that size."""
+    kind = draw(st.sampled_from(("star", "K2l", "Kkk", "Kab")))
     if kind == "star":
         sides = (1, draw(st.integers(2, 2000)))
     elif kind == "K2l":
         sides = (2, draw(st.integers(1, 500)) * 2 + 1)
-    else:
+    elif kind == "Kkk":
         sides = (k := draw(st.integers(1, 120)) * 2 + 1, k)
+    else:
+        sides = (draw(st.integers(1, 6)) * 2 + 1, draw(st.integers(14, 300)))
     bits = draw(st.integers(8, 400))
     v = draw(st.integers(2 ** (bits - 1), 2 ** bits))
     if draw(st.integers(0, 3)):
@@ -520,7 +533,8 @@ def family_points(draw):
     return sides, u, v
 
 
-@example(((2, 2), -2 * 5 ** 90, 5 ** 90))  # -2 is a root of K_{2,2}
+@example(((1, 1), -2 * 5 ** 90, 5 ** 90))  # -2 is a root of K_{1,1}
+@example(((2, 2), -2 * 5 ** 90, 5 ** 90))  # D(K_{2,2}, -2) = 8
 @example(((3, 3), -(5 ** 90), 5 ** 90))  # u + v = 0
 @given(family_points())
 def test_bipartite_sign_is_the_integer_sign(point):
@@ -533,6 +547,32 @@ def test_bipartite_sign_is_the_integer_sign(point):
     if u:
         for prec in range(2, 420, 6):
             assert _in_ball(value, realroots._numerator_ball(*sides, u, v, prec)), prec
+
+
+@example(((1, 1), -2 * 5 ** 90, 5 ** 90))  # the integer is 0
+@example(((3, 3), -(5 ** 90), 5 ** 90))  # u + v = 0
+@example(((1, 3000), 0, 5 ** 90))  # u = 0
+@given(family_points())
+def test_numerator_sign_is_the_integer_sign(point):
+    # ints below the crossover, exact decimal above it: both expansions give
+    # the integer's sign, each forced by moving the crossover
+    sides, u, v = point
+    value = bipartite_form(sides, u, v)
+    for crossover in (0, 10 ** 12):
+        with mock.patch.object(realroots, "_DECIMAL_BITS", crossover):
+            assert bipartite_numerator_sign(sides, u, v) == (value > 0) - (value < 0)
+            assert bipartite_numerator_sign(sides[::-1], u, v) == (value > 0) - (value < 0)
+
+
+def test_numerator_sign_traps_a_rounded_decimal(monkeypatch):
+    # an exact context that could round raises; it never gives a sign
+    if realroots._decimal is None:
+        pytest.skip("the C decimal module is not built")
+    rounding = SimpleNamespace(**{**vars(realroots._decimal), "MAX_PREC": 30})
+    monkeypatch.setattr(realroots, "_decimal", rounding)
+    monkeypatch.setattr(realroots, "_DECIMAL_BITS", 0)
+    with pytest.raises(decimal.DecimalException):
+        bipartite_numerator_sign((1, 50), -3 * 10 ** 10, 10 ** 10)
 
 
 def test_gap_report_first_rows():
