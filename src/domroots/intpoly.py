@@ -28,15 +28,6 @@ def degree(p) -> int:
     return len(p) - 1
 
 
-def add(p, q) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return normalize(out)
-
-
 def neg(p) -> list:
     return [-c for c in p]
 

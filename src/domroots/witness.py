@@ -98,7 +98,7 @@ import bisect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import dompoly, graph
 from .dompoly import DomPolynomial, compose_with_complete
@@ -130,9 +130,10 @@ FAMILY_KKK = "K_k_k"
 FAMILY_STAR = "star"
 
 # Up to this composed degree verify_certificate re-expands the composed
-# polynomial and evaluates it, a cross-check independent of the substitution
-# identity; above it the verifier, like the search at every degree, takes
-# exact signs through the identity.
+# polynomial (compose_with_complete applies the substitution identity to the
+# dense family polynomial) and evaluates it, a cross-check independent of the
+# homogenised integer numerator; above it the verifier, like the search at
+# every degree, takes the numerator's exact signs.
 VERIFY_EXPANSION_MAX_DEGREE = 120
 
 
@@ -193,29 +194,29 @@ class _Kind(NamedTuple):
     case: str
     param: Optional[str]  # the parameter's name in verification reports
     odd: bool  # whether the parameter must be odd
+    # for a searched kind: ahead(p), and whether the root climbs, so that it
+    # passes the window's left end first
+    ahead: Optional[Callable] = None
+    climbs: bool = False
 
 
 # Every witness family is some K_{a,b}; exact_K2 is K_{1,1}.
 _KINDS = {
     FAMILY_EXACT_K2: _Kind("star", 1, CASE_EXACT, None, False),
-    FAMILY_K2_ELL: _Kind("K22ell", None, CASE_11, "l", True),
-    FAMILY_KKK: _Kind("Kkk", None, CASE_12, "k", True),
-    FAMILY_STAR: _Kind("star", None, CASE_2, "k", False),
+    FAMILY_K2_ELL: _Kind("K22ell", None, CASE_11, "l", True, lambda ell: -1, True),
+    FAMILY_KKK: _Kind("Kkk", None, CASE_12, "k", True, lambda k: 1),
+    FAMILY_STAR: _Kind("star", None, CASE_2, "k", False, lambda k: -1 if k & 1 else 1),
 }
 
 
-def _named(kind: str, param: Optional[int]) -> tuple:
-    """``(named family, parameter)`` of a witness family."""
+def _sides(kind: str, param: Optional[int]) -> tuple:
+    """``(a, b)`` such that the witness family is ``K_{a,b}``, validated by
+    :func:`domroots.graph.family_shape`."""
     try:
         row = _KINDS[kind]
     except KeyError:
         raise DomainError(f"unknown witness family {kind!r}") from None
-    return row.family, param if row.fixed is None else row.fixed
-
-
-def _sides(kind: str, param: Optional[int]) -> tuple:
-    """``(a, b)`` such that the witness family is ``K_{a,b}``."""
-    return graph.family_shape(*_named(kind, param))[1]
+    return graph.family_shape(row.family, param if row.fixed is None else row.fixed)[1]
 
 
 def family_order(kind: str, param: Optional[int]) -> int:
@@ -223,22 +224,26 @@ def family_order(kind: str, param: Optional[int]) -> int:
 
 
 def family_polynomial(kind: str, param: Optional[int]) -> DomPolynomial:
-    return dompoly.dom_poly_closed_form(*_named(kind, param))
+    return dompoly.closed_form_complete_bipartite(*_sides(kind, param))
 
 
 def family_graph(kind: str, param: Optional[int]) -> graph.Graph:
     """The witness family as an actual graph (subject to the vertex cap)."""
-    return graph.family(*_named(kind, param))
+    return graph.complete_bipartite(*_sides(kind, param))
 
 
-def _composed_sign(sides: tuple, m: int, t: Fraction) -> int:
-    """Sign of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)`` in integers
-    alone: with ``t = p/q`` the inner point is ``((p+q)^m - q^m) / q^m``."""
-    if m < 1:
-        raise DomainError("substitution order must be >= 1")
-    p, q = t.numerator, t.denominator
-    v = q ** m
-    return bipartite_numerator_sign(sides, (p + q) ** m - v, v)
+def _composed(sign, sides: tuple, m: int):
+    """``sign(num, den)`` of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)``
+    at ``t = num/den``, in integers alone: the inner point is
+    ``((num+den)^m - den^m) / den^m``, handed to ``sign(sides, u, v)``, a sign
+    of :func:`domroots.realroots.bipartite_numerator`.  ``m < 1`` raises at
+    the first call, so the verifier reports an unknown enclosure note first."""
+    def composed(num: int, den: int) -> int:
+        if m < 1:
+            raise DomainError("substitution order must be >= 1")
+        v = den ** m
+        return sign(sides, (num + den) ** m - v, v)
+    return composed
 
 
 def _sign(v) -> int:
@@ -292,15 +297,6 @@ def _classify(win_lo: Fraction, win_hi: Fraction):
     return FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))
 
 
-# per searched kind: ahead(p), and whether the root climbs, so that it
-# passes the window's left end first
-_AHEAD = {
-    FAMILY_K2_ELL: (lambda ell: -1, True),
-    FAMILY_KKK: (lambda k: 1, False),
-    FAMILY_STAR: (lambda k: -1 if k & 1 else 1, False),
-}
-
-
 class _Search:
     def __init__(self, z, eps, budget: SearchBudget, tol: Fraction):
         self.z = z
@@ -321,7 +317,6 @@ class _Search:
         grows, and the mapped near end never moves away from the limit."""
         b, row = self.budget, _KINDS[self.kind]
         sides = graph.FAMILIES[row.family].to_shape
-        ahead, climbs = _AHEAD[self.kind]
         base = sum(sides(1))
         slope = sum(sides(2)) - base
         ranges = [(m, range(1, min(b.max_param, (b.max_degree // m - base) // slope + 1) + 1,
@@ -330,7 +325,7 @@ class _Search:
 
         def toward(p: int, x: Fraction) -> int:
             # 1 when the root of the family at p is past x, 0 at x, else -1
-            return bipartite_sign(sides(p), x.numerator, x.denominator) * ahead(p)
+            return bipartite_sign(sides(p), x.numerator, x.denominator) * row.ahead(p)
 
         best = None  # (m + p, m, p) of the first hit so far
         for m, ps in ranges:
@@ -339,7 +334,7 @@ class _Search:
                     break
                 ps = ps[:bisect.bisect_left(ps, best[0] - m)]
             near, far = _phi(self.w_lo, m), _phi(self.w_hi, m)
-            if not climbs:
+            if not row.climbs:
                 near, far = far, near
             if not ps or toward(ps[-1], near) < 1:
                 break
@@ -348,7 +343,7 @@ class _Search:
                 best = (m + p, m, p)
         if best:
             _, m, p = best
-            return self._certify(m, p, ahead(p) if climbs else -ahead(p))
+            return self._certify(m, p, row.ahead(p) if row.climbs else -row.ahead(p))
         cells = sum(len(ps) for _, ps in ranges)
         raise BudgetExhaustedError(
             "witness search budget exhausted (this does not prove nonexistence); "
@@ -373,14 +368,9 @@ class _Search:
         the target window's: the composed polynomial at ``t`` is the family's
         at ``_phi(t, m)``, and the numerator is homogeneous."""
         sides = _sides(self.kind, p)
-
-        def sign(num: int, den: int) -> int:
-            # _composed_sign's point, with the search's sign
-            v = den ** m
-            return bipartite_sign(sides, (num + den) ** m - v, v)
-
         avoid = (self.z - self.eps, self.z + self.eps)
-        lo, hi = _sign_bisect(sign, self.w_lo, self.w_hi, s_lo, self.tol, avoid)
+        lo, hi = _sign_bisect(_composed(bipartite_sign, sides, m), self.w_lo, self.w_hi, s_lo,
+                              self.tol, avoid)
         if lo == hi:
             enc = _exact_enclosure(lo)
         else:
@@ -396,7 +386,8 @@ def construct_witness(
     polynomial certifiably has a real root within ``eps`` of ``z``.
 
     The search is deterministic: diagonals ``m + parameter`` ascending, ``m``
-    ascending within a diagonal, leftmost qualifying root within a cell.
+    ascending within a diagonal; a searched cell holds at most one root in
+    its window (the one-simple-root lemma of the module docstring).
     Raises :class:`BudgetExhaustedError` when the budget runs out (which
     never claims nonexistence) and :class:`DomainError` for ``z > 0``.
     """
@@ -448,18 +439,20 @@ def _certified_signs(cert: WitnessCertificate):
     descriptor.
 
     Up to :data:`VERIFY_EXPANSION_MAX_DEGREE` the polynomial is re-expanded
-    (once) and evaluated, independently of the substitution identity the
-    search uses; above it the sign is taken through that identity, in
-    integers.  The degree the descriptor implies picks the route, not the
-    stored one, so a wrong stored degree or ``m < 1`` expands nothing."""
+    (once, by :func:`compose_with_complete`) and evaluated, independently of
+    the homogenised integer numerator the search signs; above it the sign is
+    that numerator's, from :func:`domroots.realroots.bipartite_numerator_sign`.
+    The degree the descriptor implies picks the route, not the stored one,
+    so a wrong stored degree or ``m < 1`` expands nothing."""
     degree = family_order(cert.family_kind, cert.family_param) * cert.m
     if 0 < degree <= VERIFY_EXPANSION_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m
         )
         return lambda t: _sign(dompoly.eval_rational(composed, t))
-    sides = _sides(cert.family_kind, cert.family_param)
-    return lambda t: _composed_sign(sides, cert.m, t)
+    sign = _composed(bipartite_numerator_sign, _sides(cert.family_kind, cert.family_param),
+                     cert.m)
+    return lambda t: sign(t.numerator, t.denominator)
 
 
 def verify_certificate(cert: WitnessCertificate) -> VerificationReport:

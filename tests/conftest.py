@@ -55,6 +55,16 @@ def bipartite_form(sides, u, v):
     return (w ** a - v ** a) * (w ** b - v ** b) + u ** a * v ** b + u ** b * v ** a
 
 
+def poly_add(p, q) -> list:
+    """``p + q``, normalized."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return intpoly.normalize(out)
+
+
 def pow_(p, e: int) -> list:
     """``p**e`` by binary powering; ``e >= 0``."""
     if e < 0:

@@ -36,6 +36,12 @@ def test_numerator_is_homogenised_closed_form(kind, p):
     order = witness.family_order(kind, p)
     poly = witness.family_polynomial(kind, p)
     assert poly.degree == order == sum(sides)
+    # the K_{a,b} derivation from the sides agrees with the named family's
+    row = witness._KINDS[kind]
+    param = p if row.fixed is None else row.fixed
+    assert poly == dom_poly_closed_form(row.family, param)
+    if order <= SMALL_ORDER:
+        assert witness.family_graph(kind, p) == family(row.family, param)
     points = [(-1, 1), (-2, 1), (0, 1)]
     points += [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(5)]
     for u, v in points:

@@ -46,7 +46,7 @@ from domroots.realroots import (
 )
 from domroots.witness import construct_witness
 
-from conftest import bipartite_form, exact_negative_roots, poly_gcd, pow_, star_form_sign
+from conftest import bipartite_form, exact_negative_roots, poly_add, poly_gcd, pow_, star_form_sign
 
 
 def interval(lo, hi):
@@ -379,7 +379,7 @@ def star_shifted_polynomial(k: int) -> list:
     """Coefficients of ``g(R) = R(R-1)^k - R^k``: ``R`` is a root of ``g``
     in (1, oo) exactly when ``-R`` is a real root of the star's domination
     polynomial."""
-    return intpoly.add(intpoly.mul([0, 1], pow_([-1, 1], k)), [0] * k + [-1])
+    return poly_add(intpoly.mul([0, 1], pow_([-1, 1], k)), [0] * k + [-1])
 
 
 def test_star_root_sign_convention():

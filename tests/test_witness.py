@@ -23,6 +23,7 @@ from domroots.realroots import (
     RationalInterval,
     RootEnclosure,
     _exact_enclosure,
+    bipartite_numerator_sign,
     count_roots_in,
     sturm_chain,
 )
@@ -440,7 +441,7 @@ def test_past_is_monotone_in_the_parameter(kind, at, near_minus_one):
         x = -1 + (1 if kind == FAMILY_KKK else -1) * at / 1000
     else:
         x = lo + (hi - lo) * at
-    ahead, _ = witness._AHEAD[kind]
+    ahead = witness._KINDS[kind].ahead
     top, step = (201, 1) if kind == FAMILY_STAR else (1001, 2)
     past = [_sign(bipartite_form(witness._sides(kind, p), x.numerator, x.denominator)) == ahead(p)
             for p in range(1, top + 1, step)]
@@ -458,8 +459,9 @@ def test_certification_starts_from_the_composed_signs(z, eps):
     m, p, s_lo = _first_hit(z, eps, SearchBudget())
     kind, w_lo, w_hi = witness._classify(z - eps, z + eps)
     sides = witness._sides(kind, p)
-    assert (s_lo, -s_lo) == (witness._composed_sign(sides, m, w_lo),
-                             witness._composed_sign(sides, m, w_hi))
+    sign = witness._composed(bipartite_numerator_sign, sides, m)
+    assert (s_lo, -s_lo) == (sign(w_lo.numerator, w_lo.denominator),
+                             sign(w_hi.numerator, w_hi.denominator))
 
 
 def _distinct_and_repeated_roots(poly, lo, hi):
