@@ -233,9 +233,13 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     (:func:`count_real_roots`), with no evaluation, and must equal the
     number of candidates, so any other polynomial with a positive root
     fails the count and falls back to Sturm isolation, which builds its own
-    chain.  Each float root is certified by the exact signs at its ends.
-    The audit tests check on random samples that the fast path agrees, root
-    for root, with Sturm isolation alone.
+    chain.  Each float root ``r`` is certified by the exact signs at its
+    ends ``r -/+ tol/2``, taken as integer numerators over one denominator
+    (:func:`intpoly.eval_homogeneous`); the enclosures come out ascending,
+    and the rational ends are built only once every root is certified.
+    On the isolation path a positive root puts ``(0, 0)`` between the
+    others, so the list is sorted.  The audit tests check on random samples
+    that the fast path agrees, root for root, with Sturm isolation alone.
     """
     tol = _tolerance(tol)
     coeffs = intpoly.normalize(list(coeffs))
@@ -250,11 +254,11 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
         return out
     bound = intpoly.cauchy_root_bound(cof)
     intervals = _try_float_roots(cof, bound, tol)
-    if intervals is None:
-        encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
-        intervals = [(e.interval.lo, e.interval.hi) for e in encs]
-    merged = sorted(out + intervals)
-    return merged
+    if intervals is not None:  # ascending and negative
+        return intervals + out
+    encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
+    # a polynomial with positive roots has 0 in the middle
+    return sorted(out + [(e.interval.lo, e.interval.hi) for e in encs])
 
 
 def _try_float_roots(cof, bound, tol) -> Optional[list]:
@@ -265,21 +269,21 @@ def _try_float_roots(cof, bound, tol) -> Optional[list]:
         return None
     if len(cands) != count_real_roots(sturm_chain(cof)):
         return None
-    rad = tol / 2
-    intervals = []
-    prev_hi = None
+    # r = n/d and tol = p/q put the ends r -/+ tol/2 over the one denominator 2qd
+    p, q = tol.numerator, tol.denominator
+    ends = []
     for r in cands:
-        a = Fraction(r) - rad
-        b = Fraction(r) + rad
-        sa = intpoly.sign_at(cof, a)
-        sb = intpoly.sign_at(cof, b)
-        if sa * sb != -1:
+        n, d = r.as_integer_ratio()
+        den, mid, rad = 2 * q * d, 2 * q * n, p * d
+        lo, hi = mid - rad, mid + rad
+        s_lo = intpoly.eval_homogeneous(cof, lo, den)
+        s_hi = intpoly.eval_homogeneous(cof, hi, den)
+        if not (s_lo < 0 < s_hi or s_hi < 0 < s_lo):
             return None
-        if prev_hi is not None and a <= prev_hi:
+        if ends and lo * ends[-1][2] <= ends[-1][1] * den:  # meets the last one
             return None
-        prev_hi = b
-        intervals.append((a, b))
-    return intervals
+        ends.append((lo, hi, den))
+    return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in ends]
 
 
 # ---------------------------------------------------------------------------

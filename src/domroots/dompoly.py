@@ -116,12 +116,15 @@ def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
 
     For each A subseteq V, the k-subsets avoiding N[A] number C(n-|N[A]|, k),
     so ``D(G,x) = sum_A (-1)^{|A|} (1+x)^{n-|N[A]|}``.  The subsets of the
-    low ``L = min(n, BLOCK)`` vertices are the bits of one int.  A DP over
-    the vertices splits them into ``layers[j]``, the subsets that cover
-    exactly ``j`` vertices; popcounts under the parity mask give each
-    layer's signed count.  The subsets ``B`` of the vertices above ``L`` are
-    walked one at a time: vertices in ``N[B]`` skip the DP and the layers
-    shift by ``|N[B]|``.  No int is wider than ``2^BLOCK`` bits at any order.
+    low ``L = min(n, BLOCK)`` vertices are the bits of one int.  A binary
+    counter of ``n.bit_length()`` such ints (bit slices) holds every
+    subset's count of covered vertices: each vertex adds its cover mask
+    with a ripple carry.  The slices are then split once into ``layers[j]``,
+    the subsets that cover exactly ``j`` vertices, and popcounts under the
+    parity mask give each layer's signed count.  The subsets ``B`` of the
+    vertices above ``L`` are walked one at a time: vertices in ``N[B]`` are
+    not counted and the layers shift by ``|N[B]|``.  No int is wider than
+    ``2^BLOCK`` bits at any order.
     This route checks :func:`dom_poly_bruteforce` and the sweep's transforms.
     """
     n = g.n
@@ -132,16 +135,25 @@ def dom_poly_inclusion_exclusion(g: Graph) -> DomPolynomial:
         for u in _bits(g.adj[w] | 1 << w):
             covers[u] |= xw
     weight = [0] * (n + 1)
+    slices = n.bit_length()
     for b in range(1 << (n - low)):
         taken = closed_neighborhood_mask(g, b << low)  # N[B], B the high subset b
-        layers = [full]
+        count = [0] * slices  # bit i of every A's count of untaken u in N[A]
         for u, x in enumerate(covers):
             if x and not taken >> u & 1:
-                layers = [a & ~x | c & x for a, c in zip(layers + [0], [0] + layers)]
+                for i, s in enumerate(count):
+                    count[i] = s ^ x
+                    x &= s
+                    if not x:
+                        break
+        layers = [full]  # layers[j]: the A whose count is j
+        for s in reversed(count):
+            layers = [part for a in layers for part in (a & ~s, a & s)]
         sign = -1 if b.bit_count() & 1 else 1
         top = n - taken.bit_count()
         for j, layer in enumerate(layers):
-            weight[top - j] += sign * (layer.bit_count() - 2 * (layer & odd).bit_count())
+            if layer:
+                weight[top - j] += sign * (layer.bit_count() - 2 * (layer & odd).bit_count())
     coeffs = [0] * (n + 1)
     for s, w in enumerate(weight):
         if w:

@@ -17,10 +17,10 @@ Poly = list
 
 def normalize(p) -> list:
     """Strip trailing zero coefficients."""
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return list(p[:n])
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def degree(p) -> int:
@@ -49,23 +49,15 @@ def derivative(p) -> list:
 
 
 def content(p) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+    """Greatest common divisor of the coefficients; 0 for the zero polynomial."""
+    return gcd(*p)
 
 
 def primitive(p) -> list:
     """Divide out the (positive) content; preserves sign."""
     p = normalize(p)
-    if not p:
-        return []
     g = content(p)
-    if g <= 1:
-        return p
-    return [c // g for c in p]
+    return p if g <= 1 else [c // g for c in p]
 
 
 def eval_homogeneous(p, num: int, den: int) -> int:
@@ -128,23 +120,23 @@ def pseudo_rem_positive(f, g) -> list:
     Classical pseudo-division multiplies ``f`` by ``lc(g)**steps`` before each
     elimination; when that multiplier is negative the result is negated so the
     returned polynomial always has the same signs as the true remainder.
+    Each step cancels the top coefficient, so it is popped rather than
+    computed, and the zeros below it are stripped in place.
     """
-    f = normalize(f)
-    g = normalize(g)
-    if not g:
+    r = normalize(f)
+    low = normalize(g)
+    if not low:
         raise DomainError("pseudo-remainder by the zero polynomial")
-    dg = degree(g)
-    lc = g[-1]
-    r = list(f)
+    lc = low.pop()
+    dg = len(low)
     steps = 0
-    while r and degree(r) >= dg:
-        dr = degree(r)
-        coef = r[-1]
+    while len(r) > dg:
+        coef = r.pop()
         r = [lc * c for c in r]
-        off = dr - dg
-        for j, gc in enumerate(g):
-            r[off + j] -= coef * gc
-        r = normalize(r)
+        for j, gc in enumerate(low, len(r) - dg):
+            r[j] -= coef * gc
+        while r and not r[-1]:
+            r.pop()
         steps += 1
     if lc < 0 and steps % 2 == 1:
         r = neg(r)

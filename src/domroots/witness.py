@@ -442,9 +442,15 @@ def _certified_signs(cert: WitnessCertificate):
     (once, by :func:`compose_with_complete`) and evaluated, independently of
     the homogenised integer numerator the search signs; above it the sign is
     that numerator's, from :func:`domroots.realroots.bipartite_numerator_sign`.
-    The degree the descriptor implies picks the route, not the stored one,
-    so a wrong stored degree or ``m < 1`` expands nothing."""
+    The degree the descriptor implies must equal the stored one, or this
+    raises :class:`DomainError` before anything is expanded: the work grows
+    with the family parameter, and a tampered parameter would otherwise buy
+    unbounded work (a star of 10^6 leaves took 8 s and 92 MiB to reject).
+    ``m < 1`` takes the identity route, which rejects it."""
     degree = family_order(cert.family_kind, cert.family_param) * cert.m
+    if degree != cert.composed_degree:
+        raise DomainError(f"the descriptor implies degree {degree}, not the stored "
+                          f"{cert.composed_degree}; nothing was expanded")
     if 0 < degree <= VERIFY_EXPANSION_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m

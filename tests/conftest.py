@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,43 @@ def pow_(p, e: int) -> list:
         if e:
             base = intpoly.mul(base, base)
     return out
+
+
+def content_ref(p) -> int:
+    """The gcd of the coefficients, folded one at a time from 0: the
+    reference for :func:`intpoly.content`."""
+    g = 0
+    for c in p:
+        g = math.gcd(g, c)
+    return g
+
+
+def primitive_ref(p) -> list:
+    """``p`` without trailing zeros, divided by its content: the reference
+    for :func:`intpoly.primitive`."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    g = content_ref(p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def fraction_rem(f, g) -> list:
+    """Remainder of ``f`` by ``g`` by long division over the rationals, with
+    no trailing zeros: the reference for :func:`intpoly.pseudo_rem_positive`."""
+    r = [Fraction(c) for c in f]
+    g = [Fraction(c) for c in g]
+    while g and g[-1] == 0:
+        g.pop()
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(g):
+            return r
+        q = r[-1] / g[-1]
+        off = len(r) - len(g)
+        for j, c in enumerate(g):
+            r[off + j] -= q * c
 
 
 def poly_gcd(f, g) -> list:

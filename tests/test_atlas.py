@@ -330,6 +330,23 @@ def test_certified_roots_reject_zero_poly():
         certified_negative_roots((0, 0))
 
 
+def test_certified_roots_ascend_with_zero_in_place():
+    # x(x - 1)(x + 3): the positive root 1 fails the count, and on the
+    # isolation path the root 0 lies between the others
+    cof = [-3, 2, 1]
+    assert atlas._try_float_roots(cof, cauchy_root_bound(cof), DEFAULT_TOL) is None
+    roots = certified_negative_roots([0, *cof])
+    assert len(roots) == 3 and all(a <= r <= b for (a, b), r in zip(roots, (-3, 0, 1)))
+    assert roots[1] == (0, 0)
+    # D(K_{3,3}) = x^2 (...) on the float path: its two negative roots, then 0
+    coeffs = dom_poly_closed_form("Kkk", 3).coeffs
+    cof = list(coeffs[trailing_zeros(coeffs):])
+    assert atlas._try_float_roots(cof, cauchy_root_bound(cof), DEFAULT_TOL) is not None
+    roots = certified_negative_roots(coeffs)
+    assert len(roots) == 3 and roots[-1] == (0, 0)
+    assert all(b < c for (_, b), (c, _) in zip(roots, roots[1:]))
+
+
 def test_smallest_root_table_small_orders():
     table = smallest_root_table(4)
     assert [r.n for r in table] == [1, 2, 3, 4]

@@ -46,7 +46,8 @@ from domroots.realroots import (
 )
 from domroots.witness import construct_witness
 
-from conftest import bipartite_form, exact_negative_roots, poly_add, poly_gcd, pow_, star_form_sign
+from conftest import (bipartite_form, content_ref, exact_negative_roots, fraction_rem, poly_add,
+                      poly_gcd, pow_, primitive_ref, star_form_sign)
 
 
 def interval(lo, hi):
@@ -103,6 +104,54 @@ def test_sturm_chain_matches_squarefree_part_first(base, factor, power):
     if intpoly.degree(p) > 0:
         bound = intpoly.cauchy_root_bound(p)
         assert count_real_roots(chain) == count_roots_in(chain, interval(-bound, bound))
+
+
+_coefficient_lists = st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 1, -1]),
+                              max_size=9)
+
+
+@given(_coefficient_lists)
+@example([])
+@example([0, 0])
+@example([-6, 0, 4, -10])
+def test_content_and_primitive_match_the_textbook(p):
+    assert intpoly.content(p) == content_ref(p)
+    assert intpoly.primitive(p) == primitive_ref(p)
+
+
+def _nonzero_top(coeffs):
+    return st.lists(coeffs, max_size=6).flatmap(
+        lambda low: coeffs.filter(bool).map(lambda top: low + [top]))
+
+
+@st.composite
+def pseudo_divisions(draw):
+    """``(f, g)``: ``f = q g + s`` with the degree of ``s`` drawn anywhere
+    below that of ``g``, so the remainder may drop several degrees, or ``f``
+    drawn freely; leading coefficients of either sign."""
+    coeffs = st.integers(-30, 30)
+    g = draw(_nonzero_top(coeffs))
+    if draw(st.booleans()):
+        return draw(st.lists(coeffs, max_size=12)), g
+    q = draw(_nonzero_top(coeffs))
+    s = draw(st.lists(coeffs, max_size=len(g) - 1))
+    return poly_add(mul(q, g), s), g
+
+
+@given(pseudo_divisions())
+@example(([3, 1, 2, 0, 1], [-1, 0, -2]))  # remainder x + 9/4, lc(g) < 0
+@example((poly_add(mul([1, 0, 0, 1], [1, 1, 0, 0, -3]), [5]), [1, 1, 0, 0, -3]))  # remainder 5
+@example((mul([2, -1, 0, 4], [7, 0, -5, 0, 3]), [7, 0, -5, 0, 3]))  # remainder 0
+def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder(case):
+    f, g = case
+    r = intpoly.pseudo_rem_positive(f, g)
+    ref = fraction_rem(f, g)
+    assert len(r) == len(ref)
+    if ref:
+        scale = r[-1] / ref[-1]
+        assert scale > 0
+        assert all(a == scale * b for a, b in zip(r, ref))
+        assert content_ref(r) == 1
 
 
 def test_count_textbook():

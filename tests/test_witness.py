@@ -800,6 +800,20 @@ def test_verify_routes_by_the_implied_degree(monkeypatch):
     assert calls == []
 
 
+def test_verify_rejects_a_huge_tampered_parameter_at_once():
+    # the z = -10 star has 4792 leaves; 10^6 leaves imply degree 3000003,
+    # and expanding it took 8 s and 92 MiB when no degree check came first
+    cert = construct_witness(F(-10), F("1/100"))
+    bad = dataclasses.replace(cert, family_param=10 ** 6)
+    start = time.perf_counter()
+    report = verify_certificate(bad)
+    assert time.perf_counter() - start < 1.0
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failed["endpoint_certification"] == (
+        f"the descriptor implies degree 3000003, not the stored "
+        f"{cert.composed_degree}; nothing was expanded")
+
+
 def test_verify_rejects_even_family_parameter():
     cert = construct_witness(F("-0.75"), F("0.1"))
     bad = dataclasses.replace(cert, family_param=cert.family_param + 1)
