@@ -52,13 +52,6 @@ class CliConfig:
             raise DomainError("worker count must be >= 1")
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"not a rational number: {text!r}") from None
-
-
 _FAMILY_BY_CLI = {f.cli: kind for kind, f in FAMILIES.items() if f.cli}
 _FAMILY_USAGE = "families: " + ", ".join(
     f"{f.cli}:{','.join(f.params)}" for f in FAMILIES.values() if f.cli
@@ -87,7 +80,9 @@ def _load_graph(args) -> tuple:
 
 
 def _poly_for(g: Graph, method: str, closed) -> DomPolynomial:
-    """Compute D(G) by the requested method; ``auto`` cross-checks routes.
+    """Compute D(G) by the requested method.  ``auto`` cross-checks the
+    routes up to order 12; above it, it takes the closed form of a family
+    (``closed``), and inclusion-exclusion for any other graph.
 
     Disagreement between routes is a bug in this package, never in the input,
     so it surfaces as an internal invariant violation with a dump of both
@@ -110,7 +105,7 @@ def _poly_for(g: Graph, method: str, closed) -> DomPolynomial:
             dump = "; ".join(f"{k}={list(v.coeffs)}" for k, v in routes.items())
             raise InternalInvariantError(f"polynomial routes disagree: {dump}")
         return a
-    return dompoly.dom_poly_inclusion_exclusion(g)
+    return closed or dompoly.dom_poly_inclusion_exclusion(g)
 
 
 def _emit_poly(p: DomPolynomial, fmt: str, out) -> None:
@@ -145,21 +140,12 @@ def _cmd_roots(args, cfg: CliConfig, out) -> int:
     g, closed = _load_graph(args)
     p = _poly_for(g, "auto", closed)
     if args.window:
-        win = RationalInterval(_rational(args.window[0]), _rational(args.window[1]))
+        win = RationalInterval(*args.window)
     else:
         win = _default_window(p)
     encs = realroots.isolate_real_roots(p, win, cfg.tolerance)
     if cfg.output_format == "json":
-        rows = [
-            {
-                "lo": f"{e.interval.lo.numerator}/{e.interval.lo.denominator}",
-                "hi": f"{e.interval.hi.numerator}/{e.interval.hi.denominator}",
-                "sign_lo": e.sign_lo,
-                "sign_hi": e.sign_hi,
-                "note": e.note,
-            }
-            for e in encs
-        ]
+        rows = [realroots.enclosure_json(e) for e in encs]
         out.write(json.dumps(rows, indent=2) + "\n")
     elif cfg.output_format == "csv":
         out.write("root_lo,root_hi,note\n")
@@ -172,9 +158,7 @@ def _cmd_roots(args, cfg: CliConfig, out) -> int:
 
 
 def _cmd_witness(args, cfg: CliConfig, out) -> int:
-    cert = witness.construct_witness(
-        _rational(args.z), _rational(args.eps), cfg.budget, cfg.tolerance
-    )
+    cert = witness.construct_witness(args.z, args.eps, cfg.budget, cfg.tolerance)
     report = witness.verify_certificate(cert)
     out.write(witness.certificate_to_json(cert) + "\n")
     print(str(report), file=sys.stderr)
@@ -295,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> CliConfig:
-    tol = _tolerance(_rational(args.tol)) if args.tol else DEFAULT_TOL
+    tol = _tolerance(args.tol) if args.tol else DEFAULT_TOL
     given = {name: getattr(args, name, None) for name in ("max_m", "max_param", "max_degree")}
     budget = witness.SearchBudget(**{k: v for k, v in given.items() if v is not None})
     return CliConfig(tol, budget, args.format, args.workers)

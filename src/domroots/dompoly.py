@@ -22,6 +22,7 @@ from . import intpoly
 from .errors import CapacityError, DomainError
 from .graph import (Graph, _bits, closed_neighborhood_mask, complete, complete_bipartite,
                     empty_graph, family_shape)
+from .realroots import _as_fraction
 
 BRUTE_FORCE_CAP = 24
 BLOCK = 14  # low vertices whose subsets are the bits of one int
@@ -255,9 +256,11 @@ def multiply(p: DomPolynomial, q: DomPolynomial) -> DomPolynomial:
     return DomPolynomial(tuple(out))
 
 
-def eval_rational(p: DomPolynomial, q: Fraction) -> Fraction:
+def eval_rational(p: DomPolynomial, q) -> Fraction:
     """Exact value of ``p`` at a rational point (Horner on homogenised ints)."""
-    return intpoly.eval_at(list(p.coeffs), Fraction(q))
+    q = _as_fraction(q)
+    return Fraction(intpoly.eval_homogeneous(p.coeffs, q.numerator, q.denominator),
+                    q.denominator ** p.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from math import gcd
 
 from .errors import DomainError
 
-Poly = list
-
 
 def normalize(p) -> list:
     """Strip trailing zero coefficients."""
@@ -79,13 +77,6 @@ def eval_homogeneous(p, num: int, den: int) -> int:
 def sign_at(p, q: Fraction) -> int:
     v = eval_homogeneous(p, q.numerator, q.denominator)
     return (v > 0) - (v < 0)
-
-
-def eval_at(p, q: Fraction) -> Fraction:
-    if not p:
-        return Fraction(0)
-    v = eval_homogeneous(p, q.numerator, q.denominator)
-    return Fraction(v, q.denominator ** degree(p))
 
 
 def exact_div(p, d) -> list:

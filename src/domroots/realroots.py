@@ -4,8 +4,9 @@ All certification is exact: Sturm chains over the integers (with primitive
 reduction after every Euclidean step), interval endpoints as rationals, and
 sign evaluations on homogenised integer forms.  The number of all distinct
 real roots comes from the chain's leading signs alone
-(:func:`count_real_roots`).  :func:`bipartite_numerator` owns the integer
-``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness, and
+(:func:`count_real_roots`).  One formula, :func:`_expand`, writes the
+integer ``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness
+for both arithmetics; :func:`bipartite_numerator` is its int form, and
 :func:`bipartite_numerator_sign` expands it exactly for its sign: in ints,
 or past a measured crossover in an exact ``decimal`` context, whose
 libmpdec multiplies long numbers faster.  One kernel,
@@ -56,12 +57,17 @@ needs (positive denominator, reduced by gcd), so it is used directly.
 
 
 def _as_fraction(x) -> Fraction:
+    """Every rational the package reads, text such as ``"-3/2"`` included;
+    anything that is not an exact rational raises :class:`DomainError`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not a rational number: {x!r}") from None
     raise DomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -704,6 +710,16 @@ def format_fixed(q: Fraction, digits: int = 12) -> str:
     sign = "-" if i < 0 else ""
     whole, frac = divmod(abs(i), unit)
     return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def _frac_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def enclosure_json(e: RootEnclosure) -> dict:
+    """The JSON object of an enclosure, its ends as exact ``"num/den"`` text."""
+    return {"lo": _frac_str(e.interval.lo), "hi": _frac_str(e.interval.hi),
+            "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "note": e.note}
 
 
 def star_gap_csv(records) -> str:

@@ -48,8 +48,10 @@ and -2 (both from ``K_2``) short-cut windows containing them.  Every other
 cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
 composed polynomial.  Signs are those of the integer numerator of the
-``K_{a,b}`` closed form, never of reduced fractions; that integer has one
-owner, :func:`domroots.realroots.bipartite_numerator`.  The search takes
+``K_{a,b}`` closed form, never of reduced fractions; one formula,
+:func:`domroots.realroots._expand`, writes that integer for ints and for
+exact ``decimal``, and :func:`domroots.realroots.bipartite_numerator` is its
+int form.  The search takes
 the signs from :func:`domroots.realroots.bipartite_sign` for every family:
 balls of integers whose precision doubles until they exclude 0, or else
 that integer, so the answer is always the integer's sign.
@@ -111,10 +113,12 @@ from .realroots import (
     RootEnclosure,
     _as_fraction,
     _exact_enclosure,
+    _frac_str,
     _sign_bisect,
     _tolerance,
     bipartite_numerator_sign,
     bipartite_sign,
+    enclosure_json,
 )
 # unused here; bench/spans.py wraps these names on this module
 from .realroots import count_roots_in, isolate_real_roots, star_root_estimate, sturm_chain  # noqa: F401
@@ -192,7 +196,6 @@ class _Kind(NamedTuple):
     family: str  # the named family of graph.FAMILIES
     fixed: Optional[int]  # its parameter, when the kind fixes it
     case: str
-    param: Optional[str]  # the parameter's name in verification reports
     odd: bool  # whether the parameter must be odd
     # for a searched kind: ahead(p), and whether the root climbs, so that it
     # passes the window's left end first
@@ -202,10 +205,10 @@ class _Kind(NamedTuple):
 
 # Every witness family is some K_{a,b}; exact_K2 is K_{1,1}.
 _KINDS = {
-    FAMILY_EXACT_K2: _Kind("star", 1, CASE_EXACT, None, False),
-    FAMILY_K2_ELL: _Kind("K22ell", None, CASE_11, "l", True, lambda ell: -1, True),
-    FAMILY_KKK: _Kind("Kkk", None, CASE_12, "k", True, lambda k: 1),
-    FAMILY_STAR: _Kind("star", None, CASE_2, "k", False, lambda k: -1 if k & 1 else 1),
+    FAMILY_EXACT_K2: _Kind("star", 1, CASE_EXACT, False),
+    FAMILY_K2_ELL: _Kind("K22ell", None, CASE_11, True, lambda ell: -1, True),
+    FAMILY_KKK: _Kind("Kkk", None, CASE_12, True, lambda k: 1),
+    FAMILY_STAR: _Kind("star", None, CASE_2, False, lambda k: -1 if k & 1 else 1),
 }
 
 
@@ -487,7 +490,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         else:
             add("family_parameter",
                 isinstance(p, int) and p >= 1 and (p % 2 == 1 or not row.odd),
-                f"{row.param} = {p}" + (" must be odd" if row.odd else ""))
+                f"{graph.FAMILIES[row.family].params[0]} = {p}" + (" must be odd" if row.odd else ""))
         add("case_tag", cert.case_tag == row.case, cert.case_tag)
 
     try:
@@ -530,12 +533,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def certificate_to_json(cert: WitnessCertificate) -> str:
-    enc = cert.enclosure
     return json.dumps(
         {
             "target_z": _frac_str(cert.target_z),
@@ -544,13 +542,7 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
             "m": cert.m,
             "composed_degree": cert.composed_degree,
             "case_tag": cert.case_tag,
-            "enclosure": {
-                "lo": _frac_str(enc.interval.lo),
-                "hi": _frac_str(enc.interval.hi),
-                "sign_lo": enc.sign_lo,
-                "sign_hi": enc.sign_hi,
-                "note": enc.note,
-            },
+            "enclosure": enclosure_json(cert.enclosure),
         },
         indent=2,
     )
@@ -577,8 +569,8 @@ def _field(obj, path: str, types: tuple):
 def _rational_field(obj, path: str) -> Fraction:
     text = _field(obj, path, (str,))
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _as_fraction(text)
+    except DomainError:
         raise DomainError(f"certificate field {path} is not a rational: {text!r}") from None
 
 

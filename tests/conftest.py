@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -142,6 +144,22 @@ def exact_negative_roots(coeffs, tol=DEFAULT_TOL):
         encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
         out += [(e.interval.lo, e.interval.hi) for e in encs]
     return sorted(out)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+
+    def stop(signum, frame):
+        raise AssertionError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import pytest
 from domroots import cli, dompoly
 from domroots.cli import main
 
+from conftest import time_limit
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -121,6 +123,15 @@ def test_witness_rejects_positive_target(capsys):
     code, _, err = run(capsys, "witness", "-z", "1", "-e", "0.1")
     assert code == 2
     assert "z <= 0" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["witness", "-z", "abc", "-e", "1/10"], "abc"),
+    (["--tol", "1/0", "star-roots", "3"], "1/0"),
+    (["roots", "--graph6", "A_", "--window", "a", "0"], "a"),
+])
+def test_malformed_rational_is_exit_2(capsys, argv, text):
+    assert run(capsys, *argv) == (2, "", f"error: not a rational number: {text!r}\n")
 
 
 def test_witness_budget_exhaustion_exit_3(capsys):
@@ -318,6 +329,24 @@ def test_family_spelling_golden_stdout(capsys, spelling):
     poly, composed = FAMILY_GOLDEN[spelling]
     assert run(capsys, "poly", "--family", spelling) == (0, poly + "\n", "")
     assert run(capsys, "compose", "--family", spelling, "-m", "3") == (0, composed + "\n", "")
+
+
+def test_family_above_order_12_takes_its_closed_form(capsys):
+    # inclusion-exclusion doubles its time with each vertex: about 4 h at star:40
+    with time_limit(5):
+        got = run(capsys, "poly", "--family", "star:40")
+    assert got == (0, f"{dompoly.dom_poly_closed_form('star', 40)}\n", "")
+
+
+def test_method_inex_still_runs_inclusion_exclusion(capsys, monkeypatch):
+    calls = []
+    inex = cli.dompoly.dom_poly_inclusion_exclusion
+    monkeypatch.setattr(cli.dompoly, "dom_poly_inclusion_exclusion",
+                        lambda g: calls.append(g.n) or inex(g))
+    for method in ("auto", "inex"):
+        assert run(capsys, "poly", "--family", "star:13", "--method", method) == (
+            0, f"{dompoly.dom_poly_closed_form('star', 13)}\n", "")
+    assert calls == [14]
 
 
 def test_roots_window_is_half_open(capsys):

@@ -1,8 +1,6 @@
 import decimal
 import functools
 import math
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -20,7 +18,7 @@ from domroots.atlas import (
     root_cloud_from_graphs,
     smallest_root_table,
 )
-from domroots.dompoly import dom_poly_closed_form
+from domroots.dompoly import dom_poly_closed_form, eval_rational
 from domroots.errors import DomainError, EndpointRootError
 from domroots import intpoly, realroots
 from domroots.intpoly import mul, sign_at
@@ -44,10 +42,10 @@ from domroots.realroots import (
     star_root_estimate,
     sturm_chain,
 )
-from domroots.witness import construct_witness
+from domroots.witness import construct_witness, target_interval
 
 from conftest import (bipartite_form, content_ref, exact_negative_roots, fraction_rem, poly_add,
-                      poly_gcd, pow_, primitive_ref, star_form_sign)
+                      poly_gcd, pow_, primitive_ref, star_form_sign, time_limit)
 
 
 def interval(lo, hi):
@@ -259,22 +257,6 @@ def test_isolate_keeps_half_open_window(lo, hi, roots):
             assert e.note == NOTE_EXACT
 
 
-@contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, when the body runs past ``seconds``."""
-
-    def stop(signum, frame):
-        raise AssertionError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # small integer and dyadic roots; a root drawn twice is a repeated root
 dyadic = st.builds(lambda n, j: Fraction(n, 2 ** j), st.integers(-16, 4), st.integers(0, 2))
 
@@ -375,6 +357,28 @@ def test_tolerance_must_be_positive(entry, tol):
     # that skips it would widen each float root backwards, to lo > hi
     with time_limit(5), pytest.raises(DomainError, match="tolerance must be positive"):
         _TOLERANT_CALLS[entry](tol)
+
+
+# every public entry point that reads a rational, handed the text ``text``
+_RATIONAL_READERS = {
+    "construct_witness(z)": lambda text: construct_witness(text, Fraction(1, 10)),
+    "construct_witness(eps)": lambda text: construct_witness(-3, text),
+    "target_interval": lambda text: target_interval(text, Fraction(1, 10), 3),
+    "RationalInterval": lambda text: RationalInterval(text, 1),
+    "isolate_real_roots": lambda text: isolate_real_roots([0, 1, 3, 1], interval(-4, 4), text),
+    "star_root": lambda text: star_root(5, tol=text),
+    "format_fixed": lambda text: format_fixed(text),
+    "eval_rational": lambda text: eval_rational(dom_poly_closed_form("star", 2), text),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RATIONAL_READERS))
+@pytest.mark.parametrize("text", ["abc", "1/0", "", "1/2/3"])
+def test_malformed_rational_text_is_a_domain_error(entry, text):
+    # Fraction raises ValueError or ZeroDivisionError for these; the package
+    # reports every bad input as a DomainError
+    with pytest.raises(DomainError, match=f"not a rational number: {text!r}"):
+        _RATIONAL_READERS[entry](text)
 
 
 # f(w) = w e^w inverse checks
