@@ -8,6 +8,11 @@ Exit codes: 0 success, 2 usage or parse error, 3 capacity or budget
 exhaustion, 4 internal invariant violation.  Results go to stdout,
 diagnostics to stderr.  ``--workers N`` sets the worker processes of the
 labeled sweeps and the extremal table.
+
+``poly``, ``roots`` and ``compose`` read one graph, ``--graph6`` or a
+``--family`` of the mini-language (``star:3``, ``kbip:2,3``).  Above order
+12 a family's closed form is used and no graph is built, so the 64-vertex
+cap binds only ``--graph6`` input and ``poly --method brute|inex``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import atlas, dompoly, realroots, witness
@@ -31,7 +35,7 @@ from .errors import (
     Graph6ParseError,
     InternalInvariantError,
 )
-from .graph import FAMILIES, Graph, family, from_graph6, read_graph6_file
+from .graph import FAMILIES, family, from_graph6, read_graph6_file
 from .realroots import DEFAULT_TOL, RationalInterval, _tolerance, format_fixed
 
 EXIT_OK = 0
@@ -40,72 +44,56 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    tolerance: Fraction
-    budget: witness.SearchBudget
-    output_format: str
-    worker_count: int
-
-    def __post_init__(self):
-        if self.worker_count < 1:
-            raise DomainError("worker count must be >= 1")
-
-
 _FAMILY_BY_CLI = {f.cli: kind for kind, f in FAMILIES.items() if f.cli}
 _FAMILY_USAGE = "families: " + ", ".join(
     f"{f.cli}:{','.join(f.params)}" for f in FAMILIES.values() if f.cli
 )
 
 
-def _parse_family(text: str) -> tuple:
-    """``(graph, closed form)`` for a family of the mini-language, e.g. ``kbip:2,3``."""
-    name, _, rest = text.partition(":")
-    try:
-        params = [int(p) for p in rest.split(",")] if rest else []
-    except ValueError:
-        raise DomainError(f"bad family parameters in {text!r}; {_FAMILY_USAGE}") from None
-    kind = _FAMILY_BY_CLI.get(name)
-    if kind is None or len(params) != len(FAMILIES[kind].params):
-        raise DomainError(f"unrecognized family {text!r}; {_FAMILY_USAGE}")
-    return family(kind, *params), dompoly.dom_poly_closed_form(kind, *params)
+def _polynomial(args, method: str = "auto") -> DomPolynomial:
+    """D(G) of the ``--graph6`` or ``--family`` input by ``method``.
 
-
-def _load_graph(args) -> tuple:
-    if getattr(args, "graph6", None):
-        return from_graph6(args.graph6), None
-    if getattr(args, "family", None):
-        return _parse_family(args.family)
-    raise DomainError("provide --graph6 or --family")
-
-
-def _poly_for(g: Graph, method: str, closed) -> DomPolynomial:
-    """Compute D(G) by the requested method.  ``auto`` cross-checks the
-    routes up to order 12; above it, it takes the closed form of a family
-    (``closed``), and inclusion-exclusion for any other graph.
+    ``auto`` cross-checks the routes up to order 12.  Above it, it returns a
+    family's closed form before any graph exists, and inclusion-exclusion
+    for ``--graph6`` input.  A family's graph is built only for ``brute``,
+    ``inex`` and that cross-check.
 
     Disagreement between routes is a bug in this package, never in the input,
-    so it surfaces as an internal invariant violation with a dump of both
-    coefficient vectors.
+    so it surfaces as an internal invariant violation with a dump of every
+    route's coefficient vector.
     """
+    closed = None
+    if args.graph6:
+        g = from_graph6(args.graph6)
+    elif args.family:
+        name, _, rest = args.family.partition(":")
+        try:
+            params = [int(p) for p in rest.split(",")] if rest else []
+        except ValueError:
+            raise DomainError(
+                f"bad family parameters in {args.family!r}; {_FAMILY_USAGE}") from None
+        kind = _FAMILY_BY_CLI.get(name)
+        if kind is None or len(params) != len(FAMILIES[kind].params):
+            raise DomainError(f"unrecognized family {args.family!r}; {_FAMILY_USAGE}")
+        if method == "auto":
+            closed = dompoly.dom_poly_closed_form(kind, *params)
+            if closed.degree > 12:  # the degree is the order
+                return closed
+        g = family(kind, *params)
+    else:
+        raise DomainError("provide --graph6 or --family")
     if method == "brute":
         return dompoly.dom_poly_bruteforce(g)
-    if method == "inex":
+    if method == "inex" or g.n > 12:
         return dompoly.dom_poly_inclusion_exclusion(g)
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
-    if g.n <= 12:
-        a = dompoly.dom_poly_inclusion_exclusion(g)
-        b = dompoly.dom_poly_bruteforce(g)
-        routes = {"inclusion-exclusion": a, "bruteforce": b}
-        if closed is not None:
-            routes["closed-form"] = closed
-        vals = list(routes.values())
-        if any(v.coeffs != vals[0].coeffs for v in vals):
-            dump = "; ".join(f"{k}={list(v.coeffs)}" for k, v in routes.items())
-            raise InternalInvariantError(f"polynomial routes disagree: {dump}")
-        return a
-    return closed or dompoly.dom_poly_inclusion_exclusion(g)
+    a = dompoly.dom_poly_inclusion_exclusion(g)
+    routes = {"inclusion-exclusion": a, "bruteforce": dompoly.dom_poly_bruteforce(g)}
+    if closed is not None:
+        routes["closed-form"] = closed
+    if any(v.coeffs != a.coeffs for v in routes.values()):
+        dump = "; ".join(f"{k}={list(v.coeffs)}" for k, v in routes.items())
+        raise InternalInvariantError(f"polynomial routes disagree: {dump}")
+    return a
 
 
 def _emit_poly(p: DomPolynomial, fmt: str, out) -> None:
@@ -123,10 +111,8 @@ def _emit_poly(p: DomPolynomial, fmt: str, out) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_poly(args, cfg: CliConfig, out) -> int:
-    g, closed = _load_graph(args)
-    p = _poly_for(g, args.method, closed)
-    _emit_poly(p, cfg.output_format, out)
+def _cmd_poly(args, out) -> int:
+    _emit_poly(_polynomial(args, args.method), args.format, out)
     return EXIT_OK
 
 
@@ -136,18 +122,17 @@ def _default_window(p: DomPolynomial) -> RationalInterval:
     return RationalInterval(lo, Fraction(0))
 
 
-def _cmd_roots(args, cfg: CliConfig, out) -> int:
-    g, closed = _load_graph(args)
-    p = _poly_for(g, "auto", closed)
+def _cmd_roots(args, out) -> int:
+    p = _polynomial(args)
     if args.window:
         win = RationalInterval(*args.window)
     else:
         win = _default_window(p)
-    encs = realroots.isolate_real_roots(p, win, cfg.tolerance)
-    if cfg.output_format == "json":
+    encs = realroots.isolate_real_roots(p, win, args.tol)
+    if args.format == "json":
         rows = [realroots.enclosure_json(e) for e in encs]
         out.write(json.dumps(rows, indent=2) + "\n")
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         out.write("root_lo,root_hi,note\n")
         for e in encs:
             out.write(f"{format_fixed(e.interval.lo)},{format_fixed(e.interval.hi)},{e.note}\n")
@@ -157,8 +142,8 @@ def _cmd_roots(args, cfg: CliConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_witness(args, cfg: CliConfig, out) -> int:
-    cert = witness.construct_witness(args.z, args.eps, cfg.budget, cfg.tolerance)
+def _cmd_witness(args, out) -> int:
+    cert = witness.construct_witness(args.z, args.eps, args.budget, args.tol)
     report = witness.verify_certificate(cert)
     out.write(witness.certificate_to_json(cert) + "\n")
     print(str(report), file=sys.stderr)
@@ -167,42 +152,38 @@ def _cmd_witness(args, cfg: CliConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_atlas(args, cfg: CliConfig, out) -> int:
+def _cmd_atlas(args, out) -> int:
     if args.table:
-        records = atlas.smallest_root_table(
-            args.n, cfg.tolerance, workers=cfg.worker_count
-        )
+        records = atlas.smallest_root_table(args.n, args.tol, workers=args.workers)
         atlas.write_table_csv(records, out)
         return EXIT_OK
     if args.growth:
-        atlas.write_growth_csv(atlas.growth_check(args.n, cfg.tolerance), out)
+        atlas.write_growth_csv(atlas.growth_check(args.n, args.tol), out)
         return EXIT_OK
     # every input check runs before the CSV header is written
     if args.mode == "file":
         if not args.input or not os.path.isfile(args.input):
             raise DomainError(f"--mode file needs an existing --input file, got {args.input!r}")
         graphs = read_graph6_file(args.input)
-        records = atlas.root_cloud_from_graphs(graphs, cfg.tolerance)
+        records = atlas.root_cloud_from_graphs(graphs, args.tol)
     elif args.mode == "dedup":
         graphs = atlas.enumerate_graphs(args.n, "dedup")
-        records = atlas.root_cloud_from_graphs(graphs, cfg.tolerance)
+        records = atlas.root_cloud_from_graphs(graphs, args.tol)
     else:
-        records = atlas.root_cloud(args.n, cfg.tolerance, workers=cfg.worker_count)
+        records = atlas.root_cloud(args.n, args.tol, workers=args.workers)
     atlas.write_root_cloud_csv(records, out)
     return EXIT_OK
 
 
-def _cmd_star_roots(args, cfg: CliConfig, out) -> int:
-    records = realroots.star_gap_report(args.k_max, cfg.tolerance)
+def _cmd_star_roots(args, out) -> int:
+    records = realroots.star_gap_report(args.k_max, args.tol)
     out.write(realroots.star_gap_csv(records))
     return EXIT_OK
 
 
-def _cmd_compose(args, cfg: CliConfig, out) -> int:
-    g, closed = _load_graph(args)
-    base = _poly_for(g, "auto", closed)
-    composed = dompoly.compose_with_complete(base, args.m)
-    _emit_poly(composed, cfg.output_format, out)
+def _cmd_compose(args, out) -> int:
+    composed = dompoly.compose_with_complete(_polynomial(args), args.m)
+    _emit_poly(composed, args.format, out)
     return EXIT_OK
 
 
@@ -254,17 +235,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witness", help="construct and verify a density witness")
     sp.add_argument("-z", required=True, help="target point (rational, <= 0)")
     sp.add_argument("-e", "--eps", required=True, help="radius (rational, > 0)")
-    sp.add_argument("--max-m", type=int, default=None)
-    sp.add_argument("--max-param", type=int, default=None)
-    sp.add_argument("--max-degree", type=int, default=None)
+    sp.add_argument("--max-m", type=int, default=witness.SearchBudget.max_m)
+    sp.add_argument("--max-param", type=int, default=witness.SearchBudget.max_param)
+    sp.add_argument("--max-degree", type=int, default=witness.SearchBudget.max_degree)
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("atlas", help="root cloud / extremal table / growth CSVs")
     sp.add_argument("n", type=int)
     sp.add_argument("--mode", choices=("all", "dedup", "file"), default="all")
     sp.add_argument("--input", help="graph6 corpus file for --mode file")
-    sp.add_argument("--table", action="store_true", help="emit the extremal-root table")
-    sp.add_argument("--growth", action="store_true", help="emit the growth-ratio table")
+    table = sp.add_mutually_exclusive_group()
+    table.add_argument("--table", action="store_true", help="emit the extremal-root table")
+    table.add_argument("--growth", action="store_true", help="emit the growth-ratio table")
     sp.set_defaults(func=_cmd_atlas)
 
     sp = sub.add_parser("star-roots", help="certified star-root progression CSV")
@@ -278,13 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(args) -> CliConfig:
-    tol = _tolerance(args.tol) if args.tol else DEFAULT_TOL
-    given = {name: getattr(args, name, None) for name in ("max_m", "max_param", "max_degree")}
-    budget = witness.SearchBudget(**{k: v for k, v in given.items() if v is not None})
-    return CliConfig(tol, budget, args.format, args.workers)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -292,8 +267,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg, sys.stdout)
+        # the order of the checks is the order of the errors reported
+        args.tol = DEFAULT_TOL if args.tol is None else _tolerance(args.tol)
+        if args.command == "witness":
+            args.budget = witness.SearchBudget(args.max_m, args.max_param, args.max_degree)
+        if args.workers < 1:
+            raise DomainError("worker count must be >= 1")
+        return args.func(args, sys.stdout)
     except (DomainError, Graph6ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

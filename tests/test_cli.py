@@ -129,6 +129,7 @@ def test_witness_rejects_positive_target(capsys):
     (["witness", "-z", "abc", "-e", "1/10"], "abc"),
     (["--tol", "1/0", "star-roots", "3"], "1/0"),
     (["roots", "--graph6", "A_", "--window", "a", "0"], "a"),
+    (["--tol", "", "star-roots", "3"], ""),
 ])
 def test_malformed_rational_is_exit_2(capsys, argv, text):
     assert run(capsys, *argv) == (2, "", f"error: not a rational number: {text!r}\n")
@@ -347,6 +348,51 @@ def test_method_inex_still_runs_inclusion_exclusion(capsys, monkeypatch):
         assert run(capsys, "poly", "--family", "star:13", "--method", method) == (
             0, f"{dompoly.dom_poly_closed_form('star', 13)}\n", "")
     assert calls == [14]
+
+
+def test_family_past_the_vertex_cap_prints_its_closed_form(capsys):
+    # K_{1,100} has 101 vertices, past the 64-vertex cap of a graph
+    with time_limit(5):
+        got = run(capsys, "poly", "--family", "star:100")
+    assert got == (0, f"{dompoly.dom_poly_closed_form('star', 100)}\n", "")
+
+
+def test_compose_family_past_the_vertex_cap(capsys):
+    composed = dompoly.compose_with_complete(dompoly.dom_poly_closed_form("Kkk", 40), 3)
+    with time_limit(5):
+        got = run(capsys, "compose", "--family", "kkk:40", "-m", "3")
+    assert got == (0, f"{composed}\n", "")
+
+
+def test_roots_family_past_the_vertex_cap(capsys):
+    with time_limit(10):
+        code, out, err = run(capsys, "roots", "--family", "star:70")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "0.000000000000  [exact]"
+
+
+@pytest.mark.parametrize("method", ["brute", "inex"])
+def test_forced_method_past_the_vertex_cap_is_exit_3(capsys, method):
+    assert run(capsys, "poly", "--method", method, "--family", "star:64") == (
+        3, "", "error: graph order 65 exceeds the cap of 64\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "abc", "--workers", "0", "witness", "-z", "-1.5", "-e", "1/20", "--max-m", "0"],
+     "not a rational number: 'abc'"),
+    (["--workers", "0", "witness", "-z", "x", "-e", "1/20", "--max-m", "0"],
+     "budget bounds must be positive"),
+    (["--workers", "0", "witness", "-z", "x", "-e", "1/20"], "worker count must be >= 1"),
+])
+def test_first_bad_input_is_the_error_reported(capsys, argv, message):
+    # tolerance, then budget bounds, then worker count, then the command's inputs
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_atlas_table_and_growth_are_exclusive(capsys):
+    code, out, err = run(capsys, "atlas", "4", "--table", "--growth")
+    assert (code, out) == (2, "")
+    assert "argument --growth: not allowed with argument --table" in err
 
 
 def test_roots_window_is_half_open(capsys):
