@@ -136,9 +136,8 @@ def enumerate_graphs(
 
 
 def _labeled_graphs(n: int, dedup: bool) -> Iterator[Graph]:
-    pairs = _edge_pairs(n)
-    for mask in class_masks(n) if dedup else range(1 << len(pairs)):
-        yield _graph_from_mask(mask, n, pairs)
+    for mask in class_masks(n) if dedup else range(1 << n * (n - 1) // 2):
+        yield _graph_from_mask(mask, n)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +303,28 @@ def _roots_cached(coeffs, tol) -> list:
     return got
 
 
+def _slot_table(n: int, digit: int) -> tuple:
+    """``(table, B, nb)`` for :func:`_prefix_chunk` at order ``n``: the
+    power of two ``B`` above every ``|e|``, the bytes per slot ``nb``, and
+    ``table[A][M]``, the ``nb`` little-endian bytes of ``e + B`` for the
+    transform's input ``e`` at ``A`` when ``N'[A] = M``, packed at
+    ``x = 2^digit``: ``x (-1)^|A| (1+x)^(k-|M|)``, less ``x^|A|`` when ``A``
+    dominates (``M = V'``).  ``8 nb >= k + log2(B) + 1`` and
+    ``2^(8 nb) >= 2^(digit (n+1))``, and ``nb`` is at least 8."""
+    k = n - 1
+    size = 1 << k
+    base = 1 << digit
+    term = [base * (base + 1) ** (k - m.bit_count()) for m in range(size)]
+    entry = []
+    for a in range(size):
+        row = [-v for v in term] if a.bit_count() & 1 else list(term)
+        row[-1] -= base ** a.bit_count()
+        entry.append(row)
+    bias = 1 << max(abs(e) for row in entry for e in row).bit_length()
+    nb = max(8, -(-max(k + bias.bit_length(), digit * (n + 1)) // 8))
+    return [[(e + bias).to_bytes(nb, "little") for e in row] for row in entry], bias, nb
+
+
 def _prefix_chunk(args) -> tuple:
     """Packed polynomials, ``digit`` bits per coefficient, of the order-``n``
     graphs whose prefix lies in ``range(start, stop)`` (see
@@ -313,10 +334,27 @@ def _prefix_chunk(args) -> tuple:
     first appearance, and for the graph with prefix ``p`` and last-vertex
     neighbourhood ``S`` the index of its key at
     ``ids[S * (stop - start) + p - start]``, so each ``S`` is one run.
+
+    Each prefix's transform runs on one int, a vector of ``2^k`` slots of
+    ``W = 8 nb`` bits (``k = n - 1``; slot ``T`` at bit ``W T``), so its
+    sums run in CPython's big-integer arithmetic (SWAR; Lamport, "Multiple
+    byte processing with full-word instructions", CACM 1975).  The inputs
+    come biased by ``B`` (:func:`_slot_table`), so each input slot lies in
+    ``(0, 2B)``, and after the ``k`` zeta steps slot ``T`` holds its subset
+    sum plus ``B 2^|T|``, in ``[0, 2^(k+1) B)``: as ``W >= k + log2(B) + 1``,
+    no carry crosses a slot.  ``D(G')`` is read from the top slot of this
+    biased vector, whose lower slots are all nonnegative, so the shift reads
+    that slot exactly.  (The finished slots ``x P(T) - H(T)`` are positive
+    without the bias too, as ``x P(T)`` holds ``x^(k+1)``, which exceeds
+    ``H(T)`` at ``x = 2^digit``; the inputs and partial sums are not.)
+    Subtracting the packed biases and adding ``D(G')`` to every slot leaves
+    each slot holding its key, below ``2^(digit (n+1)) <= 2^W``.  ``W`` is
+    64 through order 7, where the keys unpack through ``array("Q")``; wider
+    slots unpack byte slice by byte slice.
     """
     from array import array
     from collections import defaultdict
-    from operator import add, getitem
+    from operator import getitem
 
     n, digit, start, stop = args
     k = n - 1
@@ -324,14 +362,13 @@ def _prefix_chunk(args) -> tuple:
     full = size - 1
     base = 1 << digit
     pairs = _edge_pairs(k)
-    # table[A][M] is the transform's input at A when N'[A] = M:
-    # x (-1)^|A| (1+x)^(k-|M|), less x^|A| when A dominates (M = V')
-    term = [base * (base + 1) ** (k - m.bit_count()) for m in range(size)]
-    table = []
-    for a in range(size):
-        row = [-v for v in term] if a.bit_count() & 1 else list(term)
-        row[full] -= base ** a.bit_count()
-        table.append(row)
+    table, bias, nb = _slot_table(n, digit)
+    w = 8 * nb
+    ones = 1 << w * size
+    # masks[i]: every bit of the slots whose index lacks bit i
+    masks = [ones // ((1 << (w << i + 1)) - 1) * ((1 << (w << i)) - 1) for i in range(k)]
+    repunit = ones // ((1 << w) - 1)
+    biases = sum(bias << t.bit_count() << w * t for t in range(size))
     index = defaultdict()
     index.default_factory = index.__len__  # a new key gets the next id
     width = stop - start
@@ -345,16 +382,21 @@ def _prefix_chunk(args) -> tuple:
         cover = [0]  # cover[A] = N'[A]
         for b in nbh:
             cover += [c | b for c in cover]
-        z = list(map(getitem, table, cover))
-        # each step sums over the lowest index bit and rotates it to the
-        # top, so after k steps every bit is done and back in its place
-        for _ in range(k):
-            lo, hi = z[0::2], z[1::2]
-            z = lo + list(map(add, lo, hi))
-        # z[V'] = (x - 1) D(G'), as P(V') = H(V') = D(G'); S ascending is
-        # T = V' \ S descending
-        keys = map((z[full] // (base - 1)).__add__, reversed(z))
-        ids[prefix - start::width] = array("I", map(index.__getitem__, keys))
+        z = int.from_bytes(b"".join(map(getitem, table, cover)), "little")
+        for i, mask in enumerate(masks):  # slot T | 2^i gains slot T
+            z += (z & mask) << (w << i)
+        # slot V' holds (x - 1) D(G') = x P(V') - H(V'), as P(V') = H(V') = D(G')
+        dg = ((z >> w * full) - (bias << k)) // (base - 1)
+        packed = (z - biases + dg * repunit).to_bytes(nb * size, "little")
+        if nb == 8:
+            keys = array("Q", packed)
+            if sys.byteorder == "big":
+                keys.byteswap()
+        else:
+            keys = [int.from_bytes(packed[i:i + nb], "little")
+                    for i in range(0, nb * size, nb)]
+        # S ascending is T = V' \ S descending
+        ids[prefix - start::width] = array("I", map(index.__getitem__, reversed(keys)))
     return list(index), ids
 
 
@@ -377,7 +419,11 @@ def _polynomial_ids(n: int, workers: int) -> tuple:
     ``2^(n-1)`` extensions costs one addition.  A polynomial is packed into
     one int as its value at ``x = 2^digit``, where ``2^digit`` exceeds
     ``C(n, n // 2)`` and so every coefficient of ``D(G)``: the digits of the
-    int are the coefficients, and equal keys mean equal polynomials.
+    int are the coefficients, and equal keys mean equal polynomials.  The
+    transform itself runs on one int per prefix, ``2^(n-1)`` slots wide, and
+    each input carries a bias ``B``, a power of two above every input's
+    magnitude, so that every slot stays nonnegative and within its width
+    until the keys are formed (:func:`_prefix_chunk`).
 
     Workers take contiguous prefix ranges; the ids they return are mapped
     onto the keys in order of first appearance over the chunks, so the

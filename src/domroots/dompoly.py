@@ -227,26 +227,34 @@ def dom_poly_closed_form(kind: str, *params: int) -> DomPolynomial:
 def compose_with_complete(p: DomPolynomial, m: int) -> DomPolynomial:
     """Evaluate ``p`` at ``(1+x)^m - 1``, expanded exactly.
 
-    This is the domination polynomial of G[K_m] whenever ``p = D(G)``.
-    Implemented as a Horner walk over a single cached expansion of
-    ``(1+x)^m - 1``; the degree multiplies by ``m``.
+    This is the domination polynomial of G[K_m] whenever ``p = D(G)``; the
+    degree multiplies by ``m``.  ``p`` is evaluated in integers at the
+    packed inner polynomial ``(1 + 2^s)^m - 1`` and the value is unpacked
+    once (Kronecker substitution, see :mod:`domroots.intpoly`).  The
+    evaluation pairs neighbouring coefficients, ``c_2i + c_2i+1 y``, and
+    repeats on the pairs with ``y`` squared (Estrin's scheme), so the long
+    products are balanced, where a Horner walk multiplies a growing value
+    by the short inner one ``deg p`` times.  The inner polynomial's
+    coefficients are nonnegative and sum to ``2^m - 1``, so every
+    coefficient of the result is at most ``sum |c_k| (2^m - 1)^k`` in
+    magnitude, which sizes the slots.
     """
     if m < 1:
         raise DomainError("substitution order must be >= 1")
     if m == 1:
         return p
-    inner = _one_plus_x_pow(m)
-    inner[0] = 0
-    acc = [p.coeffs[p.degree]]
-    for k in range(p.degree - 1, -1, -1):
-        acc = intpoly.mul(acc, inner)
-        if p.coeffs[k]:
-            if acc:
-                acc[0] += p.coeffs[k]
-            else:
-                acc = [p.coeffs[k]]
-    acc = acc + [0] * (p.degree * m + 1 - len(acc))
-    return DomPolynomial(tuple(acc))
+    bound = 0
+    for c in reversed(p.coeffs):
+        bound = bound * ((1 << m) - 1) + abs(c)
+    nb = intpoly.slot_bytes(bound)
+    vals, y = list(p.coeffs), (1 + (1 << 8 * nb)) ** m - 1
+    while len(vals) > 1:
+        if len(vals) & 1:
+            vals.append(0)
+        vals = [lo + hi * y for lo, hi in zip(vals[::2], vals[1::2])]
+        if len(vals) > 1:
+            y *= y
+    return DomPolynomial(tuple(intpoly.unpack(vals[0], nb, p.degree * m + 1)))
 
 
 def multiply(p: DomPolynomial, q: DomPolynomial) -> DomPolynomial:

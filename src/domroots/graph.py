@@ -43,10 +43,13 @@ class Graph:
                 raise DomainError(f"vertex {v} has neighbours outside 0..{self.n - 1}")
             if mask >> v & 1:
                 raise DomainError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bits(self.adj[v]):
+        for v, mask in enumerate(self.adj):
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
                 if not self.adj[u] >> v & 1:
                     raise DomainError(f"asymmetric edge {{{v},{u}}}")
+                mask ^= low
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
@@ -272,13 +275,20 @@ def class_masks(n: int) -> Iterator[int]:
                 marked[sum(map(move.__getitem__, edges))] = 1
 
 
-def _graph_from_mask(mask: int, n: int, pairs) -> Graph:
-    """The graph whose edges are ``pairs[i]`` (:func:`_edge_pairs`) for each set bit ``i``."""
+def _graph_from_mask(mask: int, n: int) -> Graph:
+    """The graph whose edges are ``pairs[i]`` (:func:`_edge_pairs`) for each
+    set bit ``i``.  Column ``j`` of the upper triangle, the neighbours of
+    ``j`` below it, is the ``j`` bits from bit ``j(j-1)/2`` on, so each
+    column is read in one shift and only its set bits are walked."""
     adj = [0] * n
-    for idx, (u, v) in enumerate(pairs):
-        if mask >> idx & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    for j in range(1, n):
+        col = mask >> (j * (j - 1) >> 1) & ((1 << j) - 1)
+        adj[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(adj))
 
 
@@ -321,7 +331,7 @@ def from_graph6(text: str) -> Graph:
         mask = mask << 6 | _REV6[b - 63]
     if mask >> nbits:
         raise Graph6ParseError("nonzero padding bits", body_off + need - 1)
-    return _graph_from_mask(mask, n, _edge_pairs(n))
+    return _graph_from_mask(mask, n)
 
 
 def to_graph6(g: Graph) -> str:

@@ -3,6 +3,19 @@
 Polynomials are plain lists of Python ints in little-endian order
 (``p[i]`` is the coefficient of ``x**i``).  The zero polynomial is the
 empty list.  Everything here is exact; no floats enter these routines.
+
+Products run in CPython's big-integer arithmetic by Kronecker substitution
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 2009): a polynomial is packed as its
+value at ``x = 2^s``, one slot of ``s`` bits per coefficient, and one
+integer product is the packed polynomial product.  The slot is whole bytes
+wide, ``s = 8 * slot_bytes(bound)``, with room for every coefficient of
+magnitude up to ``bound`` and a sign bit, so each coefficient ``c`` lies in
+``[-2^(s-1), 2^(s-1))``.  A packed value is the exact sum of its signed
+slots, with borrows between them, so it is read with an offset: adding
+``2^(s-1)`` to every slot makes each slot ``c + 2^(s-1)``, nonnegative and
+below ``2^s``, so the bytes of the sum are the slots, and each one read
+unsigned less ``2^(s-1)`` is its coefficient (the balanced unpack).
 """
 
 from __future__ import annotations
@@ -30,16 +43,43 @@ def neg(p) -> list:
     return [-c for c in p]
 
 
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot for signed values of magnitude at most ``bound``."""
+    return bound.bit_length() // 8 + 1
+
+
+def _offsets(nb: int, length: int) -> int:
+    """``2^(s-1)`` in each of ``length`` slots of ``s = 8 * nb`` bits."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * length, "little")
+
+
+def pack(p, nb: int) -> int:
+    """``p(2^s)`` for ``s = 8 * nb``; every ``|p[i]| < 2^(s-1)``."""
+    half = 1 << 8 * nb - 1
+    raw = b"".join([(c + half).to_bytes(nb, "little") for c in p])
+    return int.from_bytes(raw, "little") - _offsets(nb, len(p))
+
+
+def unpack(v: int, nb: int, length: int) -> list:
+    """The ``length`` coefficients of the polynomial packed in ``v``, with
+    ``nb`` bytes per slot (the balanced unpack of the module docstring)."""
+    half = 1 << 8 * nb - 1
+    raw = (v + _offsets(nb, length)).to_bytes(nb * length, "little")
+    return [int.from_bytes(raw[i:i + nb], "little") - half
+            for i in range(0, nb * length, nb)]
+
+
 def mul(p, q) -> list:
-    if not p or not q:
+    """``p * q``, normalized, by one integer product (Kronecker substitution).
+
+    A coefficient of the product is a sum of at most ``min(len(p),
+    len(q))`` products of one coefficient of each, which sizes the slots;
+    with neither factor zero, the slots hold the factors' coefficients too."""
+    top_p, top_q = max(map(abs, p), default=0), max(map(abs, q), default=0)
+    if not top_p or not top_q:
         return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return normalize(out)
+    nb = slot_bytes(top_p * top_q * min(len(p), len(q)))
+    return normalize(unpack(pack(p, nb) * pack(q, nb), nb, len(p) + len(q) - 1))
 
 
 def derivative(p) -> list:

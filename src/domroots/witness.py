@@ -102,7 +102,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from . import dompoly, graph
+from . import dompoly, graph, intpoly
 from .dompoly import DomPolynomial, compose_with_complete
 from .errors import BudgetExhaustedError, DomainError, DomRootsError
 from .realroots import (
@@ -247,10 +247,6 @@ def _composed(sign, sides: tuple, m: int):
         v = den ** m
         return sign(sides, (num + den) ** m - v, v)
     return composed
-
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +454,7 @@ def _certified_signs(cert: WitnessCertificate):
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m
         )
-        return lambda t: _sign(dompoly.eval_rational(composed, t))
+        return lambda t: intpoly.sign_at(composed.coeffs, t)
     sign = _composed(bipartite_numerator_sign, _sides(cert.family_kind, cert.family_param),
                      cert.m)
     return lambda t: sign(t.numerator, t.denominator)

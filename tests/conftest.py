@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from domroots import intpoly
 from domroots.errors import DomainError
-from domroots.graph import Graph
+from domroots.graph import Graph, _bits, _edge_pairs
 from domroots.realroots import DEFAULT_TOL, RationalInterval, isolate_real_roots
 
 settings.register_profile(
@@ -56,6 +56,80 @@ def bipartite_form(sides, u, v):
     a, b = sides
     w = u + v
     return (w ** a - v ** a) * (w ** b - v ** b) + u ** a * v ** b + u ** b * v ** a
+
+
+def mul_ref(p, q) -> list:
+    """``p * q``, normalized, by the schoolbook double loop: the reference
+    for :func:`intpoly.mul`."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] += a * b
+    return intpoly.normalize(out)
+
+
+def compose_ref(coeffs, m: int) -> tuple:
+    """``coeffs`` at ``(1+x)^m - 1`` by a Horner walk over :func:`mul_ref`,
+    padded to ``degree * m + 1`` coefficients: the reference for
+    :func:`dompoly.compose_with_complete`."""
+    inner = [math.comb(m, i) for i in range(m + 1)]
+    inner[0] = 0
+    acc = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        acc = mul_ref(acc, inner)
+        if c:
+            if acc:
+                acc[0] += c
+            else:
+                acc = [c]
+    return tuple(acc + [0] * ((len(coeffs) - 1) * m + 1 - len(acc)))
+
+
+def prefix_chunk_ref(args) -> tuple:
+    """:func:`atlas._prefix_chunk` with the transform on a list of packed
+    polynomials, one butterfly per index bit: the reference for the
+    packed-slot transform."""
+    from array import array
+    from collections import defaultdict
+    from operator import add, getitem
+
+    n, digit, start, stop = args
+    k = n - 1
+    size = 1 << k
+    full = size - 1
+    base = 1 << digit
+    pairs = _edge_pairs(k)
+    term = [base * (base + 1) ** (k - m.bit_count()) for m in range(size)]
+    table = []
+    for a in range(size):
+        row = [-v for v in term] if a.bit_count() & 1 else list(term)
+        row[full] -= base ** a.bit_count()
+        table.append(row)
+    index = defaultdict()
+    index.default_factory = index.__len__
+    width = stop - start
+    ids = array("I", [0]) * (size * width)
+    for prefix in range(start, stop):
+        nbh = [1 << v for v in range(k)]
+        for e in _bits(prefix):
+            u, v = pairs[e]
+            nbh[u] |= 1 << v
+            nbh[v] |= 1 << u
+        cover = [0]
+        for b in nbh:
+            cover += [c | b for c in cover]
+        z = list(map(getitem, table, cover))
+        # each step sums over the lowest index bit and rotates it to the top
+        for _ in range(k):
+            lo, hi = z[0::2], z[1::2]
+            z = lo + list(map(add, lo, hi))
+        keys = map((z[full] // (base - 1)).__add__, reversed(z))
+        ids[prefix - start::width] = array("I", map(index.__getitem__, keys))
+    return list(index), ids
 
 
 def poly_add(p, q) -> list:

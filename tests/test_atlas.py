@@ -20,6 +20,7 @@ from domroots.atlas import (
 from domroots.dompoly import dom_poly_closed_form, dom_poly_inclusion_exclusion
 from domroots.errors import CapacityError, DomainError
 from domroots.graph import (
+    _graph_from_mask,
     complete_bipartite,
     disjoint_union,
     empty_graph,
@@ -30,7 +31,7 @@ from domroots.graph import (
 from domroots.intpoly import cauchy_root_bound, mul, trailing_zeros
 from domroots.realroots import DEFAULT_TOL
 
-from conftest import all_labeled_graphs, exact_negative_roots, random_graph
+from conftest import all_labeled_graphs, exact_negative_roots, prefix_chunk_ref, random_graph
 
 
 def test_enumerate_counts():
@@ -124,6 +125,64 @@ def test_sweep_polynomials_match_inclusion_exclusion():
             assert polys[i] == dom_poly_inclusion_exclusion(g).coeffs
         distinct.append(len(polys))
     assert distinct == [1, 2, 4, 10, 27, 88]
+
+
+def _chunk_args(n, start, stop):
+    return (n, math.comb(n, n // 2).bit_length(), start, stop)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_prefix_chunk_matches_the_list_transform(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    prefixes = 1 << (n - 1) * (n - 2) // 2
+    start = data.draw(st.integers(0, prefixes - 1), label="start")
+    stop = data.draw(st.integers(start + 1, min(prefixes, start + 150)), label="stop")
+    args = _chunk_args(n, start, stop)
+    assert atlas._prefix_chunk(args) == prefix_chunk_ref(args)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_prefix_chunk_wide_slots(n):
+    # keys above 2^64 (order 9) and biased slots above 2^64 (orders 8 and 9)
+    # take slots wider than 8 bytes
+    k = n - 1
+    prefix_bits = k * (k - 1) // 2
+    last = (1 << prefix_bits) - 1
+    digit = math.comb(n, n // 2).bit_length()
+    for start, stop in [(0, 2), (0x5A5A5 & last, (0x5A5A5 & last) + 1), (last - 1, last + 1)]:
+        args = (n, digit, start, stop)
+        keys, ids = atlas._prefix_chunk(args)
+        assert (keys, ids) == prefix_chunk_ref(args)
+        width = stop - start
+        for s_mask in (0, 1, 0b1011, (1 << k) - 1):
+            g = _graph_from_mask(stop - 1 | s_mask << prefix_bits, n)
+            key = keys[ids[s_mask * width + width - 1]]
+            coeffs = tuple(key >> digit * j & (1 << digit) - 1 for j in range(n + 1))
+            assert coeffs == dom_poly_inclusion_exclusion(g).coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_slot_table_invariants(n):
+    # every biased partial sum of the transform stays in [0, 2^W), and so
+    # does every key, so no carry or borrow crosses a slot
+    k = n - 1
+    digit = math.comb(n, n // 2).bit_length()
+    table, bias, nb = atlas._slot_table(n, digit)
+    width = 8 * nb
+    assert bias & bias - 1 == 0
+    assert width >= k + bias.bit_length() and width >= digit * (n + 1)
+    assert (width == 64) == (n <= 7)
+    base = 1 << digit
+    for a, row in enumerate(table):
+        for m, cell in enumerate(row):
+            assert len(cell) == nb
+            e = int.from_bytes(cell, "little") - bias
+            assert abs(e) < bias
+            want = (-1) ** a.bit_count() * base * (base + 1) ** (k - m.bit_count())
+            if m == len(row) - 1:
+                want -= base ** a.bit_count()
+            assert e == want
 
 
 def test_root_cloud_from_graphs_matches_labeled():

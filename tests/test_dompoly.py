@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from domroots import dompoly
 from domroots.dompoly import (
@@ -30,7 +30,7 @@ from domroots.graph import (
     substitute_complete,
 )
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import all_labeled_graphs, compose_ref, random_graph
 
 
 def test_bruteforce_k1():
@@ -175,6 +175,25 @@ def test_compose_k2_m2_is_k4():
 def test_compose_identity():
     p = dom_poly_closed_form("K22ell", 5)
     assert compose_with_complete(p, 1) is p
+
+
+_signed = (st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 1, -1])
+           | st.integers(-10 ** 40, 10 ** 40))
+
+
+@given(st.lists(_signed, min_size=1, max_size=13), st.integers(1, 9))
+@example([0], 5)
+@example([-4], 3)
+@example([3, -1, 0], 4)  # a zero top coefficient keeps its degree
+@example([0, 0, 0, 0], 9)
+@example([1, -(10 ** 40)] * 6 + [10 ** 40], 9)
+def test_compose_matches_the_horner_reference(coeffs, m):
+    p = DomPolynomial(tuple(coeffs))
+    composed = compose_with_complete(p, m)
+    assert len(composed.coeffs) == p.degree * m + 1
+    assert composed.coeffs == compose_ref(coeffs, m)
+    if m == 1:
+        assert composed is p
 
 
 def test_compose_star2_m3_vs_bruteforce():

@@ -44,8 +44,8 @@ from domroots.realroots import (
 )
 from domroots.witness import construct_witness, target_interval
 
-from conftest import (bipartite_form, content_ref, exact_negative_roots, fraction_rem, poly_add,
-                      poly_gcd, pow_, primitive_ref, star_form_sign, time_limit)
+from conftest import (bipartite_form, content_ref, exact_negative_roots, fraction_rem, mul_ref,
+                      poly_add, poly_gcd, pow_, primitive_ref, star_form_sign, time_limit)
 
 
 def interval(lo, hi):
@@ -115,6 +115,32 @@ _coefficient_lists = st.lists(st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([
 def test_content_and_primitive_match_the_textbook(p):
     assert intpoly.content(p) == content_ref(p)
     assert intpoly.primitive(p) == primitive_ref(p)
+
+
+_wide_coefficients = (st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 1, -1])
+                      | st.integers(-10 ** 300, 10 ** 300))
+
+
+@given(st.lists(_wide_coefficients, max_size=12), st.lists(_wide_coefficients, max_size=12))
+@example([], [3, 4])
+@example([0, 0], [5])
+@example([0], [128])  # a zero factor: the slots must still hold the other one
+@example([7], [-6])
+@example([1, 0, 0, -2, 0], [0, 3, 0])  # inner and trailing zeros
+@example([128], [1])  # a product of 2^7 needs a second byte for its sign
+@example([-(2 ** 63)] * 3, [2 ** 63, -1])
+@example(list(range(-60, 61)), [-3, 2])  # long by short
+@example([10 ** 300, -(10 ** 300)], [10 ** 300] * 9)
+def test_mul_matches_the_schoolbook(p, q):
+    assert intpoly.mul(p, q) == mul_ref(p, q)
+    assert intpoly.mul(q, p) == mul_ref(p, q)
+
+
+def test_mul_of_long_binomial_rows_matches_the_schoolbook():
+    row = [math.comb(400, i) for i in range(401)]
+    signed = [(-1) ** i * c for i, c in enumerate(row[:31])]
+    assert intpoly.mul(row, signed) == mul_ref(row, signed)
+    assert intpoly.mul(row, row) == [math.comb(800, i) for i in range(801)]
 
 
 def _nonzero_top(coeffs):
