@@ -10,8 +10,9 @@ formats each one's enclosures once; ``x^t q`` shares one certification for
 every ``t >= 1``.  Root finding is float-first: locations come from
 floating bisection over monotone segments, then exact endpoint signs
 certify each enclosure and an exact count certifies completeness.  The
-float signs and bisections run in one straight-line Horner kernel per
-degree, generated and compiled on first use, which performs the same float
+float search is one function per degree, generated and compiled on first
+use: it calls the search of the derivative's degree, then takes its signs
+and bisects in straight-line Horner code, which performs the same float
 operations in the same order as a loop over the coefficients; the printed
 digits follow the bisection path, so no step of it may change.  The count
 is that of the Sturm chain's sign variations at -inf and +inf, read off
@@ -21,7 +22,8 @@ domination polynomial's coefficients are positive, so it has no positive
 root (Descartes' rule of signs) and the float search covers the negative
 axis only; a polynomial with a positive root fails the count.  Anything
 inconclusive (values within ``1e3 * machine epsilon`` of zero, mismatched
-counts, overlapping enclosures) escalates to fully exact isolation.
+counts, overlapping enclosures, an enclosure that reaches 0) escalates to
+fully exact isolation.
 Workers take contiguous prefix ranges and the parent places their
 polynomial ids by edge mask, so parallel output is byte-identical to a
 single worker's.
@@ -148,74 +150,109 @@ class _Inconclusive(Exception):
     pass
 
 
+_HORNER_STEPS = 16  # per statement: CPython's parser rejects 200 nested parentheses
+
+
+def _horner(terms: list, x: str, acc: str, indent: int) -> tuple:
+    """``(statements, expression)``: the Horner recurrence over ``terms`` (top
+    coefficient first) at ``x``, ``acc = t0`` then ``acc = acc * x + t`` for
+    each later ``t``, as nested expressions of at most ``_HORNER_STEPS``
+    steps each.  ``statements``, each on a new line indented by ``indent``,
+    store ``acc`` for the expression that follows them."""
+    statements, expr = "", terms[0]
+    for i, t in enumerate(terms[1:]):
+        if i and i % _HORNER_STEPS == 0:
+            statements += f"\n{' ' * indent}{acc} = {expr}"
+            expr = acc
+        expr = f"({expr} * {x} + {t})"
+    return statements, expr
+
+
 @functools.cache
-def _horner_kernels(deg: int) -> tuple:
-    """``(sign, bisect)`` for polynomials of degree ``deg``, compiled once.
+def _root_search(deg: int):
+    """The float root search for polynomials of degree ``deg >= 1``,
+    generated and compiled on first use.
 
-    Both take the ``deg + 1`` float coefficients as their last parameters,
-    top coefficient first, and write the Horner recurrence out as ``deg``
-    statements, so no interpreter loop runs over the coefficients.  Each
-    statement is one ``acc * x + c``: the floats and their order are those
-    of a loop from ``acc = 0.0`` (``0.0 * x + c`` is ``c`` for finite
-    ``x``), and statements, unlike one nested expression, meet no parser
-    limit at any degree.
+    ``search(lo, hi, c0, ..., cd)`` returns the roots of ``sum ci x^i`` on
+    ``(lo, hi)``, by derivative subdivision: the degree-``d-1`` search finds
+    the roots of the derivative, whose coefficients ``i * ci`` are written
+    into the call, and with ``lo`` and ``hi`` they cut ``(lo, hi)`` into
+    monotone segments.  The ends must ascend strictly, and each end's sign
+    must be conclusive: the value ``acc`` must exceed ``_FLOAT_MARGIN``
+    times the larger of 1 and ``scale``, the sum of the terms' magnitudes,
+    or the search raises :class:`_Inconclusive`.  A segment whose ends
+    differ in sign is halved, moving the end whose sign the midpoint
+    shares, until the midpoint is no longer strictly between the ends (at
+    most 200 halvings), and the final midpoint is its root.  At degree 1
+    the root is ``-c0 / c1``.
 
-    ``sign(x, *c)`` is the sign at ``x``, or :class:`_Inconclusive` when
-    the value is within ``_FLOAT_MARGIN`` of zero relative to the sum of
-    the terms' magnitudes.  ``bisect(x, y, up, *c)`` halves ``[x, y]``,
-    moving ``x`` to the midpoint when the value there is positive iff
-    ``up`` (the sign at ``x``) and ``y`` otherwise, until the midpoint is
-    no longer strictly between the ends (at most 200 halvings), and
-    returns the final midpoint.
+    Every sign and halving is straight-line code (:func:`_horner`), and the
+    halving loop comes twice, once per sign at the segment's left end, so
+    its test is a bare ``acc > 0.0``.  The floats and their order are those
+    of a loop over the coefficients from ``acc = 0.0`` (``0.0 * x + c`` is
+    ``c`` for finite ``x``); the printed digits follow the bisection path,
+    so no step of it may change.
     """
     coefs = [f"c{i}" for i in range(deg + 1)]
-    params = ", ".join(coefs)
-    horner = "".join(f"\n        acc = acc * mid + {c}" for c in coefs[1:])
-    scaled = "".join(f"\n    acc = acc * x + {c}\n    scale = scale * ax + abs({c})"
-                     for c in coefs[1:])
-    src = f"""
-def sign(x, {params}):
-    ax = abs(x)
-    acc = c0
-    scale = abs(c0){scaled}
-    if abs(acc) <= margin * max(1.0, scale):
-        raise inconclusive
-    return 1 if acc > 0.0 else -1
-
-def bisect(x, y, up, {params}):
-    for _ in range(200):
-        mid = 0.5 * (x + y)
-        if mid <= x or mid >= y:
-            break
-        acc = c0{horner}
-        if (acc > 0.0) == up:
-            x = mid
+    if deg == 1:
+        body = """
+    r = -c0 / c1
+    return [r] if lo < r < hi else []"""
+    else:
+        top_down = coefs[::-1]
+        derivative = ", ".join(["c1"] + [f"{i} * c{i}" for i in range(2, deg + 1)])
+        absolutes = "".join(f"\n    a{i} = abs(c{i})" for i in range(deg + 1))
+        acc_pre, acc = _horner(top_down, "x", "acc", 8)
+        scale_pre, scale = _horner([f"a{i}" for i in range(deg, -1, -1)], "ax", "scale", 8)
+        mid_pre, mid = _horner(top_down, "mid", "acc", 16)
+        body = f"""
+    pts = [lo, *inner(lo, hi, {derivative}), hi]
+    for a, b in zip(pts, pts[1:]):
+        if not a < b:
+            raise inconclusive{absolutes}
+    ups = []
+    for x in pts:
+        ax = abs(x){acc_pre}
+        acc = {acc}{scale_pre}
+        scale = {scale}
+        if abs(acc) <= margin * (scale if scale > 1.0 else 1.0):
+            raise inconclusive
+        ups.append(acc > 0.0)
+    roots = []
+    for x, y, up, next_up in zip(pts, pts[1:], ups, ups[1:]):
+        if up is next_up:
+            continue
+        if up:
+            for _ in range(200):
+                mid = 0.5 * (x + y)
+                if mid <= x or mid >= y:
+                    break{mid_pre}
+                if {mid} > 0.0:
+                    x = mid
+                else:
+                    y = mid
         else:
-            y = mid
-    return 0.5 * (x + y)
-"""
-    ns = {"margin": _FLOAT_MARGIN, "inconclusive": _Inconclusive}
-    exec(compile(src, f"<horner kernels, degree {deg}>", "exec"), ns)
-    return ns["sign"], ns["bisect"]
+            for _ in range(200):
+                mid = 0.5 * (x + y)
+                if mid <= x or mid >= y:
+                    break{mid_pre}
+                if {mid} > 0.0:
+                    y = mid
+                else:
+                    x = mid
+        roots.append(0.5 * (x + y))
+    return roots"""
+    src = f"def search(lo, hi, {', '.join(coefs)}):{body}\n"
+    ns = {"inner": _root_search(deg - 1) if deg > 1 else None,
+          "margin": _FLOAT_MARGIN, "inconclusive": _Inconclusive}
+    exec(compile(src, f"<root search, degree {deg}>", "exec"), ns)
+    return ns["search"]
 
 
 def _float_candidates(c, lo: float, hi: float) -> list:
-    """Roots of the float polynomial on (lo, hi) via derivative subdivision."""
-    deg = len(c) - 1
-    if deg < 1:
-        return []
-    if deg == 1:
-        r = -c[0] / c[1]
-        return [r] if lo < r < hi else []
-    der = [i * c[i] for i in range(1, len(c))]
-    pts = [lo, *_float_candidates(der, lo, hi), hi]
-    if not all(a < b for a, b in zip(pts, pts[1:])):
-        raise _Inconclusive
-    sign, bisect = _horner_kernels(deg)
-    top_down = c[::-1]
-    signs = [sign(x, *top_down) for x in pts]
-    return [bisect(a, b, sa > 0, *top_down)
-            for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]) if sa != sb]
+    """Roots of the float polynomial ``c`` (lowest coefficient first) on
+    ``(lo, hi)``, by the search of its degree (:func:`_root_search`)."""
+    return _root_search(len(c) - 1)(lo, hi, *c) if len(c) > 1 else []
 
 
 def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
@@ -223,10 +260,11 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
 
     The root at 0 (always present for graph polynomials) comes back as the
     exact point (0, 0).  The float fast path searches ``(-B, 0)`` only, for
-    the Cauchy bound ``B``: a domination polynomial's coefficients are
-    positive, so by Descartes' rule of signs it has no positive root.  Its
-    signs and bisections run in straight-line Horner kernels compiled once
-    per degree (:func:`_horner_kernels`).  Only when the search finds its
+    the Cauchy bound ``B``, whose float is one correctly rounded int
+    division (:func:`_search_end`): a domination polynomial's coefficients
+    are positive, so by Descartes' rule of signs it has no positive root.
+    The search is one function per degree, compiled on first use
+    (:func:`_root_search`).  Only when the search finds its
     candidates is the Sturm chain built: the number of distinct nonzero
     real roots comes from the chain's leading signs
     (:func:`count_real_roots`), with no evaluation, and must equal the
@@ -235,35 +273,45 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     chain.  Each float root ``r`` is certified by the exact signs at its
     ends ``r -/+ tol/2``, taken as integer numerators over one denominator
     (:func:`intpoly.eval_homogeneous`); the enclosures come out ascending,
-    and the rational ends are built only once every root is certified.
-    On the isolation path a positive root puts ``(0, 0)`` between the
-    others, so the list is sorted.  The audit tests check on random samples
-    that the fast path agrees, root for root, with Sturm isolation alone.
+    and the rational ends are built only once every root is certified.  A
+    coarse ``tol`` can reach past 0 (``tol/2 >= |r|``), so an enclosure
+    whose high end is not negative falls back too.  Isolation runs on
+    ``coeffs`` itself, so it splits off the root 0 exactly and keeps every
+    other enclosure clear of it; its list is sorted, with a positive root,
+    which no domination polynomial has, after ``(0, 0)``.  The audit tests
+    check on random samples that the fast path agrees, root for root, with
+    Sturm isolation alone.
     """
     tol = _tolerance(tol)
     coeffs = intpoly.normalize(list(coeffs))
     if not coeffs:
         raise DomainError("zero polynomial")
     t0 = intpoly.trailing_zeros(coeffs)
-    out = []
-    if t0:
-        out.append((Fraction(0), Fraction(0)))
+    zero = [(Fraction(0), Fraction(0))] if t0 else []
     cof = coeffs[t0:]
     if intpoly.degree(cof) < 1:
-        return out
-    bound = intpoly.cauchy_root_bound(cof)
-    intervals = _try_float_roots(cof, bound, tol)
+        return zero
+    intervals = _try_float_roots(cof, tol)
     if intervals is not None:  # ascending and negative
-        return intervals + out
-    encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
-    # a polynomial with positive roots has 0 in the middle
-    return sorted(out + [(e.interval.lo, e.interval.hi) for e in encs])
+        return intervals + zero
+    bound = intpoly.cauchy_root_bound(cof)
+    # isolation splits off the root 0 exactly and keeps the others clear of it
+    encs = isolate_real_roots(coeffs, RationalInterval(-bound, bound), tol)
+    return [(e.interval.lo, e.interval.hi) for e in encs]
 
 
-def _try_float_roots(cof, bound, tol) -> Optional[list]:
+def _search_end(cof) -> float:
+    """``-float(intpoly.cauchy_root_bound(cof))``, with no ``Fraction``: int
+    true division rounds correctly, and raises ``OverflowError`` past the
+    float range as ``float`` of the bound does."""
+    lead = abs(cof[-1])
+    return -((lead + max(map(abs, cof[:-1]))) / lead)
+
+
+def _try_float_roots(cof, tol) -> Optional[list]:
     try:
         # a positive root, which no domination polynomial has, fails the count
-        cands = _float_candidates([float(c) for c in cof], -float(bound), 0.0)
+        cands = _float_candidates([float(c) for c in cof], _search_end(cof), 0.0)
     except (_Inconclusive, OverflowError):
         return None
     if len(cands) != count_real_roots(sturm_chain(cof)):
@@ -275,6 +323,8 @@ def _try_float_roots(cof, bound, tol) -> Optional[list]:
         n, d = r.as_integer_ratio()
         den, mid, rad = 2 * q * d, 2 * q * n, p * d
         lo, hi = mid - rad, mid + rad
+        if hi >= 0:  # a coarse tol reaches 0, where the root 0 may lie
+            return None
         s_lo = intpoly.eval_homogeneous(cof, lo, den)
         s_hi = intpoly.eval_homogeneous(cof, hi, den)
         if not (s_lo < 0 < s_hi or s_hi < 0 < s_lo):

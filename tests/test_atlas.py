@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from domroots import atlas
@@ -28,8 +28,14 @@ from domroots.graph import (
     read_graph6_file,
     to_graph6,
 )
-from domroots.intpoly import cauchy_root_bound, mul, trailing_zeros
-from domroots.realroots import DEFAULT_TOL
+from domroots.intpoly import cauchy_root_bound, mul, sign_at, trailing_zeros
+from domroots.realroots import (
+    DEFAULT_TOL,
+    RationalInterval,
+    count_real_roots,
+    count_roots_in,
+    sturm_chain,
+)
 
 from conftest import all_labeled_graphs, exact_negative_roots, prefix_chunk_ref, random_graph
 
@@ -293,12 +299,13 @@ _HUGE = (st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_inf
 
 
 @st.composite
-def float_searches(draw):
+def float_searches(draw, degrees=st.integers(1, 40), kinds=("small", "repeated", "huge")):
     """``(coefficients, lo, hi)``: small integer coefficients; products with
     repeated factors, whose multiple roots are roots of the derivative too,
     so a segment end lands within the margin; or huge coefficients, whose
-    derivatives and Horner sums overflow to inf and nan."""
-    kind = draw(st.sampled_from(["small", "repeated", "huge"]))
+    derivatives and Horner sums overflow to inf and nan.  ``degrees`` draws
+    the degree of the small and huge kinds."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "repeated":
         ints = [1]
         while len(ints) < 3 or (len(ints) < 38 and draw(st.booleans())):
@@ -311,7 +318,7 @@ def float_searches(draw):
         top = (st.integers(1, 50) | st.integers(-50, -1)).map(float)
         if kind == "huge":
             small, top = small | _HUGE, top | _HUGE.filter(bool)
-        deg = draw(st.integers(1, 40))
+        deg = draw(degrees)
         c = draw(st.lists(small, min_size=deg, max_size=deg))
         c.append(draw(top))
     bound = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
@@ -329,6 +336,7 @@ def float_searches(draw):
 
 @settings(max_examples=300)
 @given(float_searches())
+@example(([1e-20, 0.0, 1e-20], -2.0, 0.0))  # below 1 the margin is absolute
 def test_horner_kernels_match_the_coefficient_loop(case):
     # the printed digits follow the bisection path, so the kernels must give
     # the loop's floats bit for bit and raise where it raises
@@ -336,10 +344,23 @@ def test_horner_kernels_match_the_coefficient_loop(case):
     want = _outcome(_loop_float_candidates, c, lo, hi)
     event("inconclusive" if want == "inconclusive" else "candidates")
     assert _outcome(atlas._float_candidates, c, lo, hi) == want
-    sign, _ = atlas._horner_kernels(len(c) - 1)
-    # the search evaluates at finite points only, where 0.0 * x + c is c
-    for x in (lo, hi, 0.5 * lo + 0.5 * hi, -1.0, -2.0):
-        assert _outcome(sign, x, *c[::-1]) == _outcome(_loop_float_sign, c, x)
+    # the search takes its signs and verdicts at the ends of its segments,
+    # so a bracket ending at x checks them at x, at every derivative level;
+    # it evaluates at finite points only, where 0.0 * x + c is c
+    for x in (0.5 * lo + 0.5 * hi, -1.0, -2.0):
+        for a, b in ((lo, x), (x, hi)):
+            assert _outcome(atlas._float_candidates, c, a, b) == \
+                _outcome(_loop_float_candidates, c, a, b)
+
+
+@settings(max_examples=200)
+@given(float_searches(st.sampled_from([15, 16, 17, 31, 32, 33]), ("small", "huge")))
+def test_root_search_matches_the_coefficient_loop_at_chunk_boundaries(case):
+    # a statement holds 16 Horner steps, so these degrees end one statement
+    # exactly, or spill one or two steps into the next
+    c, lo, hi = case
+    assert _outcome(atlas._float_candidates, c, lo, hi) == \
+        _outcome(_loop_float_candidates, c, lo, hi)
 
 
 def test_horner_kernels_match_the_coefficient_loop_on_domination_polynomials(rng):
@@ -393,17 +414,61 @@ def test_certified_roots_ascend_with_zero_in_place():
     # x(x - 1)(x + 3): the positive root 1 fails the count, and on the
     # isolation path the root 0 lies between the others
     cof = [-3, 2, 1]
-    assert atlas._try_float_roots(cof, cauchy_root_bound(cof), DEFAULT_TOL) is None
+    assert atlas._try_float_roots(cof, DEFAULT_TOL) is None
     roots = certified_negative_roots([0, *cof])
     assert len(roots) == 3 and all(a <= r <= b for (a, b), r in zip(roots, (-3, 0, 1)))
     assert roots[1] == (0, 0)
     # D(K_{3,3}) = x^2 (...) on the float path: its two negative roots, then 0
     coeffs = dom_poly_closed_form("Kkk", 3).coeffs
     cof = list(coeffs[trailing_zeros(coeffs):])
-    assert atlas._try_float_roots(cof, cauchy_root_bound(cof), DEFAULT_TOL) is not None
+    assert atlas._try_float_roots(cof, DEFAULT_TOL) is not None
     roots = certified_negative_roots(coeffs)
     assert len(roots) == 3 and roots[-1] == (0, 0)
     assert all(b < c for (_, b), (c, _) in zip(roots, roots[1:]))
+
+
+def test_coarse_tol_enclosures_stop_short_of_zero():
+    # x^2 (x^2 + 3x + 1): at tol 1 the float root -0.382 got (-0.882, 0.118),
+    # which reached past the exact root 0; isolation keeps it negative
+    coeffs = (0, 0, 1, 3, 1)
+    cof = list(coeffs[2:])
+    assert atlas._try_float_roots(cof, Fraction(1)) is None
+    assert certified_negative_roots(coeffs, Fraction(1)) == [
+        (-3, Fraction(-5, 2)), (Fraction(-1, 2), Fraction(-1, 4)), (0, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))),
+       st.sampled_from([Fraction(1, 10 ** 9), Fraction(1, 2), Fraction(1), Fraction(2)]))
+def test_certified_roots_contract_at_any_tolerance(graph, tol):
+    # ascending, disjoint, nonpositive, one root in each, and every root
+    coeffs = dom_poly_inclusion_exclusion(_graph_from_mask(graph[1], graph[0])).coeffs
+    roots = certified_negative_roots(coeffs, tol)
+    chain = sturm_chain(coeffs)
+    assert len(roots) == count_real_roots(chain)
+    assert all(b < c for (_, b), (c, _) in zip(roots, roots[1:]))
+    for lo, hi in roots:
+        assert lo <= hi <= 0 and hi - lo <= tol
+        if lo == hi:
+            assert sign_at(list(coeffs), lo) == 0
+        else:
+            assert count_roots_in(chain, RationalInterval(lo, hi)) == 1
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-10, 10) | st.integers(-10 ** 400, 10 ** 400), min_size=1, max_size=20),
+       st.integers(1, 10) | st.integers(1, 10 ** 400) | st.integers(-10 ** 400, -1))
+def test_search_end_is_the_cauchy_bound(lower, lead):
+    # int true division rounds as Fraction's float does, overflow included
+    cof = [*lower, lead]
+    try:
+        want = -float(cauchy_root_bound(cof))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            atlas._search_end(cof)
+        return
+    assert atlas._search_end(cof) == want
 
 
 def test_smallest_root_table_small_orders():
