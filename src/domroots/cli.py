@@ -5,7 +5,9 @@ Subcommands: ``poly``, ``roots``, ``witness``, ``atlas``, ``star-roots``,
 "-1.5" are both accepted); floats never enter any certification path.
 
 Exit codes: 0 success, 2 usage or parse error, 3 capacity or budget
-exhaustion, 4 internal invariant violation.  Results go to stdout,
+exhaustion, 4 internal invariant violation, and 141 (what a shell reports
+for a process that SIGPIPE ended) when the reader of stdout closes it
+early, as ``| head`` does; that exit prints nothing.  Results go to stdout,
 diagnostics to stderr.  ``--workers N`` sets the worker processes of the
 labeled sweeps and the extremal table.
 
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 _FAMILY_BY_CLI = {f.cli: kind for kind, f in FAMILIES.items() if f.cli}
@@ -289,7 +292,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout points at the closed pipe until exit, whose flush would
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -185,12 +185,17 @@ def closed_form_complete(n: int) -> DomPolynomial:
 
 
 def closed_form_complete_bipartite(k: int, ell: int) -> DomPolynomial:
-    """D(K_{k,l}) = ((1+x)^k - 1)((1+x)^l - 1) + x^k + x^l."""
+    """D(K_{k,l}) = ((1+x)^k - 1)((1+x)^l - 1) + x^k + x^l, expanded as
+    ``(1+x)^(k+l) - (1+x)^k - (1+x)^l + 1 + x^k + x^l``: three binomial
+    rows and no product."""
     if k < 1 or ell < 1:
         raise DomainError("complete bipartite sides must be >= 1")
-    out = intpoly.mul(closed_form_complete(k).coeffs, closed_form_complete(ell).coeffs)
-    out[k] += 1
-    out[ell] += 1
+    out = _one_plus_x_pow(k + ell)
+    for side in (k, ell):
+        for i, c in enumerate(_one_plus_x_pow(side)):
+            out[i] -= c
+        out[side] += 1
+    out[0] += 1
     return DomPolynomial(tuple(out))
 
 

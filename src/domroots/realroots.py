@@ -14,8 +14,10 @@ libmpdec multiplies long numbers faster.  One kernel,
 integers at a working precision that doubles until the ball excludes 0,
 with the exact sign once it is no more work.  Star roots are bisected on
 ``D(K_{1,k})`` itself.  Binary floating point appears only in
-:func:`lambert_w` / :func:`star_root_estimate`, which serve as search seeds
-and reporting checks, never as evidence.
+:func:`lambert_w` / :func:`star_root_estimate` and in
+:func:`bipartite_sign_estimate`, the witness search's guess at a ``K_{a,b}``
+sign; they serve as search seeds, guides and reporting checks, never as
+evidence.
 
 Counting convention: an interval ``(lo, hi]`` is half-open on the left, so a
 root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
@@ -245,7 +247,7 @@ def _exact_enclosure(point: Fraction) -> RootEnclosure:
 
 
 def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
-                 avoid: Sequence[Fraction]) -> tuple:
+                 avoid: Sequence[Fraction], floor: Fraction = Fraction(0)) -> tuple:
     """Bisect ``(a, b)`` on ``sign``, which has one root there and changes sign at it.
 
     ``sign(num, den)`` takes a point as an unreduced pair with ``den > 0``:
@@ -253,18 +255,23 @@ def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
     midpoint needs it, so every caller's sign must be homogeneous (the same
     for ``(num, den)`` and ``(c num, c den)``, ``c > 0``).  ``ref`` is the
     sign just right of ``a``.  The loop runs until the width is at most
-    ``tol`` and no point of ``avoid`` lies in the closed ``[a, b]``; a
-    midpoint that is the root comes back as ``(mid, mid)``.  The root is not
-    in ``avoid``, so every point there is bisected off in finitely many
-    steps.  An end that may itself be a root must be named in ``avoid``: the
-    ends are never evaluated.
+    ``tol`` and no point of ``avoid`` lies in the closed ``[a, b]``, or is
+    at most ``floor``; a midpoint that is the root comes back as
+    ``(mid, mid)``.  The root is not in ``avoid``, so every point there is
+    bisected off in finitely many steps.  An end that may itself be a root
+    must be named in ``avoid``: the ends are never evaluated.  A ``sign``
+    that may be wrong needs a positive ``floor``: it can steer the cell
+    onto a point of ``avoid``.
     """
     den = math.lcm(a.denominator, b.denominator)
     lo = a.numerator * (den // a.denominator)
     hi = b.numerator * (den // b.denominator)
     tn, td = tol.numerator, tol.denominator
+    fn, fd = floor.numerator, floor.denominator
     avoid = [(x.numerator, x.denominator) for x in avoid]
-    while (hi - lo) * td > tn * den or any(lo * xd <= xn * den <= hi * xd for xn, xd in avoid):
+    while (hi - lo) * fd > fn * den and (
+            (hi - lo) * td > tn * den
+            or any(lo * xd <= xn * den <= hi * xd for xn, xd in avoid)):
         if (lo + hi) & 1:
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) >> 1
@@ -614,6 +621,61 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
             return (m > 0) - (m < 0)
         prec *= 2
     return _exact_sign(a, b, u, v, size)
+
+
+def _log_power_minus_one(log_y: float, y_negative: bool, n: int) -> tuple:
+    """``(sign, log|y^n - 1|)`` for ``|y| = e^log_y``, ``n >= 1``; no power
+    of ``y`` is formed, so none overflows."""
+    t = n * log_y
+    if y_negative and n & 1:  # y^n - 1 = -(e^t + 1)
+        return -1, (t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t)))
+    if t > 0:
+        return 1, t + math.log(-math.expm1(-t))
+    if t < 0:
+        return -1, math.log(-math.expm1(t))
+    return 0, -math.inf
+
+
+def _log_sum(terms) -> tuple:
+    """``(sign, log|sum|)`` of terms given as ``(sign, log|term|)``."""
+    top = -math.inf
+    for s, l in terms:
+        if s and l > top:
+            top = l
+    total = 0.0
+    for s, l in terms:
+        if s:
+            total += s * math.exp(l - top)
+    if not total:
+        return 0, -math.inf
+    return (1 if total > 0 else -1), top + math.log(abs(total))
+
+
+_LOG_2 = math.log(2)
+
+
+def bipartite_sign_estimate(sides: tuple, y: float, m: int) -> int:
+    """A float guess at the sign of ``D(K_{a,b}, y^m - 1)``, for ``m >= 1``.
+
+    The terms are those :func:`_expand` groups, at ``x = y^m - 1`` with
+    ``d = (1+x)^a - 1``: ``d (1+x)^b + (x^a - d) + x^b`` for ``a < b``
+    (``x^a - d`` is 0 for a star) and ``d^2 + 2 x^a`` for ``a = b``.  Each
+    is carried as ``(sign, log|term|)`` and summed scaled by the largest, so
+    no power of ``y`` overflows.  Near a root the guess can be wrong: it
+    picks where an exact sign is worth taking and is never read as
+    evidence."""
+    a, b = sorted(sides)
+    neg = y < 0
+    log_y = math.log(-y if neg else y) if y else -math.inf
+    sx, lx = _log_power_minus_one(log_y, neg, m)
+    sd, ld = (sx, lx) if a == 1 else _log_power_minus_one(log_y, neg, m * a)
+    if a == b:
+        terms = ((sd * sd, 2 * ld), (sx ** a, _LOG_2 + a * lx))
+    else:
+        db = (-sd if neg and m * b & 1 else sd, ld + m * b * log_y)
+        xb = (sx ** b, b * lx)
+        terms = (db, xb) if a == 1 else (db, _log_sum(((sx ** a, a * lx), (-sd, ld))), xb)
+    return _log_sum(terms)[0]
 
 
 def star_domination_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:

@@ -21,6 +21,9 @@ ascending within a diagonal, and the first cell that certifies wins:
 * windows left of ``-2``: stars, whose extremal roots march to ``-infinity``
   with bounded gaps.
 
+A window that straddles -1 is searched in two parts, the one left of -1
+first and then, if that one runs out of budget, the one right of it.
+
 Each family's root in its region moves one way as the parameter ``p``
 grows: star roots march to ``-infinity``, ``K_{2,l}`` roots climb and
 ``K_{k,k}`` roots fall towards -1.  The root of ``F_p`` is *past* a point
@@ -40,7 +43,15 @@ The ``p = 1`` members have no root in their region and are past no point.
 So for each odd ``m`` a bisection on ``p`` finds the first root past the
 mapped window's near end (the right end for stars and ``K_{k,k}``, the left
 for ``K_{2,l}``), and it is a hit exactly when it is not also past the far
-end.  No float enters the search.
+end.
+
+Floats pick, exact signs decide.  Each bisection first runs on a float
+guess, :func:`domroots.realroots.bipartite_sign_estimate`, and exact signs
+then confirm its answer: two for the first root past the near end (the
+index must turn there), two at the ends of the certifying bisection's cell.
+Where they do not confirm it, the exact bisection runs from the start.  A
+confirmed answer is the one the exact bisection gives, so a guess only
+saves exact signs and never reaches a certificate.
 
 Every witness family is a complete bipartite ``K_{a,b}`` (the family table
 is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
@@ -62,7 +73,8 @@ in ints or, for integers of more than about 4e5 bits, in exact
 :func:`domroots.realroots._sign_bisect`, the one that also narrows
 isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
-and it has no step limit, so a fine ``tol`` gets every halving it needs.
+and on exact signs it has no step limit, so a fine ``tol`` gets every
+halving it needs.
 
 Endpoint signs decide as much as a Sturm count would, because in each
 interval the search uses its family has at most one real root, and a
@@ -90,8 +102,8 @@ differ", and bisecting on counts takes the same steps as bisecting on
 signs.  Domination polynomials are monic, so their rational roots are
 integers; -1 is never a root and -2 is not one of these families
 (``D(K_{2,l}, -2) = 4 - 2^l``).  The one endpoint that can be a root is 0,
-at the right end of a window in ``(-1, 0]``, and :func:`_classify` moves it
-left once, by 2^-16 of the window's width.
+at the right end of a window part in ``(-1, 0]``, and :func:`_classify`
+moves it left once, by 2^-16 of the part's width.
 """
 
 from __future__ import annotations
@@ -118,6 +130,7 @@ from .realroots import (
     _tolerance,
     bipartite_numerator_sign,
     bipartite_sign,
+    bipartite_sign_estimate,
     enclosure_json,
 )
 # unused here; bench/spans.py wraps these names on this module
@@ -282,52 +295,64 @@ def _exact_certificate(z: Fraction, eps: Fraction, root: Fraction) -> WitnessCer
                               CASE_EXACT)
 
 
-def _classify(win_lo: Fraction, win_hi: Fraction):
-    """Family selection and window clipping: -1 is never a domination root,
-    and of a window that straddles it the left part is searched.  A window
-    ending at the root 0 ends instead 2^-16 of its width left of 0, so no
-    endpoint of a searched window is a root of its family."""
+def _classify(win_lo: Fraction, win_hi: Fraction) -> list:
+    """The parts of a window to search, in order, as ``(kind, lo, hi)``:
+    family selection and window clipping.  -1 is never a domination root,
+    and a window that straddles it has two parts, ``(win_lo, -1)`` for
+    ``K_{2,l}`` and then ``(-1, win_hi)`` for ``K_{k,k}``; the left one is
+    searched first.  A part ending at the root 0 ends instead 2^-16 of its
+    width left of 0, so no endpoint of a searched part is a root of its
+    family."""
     if win_hi <= -2:
-        return FAMILY_STAR, win_lo, win_hi
-    if win_lo >= -1:
-        if win_hi == 0:
-            win_hi = win_lo / (1 << 16)
-        return FAMILY_KKK, win_lo, win_hi
-    return FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))
+        return [(FAMILY_STAR, win_lo, win_hi)]
+    parts = []
+    if win_lo < -1:
+        parts.append((FAMILY_K2_ELL, win_lo, min(win_hi, Fraction(-1))))
+    if win_hi > -1:
+        lo = max(win_lo, Fraction(-1))
+        parts.append((FAMILY_KKK, lo, lo / (1 << 16) if win_hi == 0 else win_hi))
+    return parts
 
 
 class _Search:
-    def __init__(self, z, eps, budget: SearchBudget, tol: Fraction):
+    """The search of one part of the window (see :func:`_classify`)."""
+
+    def __init__(self, z, eps, budget: SearchBudget, tol: Fraction, part: tuple):
         self.z = z
         self.eps = eps
-        self.budget = budget
         self.tol = tol
-        self.kind, self.w_lo, self.w_hi = _classify(z - eps, z + eps)
-        self.case = _KINDS[self.kind].case
-
-    def run(self) -> WitnessCertificate:
-        """The first hit in diagonal order.  Every family's order is affine
-        in ``p``, which bounds ``p`` for each odd ``m``.  An ``m`` is searched
-        while ``m + 1`` is below the best diagonal found, and only its ``p``
-        below that diagonal: the first one whose root is past the mapped
-        window's near end is a hit when it is not also past the far end, and
-        no other one can be.  When even the top ``p`` is not past the near
-        end, no larger ``m`` has a hit either: as ``m`` grows the range never
-        grows, and the mapped near end never moves away from the limit."""
-        b, row = self.budget, _KINDS[self.kind]
+        self.kind, self.w_lo, self.w_hi = part
+        row = _KINDS[self.kind]
+        self.case = row.case
+        # every family's order is affine in p, which bounds p for each odd m
         sides = graph.FAMILIES[row.family].to_shape
         base = sum(sides(1))
         slope = sum(sides(2)) - base
-        ranges = [(m, range(1, min(b.max_param, (b.max_degree // m - base) // slope + 1) + 1,
-                             2 if row.odd else 1))
-                  for m in range(1, b.max_m + 1, 2)]
+        self.ranges = [(m, range(1, min(budget.max_param,
+                                        (budget.max_degree // m - base) // slope + 1) + 1,
+                                 2 if row.odd else 1))
+                       for m in range(1, budget.max_m + 1, 2)]
+        self.cells = sum(len(ps) for _, ps in self.ranges)
+
+    def run(self) -> Optional[WitnessCertificate]:
+        """The first hit in diagonal order, or None when the budget runs out.
+        An ``m`` is searched while ``m + 1`` is below the best diagonal
+        found, and only its ``p`` below that diagonal: the first one whose
+        root is past the mapped window's near end is a hit when it is not
+        also past the far end, and no other one can be.  When even the top
+        ``p`` is not past the near end, no larger ``m`` has a hit either: as
+        ``m`` grows the range never grows, and the mapped near end never
+        moves away from the limit."""
+        row = _KINDS[self.kind]
+        sides = graph.FAMILIES[row.family].to_shape
+        y = float(1 + (self.w_lo if row.climbs else self.w_hi))  # 1 + the near end
 
         def toward(p: int, x: Fraction) -> int:
             # 1 when the root of the family at p is past x, 0 at x, else -1
             return bipartite_sign(sides(p), x.numerator, x.denominator) * row.ahead(p)
 
         best = None  # (m + p, m, p) of the first hit so far
-        for m, ps in ranges:
+        for m, ps in self.ranges:
             if best:
                 if m + 1 >= best[0]:
                     break
@@ -337,24 +362,20 @@ class _Search:
                 near, far = far, near
             if not ps or toward(ps[-1], near) < 1:
                 break
-            p = ps[bisect.bisect_left(ps, 1, hi=len(ps) - 1, key=lambda p: toward(p, near))]
+            # the guess picks the first p past the near end; toward is
+            # monotone in p, so two exact signs confirm it, or it bisects
+            top = len(ps) - 1
+            i = bisect.bisect_left(
+                ps, 1, hi=top, key=lambda p: bipartite_sign_estimate(sides(p), y, m) * row.ahead(p))
+            if i and toward(ps[i - 1], near) == 1 or i < top and toward(ps[i], near) < 1:
+                i = bisect.bisect_left(ps, 1, hi=top, key=lambda p: toward(p, near))
+            p = ps[i]
             if toward(p, far) == -1:
                 best = (m + p, m, p)
-        if best:
-            _, m, p = best
-            return self._certify(m, p, row.ahead(p) if row.climbs else -row.ahead(p))
-        cells = sum(len(ps) for _, ps in ranges)
-        raise BudgetExhaustedError(
-            "witness search budget exhausted (this does not prove nonexistence); "
-            f"explored {cells} cells for case {self.case}",
-            frontier={
-                "case": self.case,
-                "cells_tested": cells,
-                "max_m": b.max_m,
-                "max_param": b.max_param,
-                "max_degree": b.max_degree,
-            },
-        )
+        if not best:
+            return None
+        _, m, p = best
+        return self._certify(m, p, row.ahead(p) if row.climbs else -row.ahead(p))
 
     # -- certification ------------------------------------------------------
 
@@ -365,11 +386,32 @@ class _Search:
         lies strictly inside ``(z - eps, z + eps)``.  ``s_lo`` is the family's
         sign at the mapped window's left end, which is the composed sign at
         the target window's: the composed polynomial at ``t`` is the family's
-        at ``_phi(t, m)``, and the numerator is homogeneous."""
+        at ``_phi(t, m)``, and the numerator is homogeneous.
+
+        A first pass of the same bisection takes the float guess of
+        :func:`domroots.realroots.bipartite_sign_estimate` as its sign, and
+        stops where the exact one would or at 2^-40 of the window, whichever
+        comes first.  Exact signs at its cell's ends then decide.  Signs
+        ``s_lo`` and ``-s_lo`` put the one root inside, so the cell is the
+        dyadic cell the exact bisection passes through at that depth, and
+        the exact one would not have stopped before it (its stop rule
+        implies the first pass's); the exact bisection goes on from there.
+        An end of sign 0 is the root, a midpoint the exact bisection
+        reaches.  Any other signs send the exact bisection back to the
+        whole window.  So the enclosure is the one exact signs alone give."""
         sides = _sides(self.kind, p)
         avoid = (self.z - self.eps, self.z + self.eps)
-        lo, hi = _sign_bisect(_composed(bipartite_sign, sides, m), self.w_lo, self.w_hi, s_lo,
-                              self.tol, avoid)
+        exact = _composed(bipartite_sign, sides, m)
+        lo, hi = _sign_bisect(
+            lambda num, den: bipartite_sign_estimate(sides, (num + den) / den, m),
+            self.w_lo, self.w_hi, s_lo, self.tol, avoid, (self.w_hi - self.w_lo) / (1 << 40))
+        ends = exact(lo.numerator, lo.denominator), exact(hi.numerator, hi.denominator)
+        if 0 in ends:
+            lo = hi = lo if ends[0] == 0 else hi
+        else:
+            if ends != (s_lo, -s_lo):
+                lo, hi = self.w_lo, self.w_hi
+            lo, hi = _sign_bisect(exact, lo, hi, s_lo, self.tol, avoid)
         if lo == hi:
             enc = _exact_enclosure(lo)
         else:
@@ -384,11 +426,16 @@ def construct_witness(
     """Find a graph family and clique order whose composed domination
     polynomial certifiably has a real root within ``eps`` of ``z``.
 
-    The search is deterministic: diagonals ``m + parameter`` ascending, ``m``
-    ascending within a diagonal; a searched cell holds at most one root in
-    its window (the one-simple-root lemma of the module docstring).
-    Raises :class:`BudgetExhaustedError` when the budget runs out (which
-    never claims nonexistence) and :class:`DomainError` for ``z > 0``.
+    The search is deterministic: the parts of the window in order (a window
+    that straddles -1 is searched left of it first), and in each, diagonals
+    ``m + parameter`` ascending, ``m`` ascending within a diagonal; a
+    searched cell holds at most one root in its part (the one-simple-root
+    lemma of the module docstring).  Raises :class:`BudgetExhaustedError`
+    when every part runs out of budget (which never claims nonexistence):
+    its frontier's ``case`` joins the parts' case tags with ``+``
+    (``case-1.1+case-1.2`` for a window that straddles -1), and
+    ``cells_tested`` counts the cells of every part.  Raises
+    :class:`DomainError` for ``z > 0``.
     """
     z = _as_fraction(z)
     eps = _as_fraction(eps)
@@ -403,7 +450,24 @@ def construct_witness(
         return _exact_certificate(z, eps, Fraction(0))
     if z - eps < -2 < z + eps:
         return _exact_certificate(z, eps, Fraction(-2))
-    return _Search(z, eps, budget, tol).run()
+    searches = [_Search(z, eps, budget, tol, part) for part in _classify(z - eps, z + eps)]
+    for search in searches:
+        cert = search.run()
+        if cert:
+            return cert
+    cells = sum(s.cells for s in searches)
+    case = "+".join(s.case for s in searches)
+    raise BudgetExhaustedError(
+        "witness search budget exhausted (this does not prove nonexistence); "
+        f"explored {cells} cells for case {case}",
+        frontier={
+            "case": case,
+            "cells_tested": cells,
+            "max_m": budget.max_m,
+            "max_param": budget.max_param,
+            "max_degree": budget.max_degree,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

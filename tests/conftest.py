@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import signal
@@ -7,10 +8,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from domroots import intpoly
+from domroots import graph, intpoly, witness
 from domroots.errors import DomainError
 from domroots.graph import Graph, _bits, _edge_pairs
-from domroots.realroots import DEFAULT_TOL, RationalInterval, isolate_real_roots
+from domroots.realroots import (
+    DEFAULT_TOL,
+    NOTE_SIMPLE,
+    RationalInterval,
+    RootEnclosure,
+    _exact_enclosure,
+    _sign_bisect,
+    bipartite_sign,
+    isolate_real_roots,
+)
 
 settings.register_profile(
     "domroots",
@@ -218,6 +228,49 @@ def exact_negative_roots(coeffs, tol=DEFAULT_TOL):
         encs = isolate_real_roots(cof, RationalInterval(-bound, bound), tol)
         out += [(e.interval.lo, e.interval.hi) for e in encs]
     return sorted(out)
+
+
+def exact_witness(z, eps, budget=None, tol=DEFAULT_TOL):
+    """:func:`witness.construct_witness` by exact signs alone: for each part
+    of the window, the bisection on the family parameter and the certifying
+    bisection take every sign from :func:`realroots.bipartite_sign`, and no
+    float guide enters.  The reference for the guided search; returns the
+    certificate, or None when every part runs out of budget."""
+    z, eps = Fraction(z), Fraction(eps)
+    budget = budget or witness.SearchBudget()
+    if z - eps < 0 < z + eps or z - eps < -2 < z + eps:
+        return witness.construct_witness(z, eps, budget, tol)  # an exact root, no search
+    for part in witness._classify(z - eps, z + eps):
+        kind, w_lo, w_hi = part
+        row = witness._KINDS[kind]
+        sides = graph.FAMILIES[row.family].to_shape
+
+        def toward(p, x):
+            return bipartite_sign(sides(p), x.numerator, x.denominator) * row.ahead(p)
+
+        best = None
+        for m, ps in witness._Search(z, eps, budget, tol, part).ranges:
+            if best:
+                if m + 1 >= best[0]:
+                    break
+                ps = ps[:bisect.bisect_left(ps, best[0] - m)]
+            near, far = witness._phi(w_lo, m), witness._phi(w_hi, m)
+            if not row.climbs:
+                near, far = far, near
+            if not ps or toward(ps[-1], near) < 1:
+                break
+            p = ps[bisect.bisect_left(ps, 1, hi=len(ps) - 1, key=lambda p: toward(p, near))]
+            if toward(p, far) == -1:
+                best = (m + p, m, p)
+        if best:
+            _, m, p = best
+            s_lo = row.ahead(p) if row.climbs else -row.ahead(p)
+            sign = witness._composed(bipartite_sign, sides(p), m)
+            lo, hi = _sign_bisect(sign, w_lo, w_hi, s_lo, tol, (z - eps, z + eps))
+            enc = (_exact_enclosure(lo) if lo == hi
+                   else RootEnclosure(RationalInterval(lo, hi), s_lo, -s_lo, NOTE_SIMPLE))
+            return witness.WitnessCertificate(z, eps, kind, p, m, sum(sides(p)) * m, enc, row.case)
+    return None
 
 
 @contextmanager

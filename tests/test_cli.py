@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -552,3 +555,22 @@ def test_cached_parser_answers_like_fresh_ones(capsys):
     assert cached[2][1].startswith("usage: domroots")
     assert cached[3] == cached[0]
     assert outcomes(fresh=True) == cached
+
+
+@pytest.mark.parametrize("argv", [["poly", "--family", "star:3"],
+                                  ["--workers", "2", "atlas", "4"]])
+def test_closed_stdout_ends_quietly(argv):
+    # a reader that closes the pipe before the output is written (as
+    # `| head` does once it has its lines): the exit code of the cli
+    # docstring, and no traceback on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "domroots", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""

@@ -30,7 +30,7 @@ from domroots.graph import (
     substitute_complete,
 )
 
-from conftest import all_labeled_graphs, compose_ref, random_graph
+from conftest import all_labeled_graphs, compose_ref, mul_ref, random_graph
 
 
 def test_bruteforce_k1():
@@ -131,6 +131,23 @@ def test_kkk_consistency(k):
         dom_poly_closed_form("Kkk", k).coeffs
         == dom_poly_closed_form("complete_bipartite", k, k).coeffs
     )
+
+
+@settings(max_examples=60)
+@given(a=st.integers(1, 300), b=st.integers(1, 300),
+       shape=st.sampled_from(("any", "star", "equal")))
+def test_bipartite_closed_form_is_the_product(a, b, shape):
+    # three binomial rows against the product ((1+x)^a - 1)((1+x)^b - 1)
+    # + x^a + x^b, by the schoolbook reference
+    if shape == "star":
+        a = 1
+    elif shape == "equal":
+        a = b
+    product = mul_ref(dompoly.closed_form_complete(a).coeffs,
+                      dompoly.closed_form_complete(b).coeffs)
+    product[a] += 1
+    product[b] += 1
+    assert dompoly.closed_form_complete_bipartite(a, b).coeffs == tuple(product)
 
 
 @pytest.mark.parametrize("e", [0, 1, 2, 3, 10, 63, 64, 101, 1000, 2001])

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import functools
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -47,7 +48,7 @@ from domroots.witness import (
     verify_certificate,
 )
 
-from conftest import bipartite_form, poly_gcd
+from conftest import bipartite_form, exact_witness, poly_gcd
 
 
 def F(x):
@@ -149,6 +150,33 @@ def test_witness_straddling_minus_one_clips_left():
     assert cert.case_tag == CASE_11
     assert cert.enclosure.interval.hi < -1
     assert verify_certificate(cert).ok
+
+
+def test_window_straddling_minus_one_searches_its_right_part():
+    # (-1 - 10^-5, -1/2): the left part (-1 - 10^-5, -1) exhausts the
+    # default budget after 16,690 cells, and the right part (-1, -1/2) then
+    # certifies with K_{3,3}
+    z, eps = Fraction(-3, 4) - Fraction(1, 2 * 10 ** 5), Fraction(1, 4) + Fraction(1, 2 * 10 ** 5)
+    with pytest.raises(BudgetExhaustedError) as exc:
+        construct_witness(-1 - Fraction(1, 2 * 10 ** 5), Fraction(1, 2 * 10 ** 5))
+    assert exc.value.frontier["cells_tested"] == 16690
+    cert = construct_witness(z, eps)
+    assert (cert.family_kind, cert.family_param, cert.m, cert.case_tag) == (FAMILY_KKK, 3, 1,
+                                                                           CASE_12)
+    assert -1 < cert.enclosure.interval.lo
+    assert verify_certificate(cert).ok
+
+
+def test_straddling_window_frontier_counts_both_parts():
+    # (-1 - 10^-5, -1 + 10^-5): the left part exhausts after 16,690 cells
+    # and the right one after 10,021; the frontier joins the two case tags
+    with pytest.raises(BudgetExhaustedError) as exc:
+        construct_witness(F(-1), Fraction(1, 10 ** 5))
+    assert exc.value.frontier == {
+        "case": f"{CASE_11}+{CASE_12}", "cells_tested": 16690 + 10021,
+        "max_m": 41, "max_param": 5001, "max_degree": 20000,
+    }
+    assert f"explored 26711 cells for case {CASE_11}+{CASE_12}" in str(exc.value)
 
 
 def test_witness_determinism():
@@ -365,27 +393,33 @@ def _sign(v):
 
 
 def _diagonal_search(z, eps, budget):
-    """Reference for the search: every cell of the diagonal order, ``m + p``
-    ascending, then ``m``, decided by the signs of the expanded family
-    polynomial at the mapped window's ends.  Returns ``(m, p, sign at the
-    left end)`` of the first cell whose signs differ, or None when the budget
-    runs out, and the number of cells in the budget."""
-    kind, lo, hi = witness._classify(z - eps, z + eps)
-    odd = witness._KINDS[kind].odd
-    first, cells = None, 0
-    for s in range(2, budget.max_m + budget.max_param + 1):
-        for m in range(1, min(budget.max_m, s - 1) + 1, 2):
-            p = s - m
-            if (p > budget.max_param or odd and p % 2 == 0
-                    or witness.family_order(kind, p) * m > budget.max_degree):
-                continue
-            cells += 1
-            if first is None:
-                poly = family_polynomial(kind, p)
-                s_lo, s_hi = (_sign(eval_rational(poly, witness._phi(t, m))) for t in (lo, hi))
-                if s_lo * s_hi < 0:
-                    first = (m, p, s_lo)
-    return first, cells
+    """Reference for the search: the parts of the window in order, and in
+    each every cell of the diagonal order, ``m + p`` ascending, then ``m``,
+    decided by the signs of the expanded family polynomial at the mapped
+    part's ends.  Returns the part and ``(m, p, sign at the left end)`` of
+    the first cell whose signs differ, or None when every part's budget runs
+    out, with the number of cells and the case tags of the parts searched."""
+    cells, cases = 0, []
+    for part in witness._classify(z - eps, z + eps):
+        kind, lo, hi = part
+        odd = witness._KINDS[kind].odd
+        first = None
+        for s in range(2, budget.max_m + budget.max_param + 1):
+            for m in range(1, min(budget.max_m, s - 1) + 1, 2):
+                p = s - m
+                if (p > budget.max_param or odd and p % 2 == 0
+                        or witness.family_order(kind, p) * m > budget.max_degree):
+                    continue
+                cells += 1
+                if first is None:
+                    poly = family_polynomial(kind, p)
+                    s_lo, s_hi = (_sign(eval_rational(poly, witness._phi(t, m))) for t in (lo, hi))
+                    if s_lo * s_hi < 0:
+                        first = (m, p, s_lo)
+        cases.append(witness._KINDS[kind].case)
+        if first:
+            return (part, first), cells, cases
+    return None, cells, cases
 
 
 def _first_hit(z, eps, budget):
@@ -413,17 +447,18 @@ def test_search_is_the_first_sign_change_in_diagonal_order(z, eps_den, max_m, ma
     eps = Fraction(1, eps_den)
     assume(z + eps <= 0 and not z - eps < -2 < z + eps)
     budget = SearchBudget(max_m, max_param, max_degree)
-    first, cells = _diagonal_search(z, eps, budget)
-    if first is None:
+    found, cells, cases = _diagonal_search(z, eps, budget)
+    if found is None:
         with pytest.raises(BudgetExhaustedError) as exc:
             _first_hit(z, eps, budget)
         assert exc.value.frontier == {
-            "case": witness._Search(z, eps, budget, DEFAULT_TOL).case, "cells_tested": cells,
+            "case": "+".join(cases), "cells_tested": cells,
             "max_m": max_m, "max_param": max_param, "max_degree": max_degree,
         }
     else:
+        part, first = found
         assert _first_hit(z, eps, budget) == first
-        expected = witness._Search(z, eps, budget, DEFAULT_TOL)._certify(*first)
+        expected = witness._Search(z, eps, budget, DEFAULT_TOL, part)._certify(*first)
         assert construct_witness(z, eps, budget) == expected
 
 
@@ -457,7 +492,7 @@ def test_certification_starts_from_the_composed_signs(z, eps):
     # window's ends
     z, eps = F(z), F(eps)
     m, p, s_lo = _first_hit(z, eps, SearchBudget())
-    kind, w_lo, w_hi = witness._classify(z - eps, z + eps)
+    [(kind, w_lo, w_hi)] = witness._classify(z - eps, z + eps)
     sides = witness._sides(kind, p)
     sign = witness._composed(bipartite_numerator_sign, sides, m)
     assert (s_lo, -s_lo) == (sign(w_lo.numerator, w_lo.denominator),
@@ -548,36 +583,41 @@ def _count_bisection(chain, poly, m, z, eps, lo, hi, tol):
 
 
 def _count_route_search(z, eps, budget):
-    """Reference for the bipartite regimes: the diagonal order with every
+    """Reference for the bipartite regimes: the parts of the window left and
+    right of -1 in that order, and in each the diagonal order with every
     cell of the budget, none skipped by a band, decided by Sturm counts of
     the family polynomial, endpoints that are roots nudged inward.  Returns
-    the first certificate, or None when the budget runs out, and the number
-    of cells in the budget."""
+    the first certificate, or None when every part's budget runs out, with
+    the number of cells and the case tags of the parts searched."""
     lo, hi = z - eps, z + eps
-    if lo >= -1:
-        kind, case = FAMILY_KKK, CASE_12
-    else:
-        kind, case = FAMILY_K2_ELL, CASE_11
-        hi = min(hi, F(-1))
-    chains, cells = {}, 0
-    for s in range(2, budget.max_m + budget.max_param + 1):
-        for m in range(1, min(budget.max_m, s - 1) + 1, 2):
-            p = s - m
-            order = witness.family_order(kind, p)
-            if p > budget.max_param or p % 2 == 0 or order * m > budget.max_degree:
-                continue
-            cells += 1
-            mapped = RationalInterval(witness._phi(lo, m), witness._phi(hi, m))
-            poly = family_polynomial(kind, p)
-            if p not in chains:
-                chains[p] = sturm_chain(poly)
-            chain = chains[p]
-            if _nudged_count(chain, mapped.lo, mapped.hi) < 1:
-                continue
-            enc = _count_bisection(chain, poly, m, z, eps, lo, hi, DEFAULT_TOL)
-            if enc is not None:
-                return WitnessCertificate(z, eps, kind, p, m, order * m, enc, case), cells
-    return None, cells
+    parts = []
+    if lo < -1:
+        parts.append((FAMILY_K2_ELL, CASE_11, lo, min(hi, F(-1))))
+    if hi > -1:
+        parts.append((FAMILY_KKK, CASE_12, max(lo, F(-1)), hi))
+    cells, cases = 0, []
+    for kind, case, lo, hi in parts:
+        cases.append(case)
+        chains = {}
+        for s in range(2, budget.max_m + budget.max_param + 1):
+            for m in range(1, min(budget.max_m, s - 1) + 1, 2):
+                p = s - m
+                order = witness.family_order(kind, p)
+                if p > budget.max_param or p % 2 == 0 or order * m > budget.max_degree:
+                    continue
+                cells += 1
+                mapped = RationalInterval(witness._phi(lo, m), witness._phi(hi, m))
+                poly = family_polynomial(kind, p)
+                if p not in chains:
+                    chains[p] = sturm_chain(poly)
+                chain = chains[p]
+                if _nudged_count(chain, mapped.lo, mapped.hi) < 1:
+                    continue
+                enc = _count_bisection(chain, poly, m, z, eps, lo, hi, DEFAULT_TOL)
+                if enc is not None:
+                    cert = WitnessCertificate(z, eps, kind, p, m, order * m, enc, case)
+                    return cert, cells, cases
+    return None, cells, cases
 
 
 @settings(max_examples=100)
@@ -594,16 +634,133 @@ def test_sign_route_matches_count_route(z_milli, eps_den, anchor, max_m, max_par
     z = {"none": Fraction(-z_milli, 1000), "end at 0": -eps, "start at -2": -2 + eps}[anchor]
     assume(z + eps <= 0 and not z - eps < -2 < z + eps and z + eps > -2)
     budget = SearchBudget(max_m, max_param, max_degree)
-    expected, cells = _count_route_search(z, eps, budget)
+    expected, cells, cases = _count_route_search(z, eps, budget)
     if expected is None:
         with pytest.raises(BudgetExhaustedError) as exc:
             construct_witness(z, eps, budget)
         assert exc.value.frontier == {
-            "case": CASE_11 if z - eps < -1 else CASE_12, "cells_tested": cells,
+            "case": "+".join(cases), "cells_tested": cells,
             "max_m": max_m, "max_param": max_param, "max_degree": max_degree,
         }
     else:
         assert construct_witness(z, eps, budget) == expected
+
+
+# -- floats pick, exact signs decide -----------------------------------------
+
+@settings(max_examples=150)
+@given(
+    z=st.one_of(*(st.fractions(lo, hi, max_denominator=1000) for lo, hi in _REGIMES.values()),
+                _near_anchor()),
+    eps_den=st.integers(2, 1000),
+    tol=st.sampled_from((DEFAULT_TOL, Fraction(1, 10 ** 30))),
+    budget=st.just(SearchBudget()) | st.builds(SearchBudget, st.integers(1, 41),
+                                               st.integers(1, 5001), st.integers(1, 20000)),
+)
+def test_guided_search_is_the_exact_search(z, eps_den, tol, budget):
+    # the float guides pick every bisection's answer, and the certificate
+    # (or the exhaustion) is the one exact signs alone give; windows on the
+    # exact roots 0 and -2 run no search
+    eps = Fraction(1, eps_den)
+    assume(z + eps <= 0 and not z - eps < -2 < z + eps)
+    expected = exact_witness(z, eps, budget, tol)
+    if expected is None:
+        with pytest.raises(BudgetExhaustedError):
+            construct_witness(z, eps, budget, tol)
+    else:
+        assert construct_witness(z, eps, budget, tol) == expected
+
+
+def _seeded_random_guide():
+    rng = random.Random(0x5EED)
+    return lambda sides, y, m: rng.choice((-1, 0, 1))
+
+
+_WRONG_GUIDES = {
+    "always +1": lambda: lambda sides, y, m: 1,
+    "always -1": lambda: lambda sides, y, m: -1,
+    "negated": lambda: lambda sides, y, m: -realroots.bipartite_sign_estimate(sides, y, m),
+    "seeded random": _seeded_random_guide,
+}
+
+
+@pytest.mark.parametrize("guide", sorted(_WRONG_GUIDES))
+def test_a_wrong_guide_changes_no_byte(monkeypatch, guide):
+    # a guide that is always wrong, or wrong at random, costs exact signs
+    # but moves no certificate byte: only exact signs decide
+    queries = _GRID + [("-1.00001", "1/4"), ("-1", "1/100000"), ("-3", "1/100", "1e-30"),
+                       ("-0.3", "1/20", "1e-30")]
+
+    def output(cert):
+        return certificate_to_json(cert) + "\n" + str(verify_certificate(cert))
+
+    def outputs():
+        out = []
+        for z, e, *tol in queries:
+            tol = F(tol[0]) if tol else DEFAULT_TOL
+            try:
+                out.append(output(construct_witness(F(z), F(e), tol=tol)))
+            except BudgetExhaustedError as exc:
+                out.append(str(exc))
+        return out
+
+    guided = outputs()
+    assert guided[:len(_GRID)] == [output(exact_witness(F(z), F(e))) for z, e in _GRID]
+    monkeypatch.setattr(witness, "bipartite_sign_estimate", _WRONG_GUIDES[guide]())
+    assert outputs() == guided
+
+
+_STAND_IN_GUIDES = {
+    "the sign": lambda t, root: _sign(t - root),
+    "+1 at the root": lambda t, root: 1 if t >= root else -1,
+    "-1 at the root": lambda t, root: 1 if t > root else -1,
+    "always +1": lambda t, root: 1,
+    "always -1": lambda t, root: -1,
+}
+
+
+@pytest.mark.parametrize("guide", sorted(_STAND_IN_GUIDES))
+@pytest.mark.parametrize("at", [Fraction(3, 8), Fraction(5, 2 ** 45)])
+def test_a_dyadic_root_comes_back_as_the_exact_bisection_gives_it(monkeypatch, guide, at):
+    # the families' roots in a window are irrational, so a stand-in sign
+    # with its root at a dyadic point of the window (-1, -1/2) takes its
+    # place: the first pass may stop on the root, or end a cell there, and
+    # the enclosure is the exact bisection's all the same.  At 5/2^45 of
+    # the window the root lies past the first pass's 2^-40
+    lo, hi = F(-1), F("-1/2")
+    root = lo + (hi - lo) * at
+    search = witness._Search(F("-3/4"), F("1/4"), SearchBudget(), DEFAULT_TOL,
+                             (FAMILY_KKK, lo, hi))
+    monkeypatch.setattr(witness, "bipartite_sign",
+                        lambda sides, u, v: _sign(u * root.denominator - root.numerator * v))
+    monkeypatch.setattr(witness, "bipartite_sign_estimate",
+                        lambda sides, y, m: _STAND_IN_GUIDES[guide](F(y) - 1, root))
+    exact = witness._composed(witness.bipartite_sign, (3, 3), 1)
+    expected = realroots._sign_bisect(exact, lo, hi, -1, DEFAULT_TOL, (lo, hi))
+    enc = search._certify(1, 3, -1).enclosure
+    assert (enc.interval.lo, enc.interval.hi) == expected
+    assert (expected == (root, root)) == (at == Fraction(3, 8))
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(sorted(_REGIMES)),
+    p=st.integers(0, 1000),
+    m=st.sampled_from((1, 3, 5, 7)),
+    at=st.fractions(0, 1, max_denominator=10 ** 6),
+)
+def test_guide_agrees_with_the_kernel_where_its_first_ball_decides(kind, p, m, at):
+    # away from a root the float guess is the sign: wherever the sign
+    # kernel's first ball excludes 0 the two agree
+    lo, hi = _REGIMES[kind]
+    t = lo + (hi - lo) * at
+    sides = witness._sides(kind, 2 * p + 1 if witness._KINDS[kind].odd else p + 1)
+    y = 1 + t
+    v = y.denominator ** m
+    u = y.numerator ** m - v
+    mid, rad, _ = realroots._numerator_ball(*sorted(sides), u, v, realroots._START_BITS)
+    assume(abs(mid) > rad)
+    assert realroots.bipartite_sign_estimate(sides, float(y), m) == _sign(mid)
 
 
 # construct_witness(-21/25, 1/50) as the Sturm-count route built it, which
