@@ -286,6 +286,33 @@ def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
     return Fraction(lo, den), Fraction(hi, den)
 
 
+def _simplest(lo: Fraction, hi: Fraction, open_lo: bool = False, open_hi: bool = False) -> Fraction:
+    """The simplest rational in the range from ``lo`` to ``hi``: the one with
+    the smallest denominator, and of those the one nearest 0.  An open end
+    is left out of the range, which must hold a rational.
+
+    For ``0 <= lo``: a range that holds an integer gives its smallest;
+    otherwise both ends have the integer part ``n``, and the answer is
+    ``n + 1/t`` for the simplest ``t`` between ``1/(hi - n)`` and
+    ``1/(lo - n)``, the ends swapped with their openness.  The loop keeps
+    the continued fraction so far as ``(h1 t + h0) / (k1 t + k0)``, all on
+    ints; a range of ``t`` with no upper end has ``ud = 0``."""
+    if hi < 0 or hi == 0 and open_hi:
+        return -_simplest(-hi, -lo, open_hi, open_lo)
+    if lo < 0:
+        return Fraction(0)
+    ln, ld, un, ud = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while True:
+        n, r = divmod(ln, ld)
+        c = n + bool(r or open_lo)
+        if c * ud < un or c * ud == un and not open_hi:
+            return Fraction(h1 * c + h0, k1 * c + k0)
+        h0, k0, h1, k1 = h1, k1, n * h1 + h0, n * k1 + k0
+        ln, ld, un, ud = ud, un - n * ud, ld, r
+        open_lo, open_hi = open_hi, open_lo
+
+
 def isolate_real_roots(
     p: Sequence[int] | DomPolynomial, interval: RationalInterval, tol: Fraction = DEFAULT_TOL
 ) -> list:

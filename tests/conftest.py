@@ -230,12 +230,33 @@ def exact_negative_roots(coeffs, tol=DEFAULT_TOL):
     return sorted(out)
 
 
+def simplest_ref(lo, hi, open_lo=False, open_hi=False) -> Fraction:
+    """The rational of the range from ``lo`` to ``hi`` with the smallest
+    denominator, and of those the one nearest 0, by trying each denominator
+    from 1 up: the reference for :func:`realroots._simplest`.  With
+    denominator ``q`` the candidates nearest 0 are 0 and the multiples of
+    ``1/q`` next to ``lo`` and to ``hi``."""
+    def inside(x):
+        return (lo < x or x == lo and not open_lo) and (x < hi or x == hi and not open_hi)
+
+    q = 1
+    while True:
+        near = {0, math.floor(lo * q), math.floor(lo * q) + 1, math.ceil(hi * q) - 1,
+                math.ceil(hi * q)}
+        found = [Fraction(p, q) for p in near if inside(Fraction(p, q))]
+        if found:
+            return min(found, key=abs)
+        q += 1
+
+
 def exact_witness(z, eps, budget=None, tol=DEFAULT_TOL):
     """:func:`witness.construct_witness` by exact signs alone: for each part
     of the window, the bisection on the family parameter and the certifying
     bisection take every sign from :func:`realroots.bipartite_sign`, and no
-    float guide enters.  The reference for the guided search; returns the
-    certificate, or None when every part runs out of budget."""
+    float guide enters, and the bracket's ends are moved out as
+    :func:`witness._simplest_ends` moves them.  The reference for the guided
+    search; returns the certificate, or None when every part runs out of
+    budget."""
     z, eps = Fraction(z), Fraction(eps)
     budget = budget or witness.SearchBudget()
     if z - eps < 0 < z + eps or z - eps < -2 < z + eps:
@@ -267,8 +288,11 @@ def exact_witness(z, eps, budget=None, tol=DEFAULT_TOL):
             s_lo = row.ahead(p) if row.climbs else -row.ahead(p)
             sign = witness._composed(bipartite_sign, sides(p), m)
             lo, hi = _sign_bisect(sign, w_lo, w_hi, s_lo, tol, (z - eps, z + eps))
-            enc = (_exact_enclosure(lo) if lo == hi
-                   else RootEnclosure(RationalInterval(lo, hi), s_lo, -s_lo, NOTE_SIMPLE))
+            if lo == hi:
+                enc = _exact_enclosure(lo)
+            else:
+                lo, hi = witness._simplest_ends(lo, hi, w_lo, w_hi, tol)
+                enc = RootEnclosure(RationalInterval(lo, hi), s_lo, -s_lo, NOTE_SIMPLE)
             return witness.WitnessCertificate(z, eps, kind, p, m, sum(sides(p)) * m, enc, row.case)
     return None
 

@@ -449,8 +449,8 @@ WITNESS_GOLDEN = {
         '  "composed_degree": 27,\n'
         '  "case_tag": "case-1.1",\n'
         '  "enclosure": {\n'
-        '    "lo": "-200869305/134217728",\n'
-        '    "hi": "-2008693049/1342177280",\n'
+        '    "lo": "-402365/268854",\n'
+        '    "hi": "-126947/84824",\n'
         '    "sign_lo": -1,\n'
         '    "sign_hi": 1,\n'
         '    "note": "simple-certified"\n'
@@ -462,7 +462,7 @@ WITNESS_GOLDEN = {
         '[pass] family_parameter: l = 7 must be odd\n'
         '[pass] case_tag: case-1.1\n'
         '[pass] composed_degree: 27 vs 9*3\n'
-        '[pass] enclosure_within_window: [-200869305/134217728, -2008693049/1342177280]'
+        '[pass] enclosure_within_window: [-402365/268854, -126947/84824]'
         ' vs (-31/20, -29/20)\n'
         '[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)\n',
     ),
@@ -478,8 +478,8 @@ WITNESS_GOLDEN = {
         '  "composed_degree": 10,\n'
         '  "case_tag": "case-1.2",\n'
         '  "enclosure": {\n'
-        '    "lo": "-116841619/134217728",\n'
-        '    "hi": "-1168416189/1342177280",\n'
+        '    "lo": "-48018/55159",\n'
+        '    "hi": "-83623/96059",\n'
         '    "sign_lo": -1,\n'
         '    "sign_hi": 1,\n'
         '    "note": "simple-certified"\n'
@@ -491,7 +491,7 @@ WITNESS_GOLDEN = {
         '[pass] family_parameter: k = 5 must be odd\n'
         '[pass] case_tag: case-1.2\n'
         '[pass] composed_degree: 10 vs 10*1\n'
-        '[pass] enclosure_within_window: [-116841619/134217728, -1168416189/1342177280]'
+        '[pass] enclosure_within_window: [-48018/55159, -83623/96059]'
         ' vs (-19/20, -17/20)\n'
         '[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)\n',
     ),
@@ -507,8 +507,8 @@ WITNESS_GOLDEN = {
         '  "composed_degree": 51,\n'
         '  "case_tag": "case-2",\n'
         '  "enclosure": {\n'
-        '    "lo": "-490851209/167772160",\n'
-        '    "hi": "-3926809671/1342177280",\n'
+        '    "lo": "-639845/218698",\n'
+        '    "hi": "-2274405/777388",\n'
         '    "sign_lo": -1,\n'
         '    "sign_hi": 1,\n'
         '    "note": "simple-certified"\n'
@@ -520,7 +520,7 @@ WITNESS_GOLDEN = {
         '[pass] family_parameter: k = 16\n'
         '[pass] case_tag: case-2\n'
         '[pass] composed_degree: 51 vs 17*3\n'
-        '[pass] enclosure_within_window: [-490851209/167772160, -3926809671/1342177280]'
+        '[pass] enclosure_within_window: [-639845/218698, -2274405/777388]'
         ' vs (-31/10, -29/10)\n'
         '[pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)\n',
     ),

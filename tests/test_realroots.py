@@ -7,7 +7,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from domroots.atlas import (
@@ -45,7 +45,8 @@ from domroots.realroots import (
 from domroots.witness import construct_witness, target_interval
 
 from conftest import (bipartite_form, content_ref, exact_negative_roots, fraction_rem, mul_ref,
-                      poly_add, poly_gcd, pow_, primitive_ref, star_form_sign, time_limit)
+                      poly_add, poly_gcd, pow_, primitive_ref, simplest_ref, star_form_sign,
+                      time_limit)
 
 
 def interval(lo, hi):
@@ -352,6 +353,31 @@ def test_exact_isolation_midpoint_root_pinned():
         (Fraction(-205066441, 536870912), Fraction(-410132881, 1073741824)),
         (Fraction(0), Fraction(0)),
     ]
+
+
+@given(
+    lo=st.fractions(-50, 50, max_denominator=1000),
+    width=st.fractions(0, 3, max_denominator=1000),
+    open_lo=st.booleans(),
+    open_hi=st.booleans(),
+)
+@example(lo=Fraction(-3), width=Fraction(1, 1000), open_lo=True, open_hi=False)  # -3 left out
+@example(lo=Fraction(2999, 1000), width=Fraction(1, 1000), open_lo=False, open_hi=True)  # 3 too
+@example(lo=Fraction(-15, 2), width=Fraction(3, 4), open_lo=False, open_hi=False)  # holds -7
+@example(lo=Fraction(-1, 3), width=Fraction(2, 3), open_lo=False, open_hi=True)  # holds 0
+@example(lo=Fraction(0), width=Fraction(1, 7), open_lo=True, open_hi=False)  # 0 left out
+def test_simplest_is_the_brute_force_simplest(lo, width, open_lo, open_hi):
+    # the rational with the smallest denominator in the range, and of those
+    # the one nearest 0, with an open end left out
+    hi = lo + width
+    assume(width or not (open_lo or open_hi))
+    got = realroots._simplest(lo, hi, open_lo, open_hi)
+    assert got == simplest_ref(lo, hi, open_lo, open_hi)
+    assert lo < got < hi or got == lo and not open_lo or got == hi and not open_hi
+    for q in range(1, got.denominator):
+        # no multiple of 1/q lies in the range
+        p = math.floor(lo * q) + 1 if open_lo or lo * q % 1 else lo * q
+        assert p > hi * q or p == hi * q and open_hi
 
 
 def test_interval_validation():

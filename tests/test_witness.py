@@ -48,7 +48,7 @@ from domroots.witness import (
     verify_certificate,
 )
 
-from conftest import bipartite_form, exact_witness, poly_gcd
+from conftest import bipartite_form, exact_witness, poly_gcd, simplest_ref
 
 
 def F(x):
@@ -266,9 +266,9 @@ def test_fine_tolerance_star_steps_double_the_precision(monkeypatch):
 def test_fine_tolerance_deep_star_builds():
     # 4,792 leaves at m = 3: every bisection step takes a star sign of
     # integers of millions of bits, which the balls decide at a few hundred.
-    # The verifier expands both end numerators, about 6.2e6 bits each, in
-    # exact decimal: about 0.6 s on a 2-core host, a fifth of the 3.1 s the
-    # same integers take as ints
+    # The verifier expands both end numerators, about 3.2e6 bits each (6.2e6
+    # with the bisection's dyadic ends), in exact decimal: about 0.15 s on a
+    # 2-core host, against 0.55 s for the same integers as ints
     tol = Fraction(1, 10 ** 130)
     t0 = time.perf_counter()
     cert = construct_witness(F(-10), F("1/100"), tol=tol)
@@ -299,11 +299,15 @@ def test_ball_signs_give_the_exact_certificates(monkeypatch):
 
 
 def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
-    # the (-10, 1/100) cell verifies two numerators past the crossover, in
-    # exact decimal; without _decimal they are ints, and every certificate
-    # and report keeps its bytes.  The caller's decimal context is untouched
-    def output(z, e):
-        cert = construct_witness(F(z), F(e))
+    # at tol = 10^-15 the (-10, 1/100) cell verifies two numerators past the
+    # crossover, in exact decimal (their size estimates are 426,577 and
+    # 431,370 bits; at the default tolerance 292,373 and 321,131, below it);
+    # without _decimal they are ints, and every certificate and report keeps
+    # its bytes.  The caller's decimal context is untouched
+    queries = _GRID + [("-10", "1/100", "1e-15")]
+
+    def output(z, e, tol=DEFAULT_TOL):
+        cert = construct_witness(F(z), F(e), tol=F(tol))
         return certificate_to_json(cert) + "\n" + str(verify_certificate(cert))
 
     arithmetics = []
@@ -316,13 +320,13 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
     monkeypatch.setattr(realroots, "_expand", recorded)
     context = decimal.getcontext()
     prec, traps = context.prec, dict(context.traps)
-    with_decimal = [output(z, e) for z, e in _GRID]
+    with_decimal = [output(*q) for q in queries]
     assert decimal.getcontext() is context
     assert (context.prec, dict(context.traps)) == (prec, traps)
     assert any(ar is not realroots._Ints for ar in arithmetics)
     arithmetics.clear()
     monkeypatch.setattr(realroots, "_decimal", None)
-    assert [output(z, e) for z, e in _GRID] == with_decimal
+    assert [output(*q) for q in queries] == with_decimal
     assert arithmetics and all(ar is realroots._Ints for ar in arithmetics)
 
 
@@ -344,8 +348,8 @@ def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
 def test_star_witness_at_minus_fifteen():
     # 21,678 leaves: through the exact integer alone the search takes about
     # 8 s on a 2-core host, with the sign kernel about 0.01 s; verification,
-    # exact in both, about 0.2 s (its two numerators, about 2.2e6 bits each,
-    # are expanded in exact decimal; as ints they take 0.6 s)
+    # exact in both, about 0.06 s (its two numerators, about 1.4e6 and 1.6e6
+    # bits, are expanded in exact decimal; as ints they take 0.17 s)
     budget = SearchBudget(max_m=41, max_param=30000, max_degree=100000)
     t0 = time.perf_counter()
     cert = construct_witness(F(-15), F("1/100"), budget)
@@ -544,8 +548,10 @@ def _nudged_count(chain, lo, hi):
 
 def _count_bisection(chain, poly, m, z, eps, lo, hi, tol):
     """Leftmost root in ``(lo, hi)`` by bisecting on Sturm counts of the
-    family polynomial over mapped subintervals; composed signs come from the
-    expanded family polynomial at the mapped point."""
+    family polynomial over mapped subintervals, the bracket's ends then
+    moved out as :func:`witness._simplest_ends` moves them within the
+    nudged ``(lo, hi)``; composed signs come from the expanded family
+    polynomial at the mapped point."""
     def phi(t):
         return witness._phi(t, m)
 
@@ -565,8 +571,10 @@ def _count_bisection(chain, poly, m, z, eps, lo, hi, tol):
     count = count_roots_in(chain, RationalInterval(phi(lo), phi(hi)))
     if count < 1:
         return None
+    part = lo, hi
     for _ in range(400):
         if count == 1 and hi - lo <= tol and strict(lo, hi):
+            lo, hi = witness._simplest_ends(lo, hi, *part, tol)
             s_lo, s_hi = sign(lo), sign(hi)
             if s_lo * s_hi == -1:
                 return RootEnclosure(RationalInterval(lo, hi), s_lo, s_hi, NOTE_SIMPLE)
@@ -669,6 +677,13 @@ def test_guided_search_is_the_exact_search(z, eps_den, tol, budget):
             construct_witness(z, eps, budget, tol)
     else:
         assert construct_witness(z, eps, budget, tol) == expected
+        # and the raw brackets, before their ends move out, are the same
+        with mock.patch.object(witness, "_simplest_ends", _raw_ends):
+            assert construct_witness(z, eps, budget, tol) == exact_witness(z, eps, budget, tol)
+
+
+def _raw_ends(lo, hi, *part_and_tol):
+    return lo, hi
 
 
 def _seeded_random_guide():
@@ -738,6 +753,11 @@ def test_a_dyadic_root_comes_back_as_the_exact_bisection_gives_it(monkeypatch, g
     exact = witness._composed(witness.bipartite_sign, (3, 3), 1)
     expected = realroots._sign_bisect(exact, lo, hi, -1, DEFAULT_TOL, (lo, hi))
     enc = search._certify(1, 3, -1).enclosure
+    if expected[0] < expected[1]:
+        expected_ends = witness._simplest_ends(*expected, lo, hi, DEFAULT_TOL)
+        assert (enc.interval.lo, enc.interval.hi) == expected_ends
+        monkeypatch.setattr(witness, "_simplest_ends", _raw_ends)
+        enc = search._certify(1, 3, -1).enclosure
     assert (enc.interval.lo, enc.interval.hi) == expected
     assert (expected == (root, root)) == (at == Fraction(3, 8))
 
@@ -763,8 +783,70 @@ def test_guide_agrees_with_the_kernel_where_its_first_ball_decides(kind, p, m, a
     assert realroots.bipartite_sign_estimate(sides, float(y), m) == _sign(mid)
 
 
-# construct_witness(-21/25, 1/50) as the Sturm-count route built it, which
-# took about three minutes on this query
+# -- the simplest ends of the bracket ------------------------------------------
+
+@pytest.mark.parametrize("bracket, part, tol, ends", [
+    # [hi - tol, lo] would hold the part's end -3, its simplest rational,
+    # which is left out
+    (("-191/64", "-95/32"), ("-3", "-2"), "1/8", ("-191/64", "-23/8")),
+    # a coarse tol: [hi - tol, lo] holds the integer -3
+    (("-21/8", "-41/16"), ("-7/2", "-5/2"), "1", ("-3", "-23/9")),
+    # an end on the part's end stays
+    (("-5/4", "-1"), ("-3/2", "-1"), "1", ("-4/3", "-1")),
+])
+def test_simplest_ends(bracket, part, tol, ends):
+    (lo, hi), (w_lo, w_hi), tol = map(F, bracket), map(F, part), F(tol)
+    got = witness._simplest_ends(lo, hi, w_lo, w_hi, tol)
+    assert got == tuple(map(F, ends))
+    new_lo, new_hi = got
+    if lo > w_lo:
+        assert new_lo == simplest_ref(max(hi - tol, w_lo), lo, hi - tol <= w_lo)
+    if hi < w_hi:
+        assert new_hi == simplest_ref(hi, min(new_lo + tol, w_hi), False, new_lo + tol >= w_hi)
+
+
+@settings(max_examples=150)
+@given(
+    z=st.one_of(*(st.fractions(lo, hi, max_denominator=1000) for lo, hi in _REGIMES.values()),
+                _near_anchor()),
+    eps_den=st.integers(2, 1000),
+    tol=st.sampled_from((DEFAULT_TOL, Fraction(1, 10 ** 30)))
+    | st.integers(-2, 60).map(lambda k: Fraction(1, 2) ** k),
+    budget=st.builds(SearchBudget, st.integers(1, 41), st.integers(1, 5001),
+                     st.integers(1, 20000)),
+)
+def test_certificate_ends_are_the_simplest_around_the_bracket(z, eps_den, tol, budget):
+    # only the ends of a simple-certified enclosure move: each one outwards
+    # from the bisection's bracket but not onto the part's end, to no larger
+    # a denominator, and the certificate still verifies
+    eps = Fraction(1, eps_den)
+    assume(z + eps <= 0)
+    try:
+        cert = construct_witness(z, eps, budget, tol)
+    except BudgetExhaustedError:
+        return
+    with mock.patch.object(witness, "_simplest_ends", _raw_ends):
+        raw = construct_witness(z, eps, budget, tol)
+    assert verify_certificate(cert).ok
+    enc, bracket = cert.enclosure, raw.enclosure
+    assert dataclasses.replace(cert, enclosure=bracket) == raw
+    assert (enc.sign_lo, enc.sign_hi, enc.note) == (bracket.sign_lo, bracket.sign_hi, bracket.note)
+    if enc.note == NOTE_EXACT:
+        assert enc == bracket
+        return
+    [(_, w_lo, w_hi)] = [part for part in witness._classify(z - eps, z + eps)
+                         if part[0] == cert.family_kind]
+    (lo, hi), (new_lo, new_hi) = ((e.interval.lo, e.interval.hi) for e in (bracket, enc))
+    assert w_lo < new_lo <= lo or new_lo == lo == w_lo
+    assert hi <= new_hi < w_hi or new_hi == hi == w_hi
+    assert new_hi - new_lo <= tol
+    assert new_lo.denominator <= lo.denominator and new_hi.denominator <= hi.denominator
+
+
+# construct_witness(-21/25, 1/50): the Sturm-count route, which took about
+# three minutes on this query, built this family and m with the bracket
+# K119_BRACKET, and the certificate's ends are that bracket's simplest ends
+K119_BRACKET = (F("-1376149387/1677721600"), F("-688074693/838860800"))
 GOLDEN_K119 = """{
   "target_z": "-21/25",
   "epsilon": "1/50",
@@ -776,8 +858,8 @@ GOLDEN_K119 = """{
   "composed_degree": 714,
   "case_tag": "case-1.2",
   "enclosure": {
-    "lo": "-1376149387/1677721600",
-    "hi": "-688074693/838860800",
+    "lo": "-31564/38481",
+    "hi": "-156305/190558",
     "sign_lo": -1,
     "sign_hi": 1,
     "note": "simple-certified"
@@ -790,7 +872,7 @@ GOLDEN_K119_REPORT = """\
 [pass] family_parameter: k = 119 must be odd
 [pass] case_tag: case-1.2
 [pass] composed_degree: 714 vs 238*3
-[pass] enclosure_within_window: [-1376149387/1677721600, -688074693/838860800] vs (-43/50, -41/50)
+[pass] enclosure_within_window: [-31564/38481, -156305/190558] vs (-43/50, -41/50)
 [pass] endpoint_certification: recomputed signs (-1, 1) vs stored (-1, 1)"""
 
 
@@ -798,6 +880,11 @@ def test_golden_k119_certificate():
     cert = construct_witness(F("-21/25"), F("1/50"))
     assert certificate_to_json(cert) == GOLDEN_K119
     assert str(verify_certificate(cert)) == GOLDEN_K119_REPORT
+    ends = witness._simplest_ends(*K119_BRACKET, F("-43/50"), F("-41/50"), DEFAULT_TOL)
+    assert (cert.enclosure.interval.lo, cert.enclosure.interval.hi) == ends
+    with mock.patch.object(witness, "_simplest_ends", _raw_ends):
+        raw = construct_witness(F("-21/25"), F("1/50")).enclosure.interval
+    assert (raw.lo, raw.hi) == K119_BRACKET
 
 
 def test_budget_validation():
