@@ -7,23 +7,28 @@ transform per prefix gives the domination polynomials of all ``2^(n-1)``
 extensions, each packed into one int (see :func:`_polynomial_ids`).  Every
 *distinct* polynomial has its real roots certified once, and the CSV writer
 formats each one's enclosures once; ``x^t q`` shares one certification for
-every ``t >= 1``.  Root finding is float-first: locations come from
-floating bisection over monotone segments, then exact endpoint signs
-certify each enclosure and an exact count certifies completeness.  The
-float search is one function per degree, generated and compiled on first
-use: it calls the search of the derivative's degree, then takes its signs
-and bisects in straight-line Horner code, which performs the same float
-operations in the same order as a loop over the coefficients; the printed
-digits follow the bisection path, so no step of it may change.  The count
-is that of the Sturm chain's sign variations at -inf and +inf, read off
-each element's leading sign and degree, so nothing is evaluated, and the
-chain is built only once the float search has its candidates.  A
-domination polynomial's coefficients are positive, so it has no positive
-root (Descartes' rule of signs) and the float search covers the negative
-axis only; a polynomial with a positive root fails the count.  Anything
-inconclusive (values within ``1e3 * machine epsilon`` of zero, mismatched
-counts, overlapping enclosures, an enclosure that reaches 0) escalates to
-fully exact isolation.
+every ``t >= 1``.  Root finding is float-first: the Sturm chain comes
+first, and its first element, the square-free part, is searched, so a
+repeated root is a simple one there.  Locations come from floating
+bisection over monotone segments, then exact endpoint signs certify each
+enclosure and the chain's count of distinct real roots certifies
+completeness.  The float search is one function per degree, generated and
+compiled on first use: it calls the search of the derivative's degree,
+then takes its signs and bisects in straight-line Horner code, which
+performs the same float operations in the same order as a loop over the
+coefficients.  A derivative's roots only place segment ends, so its levels
+halve a segment only until it is narrower than ``2^-7`` (``_LEVEL_WIDTH``)
+times one more than its ends' smaller magnitude; the top level bisects to
+adjacent floats, and the printed digits follow its bisection path, so no
+step of it may change.  The count is that of the chain's sign variations
+at -inf and +inf, read off each element's leading sign and degree, so
+nothing is evaluated.  A domination polynomial's
+coefficients are positive, so it has no positive root (Descartes' rule of
+signs) and the float search covers the negative axis only; a polynomial
+with a positive root fails the count.  Anything inconclusive (values within
+``1e3 * machine epsilon`` of zero, mismatched counts, overlapping
+enclosures, an enclosure that reaches 0) escalates to fully exact
+isolation.
 Workers take contiguous prefix ranges and the parent places their
 polynomial ids by edge mask, so parallel output is byte-identical to a
 single worker's.
@@ -35,7 +40,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log
+from math import comb, frexp, log
 from typing import Iterable, Iterator, Optional
 
 from . import intpoly
@@ -69,6 +74,8 @@ from .realroots import count_roots_in  # noqa: F401
 LABELED_CAP_DEFAULT = 7
 
 _FLOAT_MARGIN = 1e3 * sys.float_info.epsilon
+# a derivative level of the float search halves to this relative width only
+_LEVEL_WIDTH = 2.0 ** -7
 
 
 @dataclass(frozen=True)
@@ -173,25 +180,31 @@ def _root_search(deg: int):
     """The float root search for polynomials of degree ``deg >= 1``,
     generated and compiled on first use.
 
-    ``search(lo, hi, c0, ..., cd)`` returns the roots of ``sum ci x^i`` on
-    ``(lo, hi)``, by derivative subdivision: the degree-``d-1`` search finds
-    the roots of the derivative, whose coefficients ``i * ci`` are written
-    into the call, and with ``lo`` and ``hi`` they cut ``(lo, hi)`` into
-    monotone segments.  The ends must ascend strictly, and each end's sign
-    must be conclusive: the value ``acc`` must exceed ``_FLOAT_MARGIN``
-    times the larger of 1 and ``scale``, the sum of the terms' magnitudes,
-    or the search raises :class:`_Inconclusive`.  A segment whose ends
-    differ in sign is halved, moving the end whose sign the midpoint
-    shares, until the midpoint is no longer strictly between the ends (at
-    most 200 halvings), and the final midpoint is its root.  At degree 1
-    the root is ``-c0 / c1``.
+    ``search(lo, hi, width, c0, ..., cd)`` returns the roots of
+    ``sum ci x^i`` on ``(lo, hi)``, by derivative subdivision: the
+    degree-``d-1`` search finds the roots of the derivative, whose
+    coefficients ``i * ci`` are written into the call, and with ``lo`` and
+    ``hi`` they cut ``(lo, hi)`` into monotone segments.  The ends must
+    ascend strictly, and each end's sign must be conclusive: the value
+    ``acc`` must exceed ``_FLOAT_MARGIN`` times the larger of 1 and
+    ``scale``, the sum of the terms' magnitudes, or the search raises
+    :class:`_Inconclusive`.  A segment ``(x, y)`` whose ends differ in sign
+    is halved, moving the end whose sign the midpoint shares, until the
+    midpoint is no longer strictly between the ends, and the final midpoint
+    is its root.  With ``width = 0.0`` that takes at most 200 halvings; a
+    positive ``width`` takes at most ``k``, the least ``k >= 0`` with
+    ``(y - x) / 2^k < width * (1 + min(|x|, |y|))``, the exponent of that
+    ratio (``math.frexp``).  At degree 1 the root is ``-c0 / c1``.
 
-    Every sign and halving is straight-line code (:func:`_horner`), and the
-    halving loop comes twice, once per sign at the segment's left end, so
-    its test is a bare ``acc > 0.0``.  The floats and their order are those
-    of a loop over the coefficients from ``acc = 0.0`` (``0.0 * x + c`` is
-    ``c`` for finite ``x``); the printed digits follow the bisection path,
-    so no step of it may change.
+    The derivative's roots only place segment ends, so every derivative
+    level runs at ``width = _LEVEL_WIDTH``, and the top level, called with
+    ``width = 0.0``, bisects to adjacent floats.  Every sign and halving is
+    straight-line code (:func:`_horner`), and the halving loop comes twice,
+    once per sign at the segment's left end, so its test is a bare
+    ``acc > 0.0``.  The floats and their order are those of a loop over the
+    coefficients from ``acc = 0.0`` (``0.0 * x + c`` is ``c`` for finite
+    ``x``); the printed digits follow the top level's bisection path, so no
+    step of it may change.
     """
     coefs = [f"c{i}" for i in range(deg + 1)]
     if deg == 1:
@@ -206,7 +219,7 @@ def _root_search(deg: int):
         scale_pre, scale = _horner([f"a{i}" for i in range(deg, -1, -1)], "ax", "scale", 8)
         mid_pre, mid = _horner(top_down, "mid", "acc", 16)
         body = f"""
-    pts = [lo, *inner(lo, hi, {derivative}), hi]
+    pts = [lo, *inner(lo, hi, level_width, {derivative}), hi]
     for a, b in zip(pts, pts[1:]):
         if not a < b:
             raise inconclusive{absolutes}
@@ -222,8 +235,9 @@ def _root_search(deg: int):
     for x, y, up, next_up in zip(pts, pts[1:], ups, ups[1:]):
         if up is next_up:
             continue
+        steps = frexp((y - x) / (width * (1.0 + min(abs(x), abs(y)))))[1] if width else 200
         if up:
-            for _ in range(200):
+            for _ in range(steps):
                 mid = 0.5 * (x + y)
                 if mid <= x or mid >= y:
                     break{mid_pre}
@@ -232,7 +246,7 @@ def _root_search(deg: int):
                 else:
                     y = mid
         else:
-            for _ in range(200):
+            for _ in range(steps):
                 mid = 0.5 * (x + y)
                 if mid <= x or mid >= y:
                     break{mid_pre}
@@ -242,9 +256,9 @@ def _root_search(deg: int):
                     x = mid
         roots.append(0.5 * (x + y))
     return roots"""
-    src = f"def search(lo, hi, {', '.join(coefs)}):{body}\n"
-    ns = {"inner": _root_search(deg - 1) if deg > 1 else None,
-          "margin": _FLOAT_MARGIN, "inconclusive": _Inconclusive}
+    src = f"def search(lo, hi, width, {', '.join(coefs)}):{body}\n"
+    ns = {"inner": _root_search(deg - 1) if deg > 1 else None, "level_width": _LEVEL_WIDTH,
+          "margin": _FLOAT_MARGIN, "inconclusive": _Inconclusive, "frexp": frexp}
     exec(compile(src, f"<root search, degree {deg}>", "exec"), ns)
     return ns["search"]
 
@@ -252,7 +266,7 @@ def _root_search(deg: int):
 def _float_candidates(c, lo: float, hi: float) -> list:
     """Roots of the float polynomial ``c`` (lowest coefficient first) on
     ``(lo, hi)``, by the search of its degree (:func:`_root_search`)."""
-    return _root_search(len(c) - 1)(lo, hi, *c) if len(c) > 1 else []
+    return _root_search(len(c) - 1)(lo, hi, 0.0, *c) if len(c) > 1 else []
 
 
 def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
@@ -263,24 +277,25 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     the Cauchy bound ``B``, whose float is one correctly rounded int
     division (:func:`_search_end`): a domination polynomial's coefficients
     are positive, so by Descartes' rule of signs it has no positive root.
-    The search is one function per degree, compiled on first use
-    (:func:`_root_search`).  Only when the search finds its
-    candidates is the Sturm chain built: the number of distinct nonzero
-    real roots comes from the chain's leading signs
-    (:func:`count_real_roots`), with no evaluation, and must equal the
+    The Sturm chain is built first, and the search runs on its square-free
+    part, so a repeated root is searched as a simple one; the search is one
+    function per degree, compiled on first use (:func:`_root_search`).  The
+    number of distinct nonzero real roots comes from the chain's leading
+    signs (:func:`count_real_roots`), with no evaluation, and must equal the
     number of candidates, so any other polynomial with a positive root
     fails the count and falls back to Sturm isolation, which builds its own
-    chain.  Each float root ``r`` is certified by the exact signs at its
-    ends ``r -/+ tol/2``, taken as integer numerators over one denominator
-    (:func:`intpoly.eval_homogeneous`); the enclosures come out ascending,
-    and the rational ends are built only once every root is certified.  A
-    coarse ``tol`` can reach past 0 (``tol/2 >= |r|``), so an enclosure
-    whose high end is not negative falls back too.  Isolation runs on
-    ``coeffs`` itself, so it splits off the root 0 exactly and keeps every
-    other enclosure clear of it; its list is sorted, with a positive root,
-    which no domination polynomial has, after ``(0, 0)``.  The audit tests
-    check on random samples that the fast path agrees, root for root, with
-    Sturm isolation alone.
+    chain.  Each float root ``r`` is certified by the square-free part's
+    exact signs at its ends ``r -/+ tol/2``, taken as integer numerators
+    over one denominator (:func:`intpoly.eval_homogeneous`); the enclosures
+    come out ascending, and the rational ends are built only once every
+    root is certified.  A coarse ``tol`` can reach past 0
+    (``tol/2 >= |r|``), so an enclosure whose high end is not negative falls
+    back too.  Isolation runs on ``coeffs`` itself, so it splits off the
+    root 0 exactly and keeps every other enclosure clear of it; its list is
+    sorted, with a positive root, which no domination polynomial has, after
+    ``(0, 0)``.  The audit tests check on random samples, repeated factors
+    among them, that the fast path agrees, root for root, with Sturm
+    isolation alone.
     """
     tol = _tolerance(tol)
     coeffs = intpoly.normalize(list(coeffs))
@@ -309,12 +324,14 @@ def _search_end(cof) -> float:
 
 
 def _try_float_roots(cof, tol) -> Optional[list]:
+    chain = sturm_chain(cof)
+    f = list(chain.squarefree)  # the distinct roots of cof, each simple
     try:
         # a positive root, which no domination polynomial has, fails the count
-        cands = _float_candidates([float(c) for c in cof], _search_end(cof), 0.0)
+        cands = _float_candidates([float(c) for c in f], _search_end(f), 0.0)
     except (_Inconclusive, OverflowError):
         return None
-    if len(cands) != count_real_roots(sturm_chain(cof)):
+    if len(cands) != count_real_roots(chain):
         return None
     # r = n/d and tol = p/q put the ends r -/+ tol/2 over the one denominator 2qd
     p, q = tol.numerator, tol.denominator
@@ -325,8 +342,8 @@ def _try_float_roots(cof, tol) -> Optional[list]:
         lo, hi = mid - rad, mid + rad
         if hi >= 0:  # a coarse tol reaches 0, where the root 0 may lie
             return None
-        s_lo = intpoly.eval_homogeneous(cof, lo, den)
-        s_hi = intpoly.eval_homogeneous(cof, hi, den)
+        s_lo = intpoly.eval_homogeneous(f, lo, den)
+        s_hi = intpoly.eval_homogeneous(f, hi, den)
         if not (s_lo < 0 < s_hi or s_hi < 0 < s_lo):
             return None
         if ends and lo * ends[-1][2] <= ends[-1][1] * den:  # meets the last one

@@ -20,6 +20,7 @@ from domroots.atlas import (
 from domroots.dompoly import dom_poly_closed_form, dom_poly_inclusion_exclusion
 from domroots.errors import CapacityError, DomainError
 from domroots.graph import (
+    Graph,
     _graph_from_mask,
     complete_bipartite,
     disjoint_union,
@@ -219,6 +220,20 @@ def test_float_fast_path_agrees_with_exact(rng):
             coeffs = mul(coeffs, [-r.numerator, r.denominator])
         cases.append((coeffs, sorted(set(roots))))
     cases.append(([6, -7, 0, 1], [-3, 1, 2]))
+    # repeated factors: (x+2)^2 q, x (x^2+3x+1)^2, 2P_3's (x^3+3x^2+x)^2 and
+    # D(G + H) = D(G) D(H); the search runs on the square-free part, so the
+    # named ones stay on the float route
+    floated = [mul([0, 1], mul([1, 3, 1], [1, 3, 1])), mul([0, 1, 3, 1], [0, 1, 3, 1])]
+    for _ in range(20):
+        q = dom_poly_inclusion_exclusion(random_graph(rng, rng.randint(3, 7))).coeffs
+        floated.append(mul([4, 4, 1], q[trailing_zeros(q):]))
+    cases += [(c, None) for c in floated]
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 5))
+        h = g if rng.random() < 0.5 else random_graph(rng, rng.randint(2, 5))
+        cases.append((dom_poly_inclusion_exclusion(disjoint_union(g, h)).coeffs, None))
+    for c in floated:
+        assert atlas._try_float_roots(c[trailing_zeros(c):], DEFAULT_TOL) is not None
     for coeffs, roots in cases:
         fast = certified_negative_roots(coeffs, DEFAULT_TOL)
         exact = exact_negative_roots(coeffs, DEFAULT_TOL)
@@ -251,7 +266,7 @@ def _loop_float_sign(c, x):
     return 1 if acc > 0.0 else -1
 
 
-def _loop_float_candidates(c, lo, hi):
+def _loop_float_candidates(c, lo, hi, width=0.0):
     deg = len(c) - 1
     if deg < 1:
         return []
@@ -259,7 +274,8 @@ def _loop_float_candidates(c, lo, hi):
         r = -c[0] / c[1]
         return [r] if lo < r < hi else []
     der = [i * c[i] for i in range(1, len(c))]
-    pts = [lo, *_loop_float_candidates(der, lo, hi), hi]
+    # the derivative's roots only place segment ends: its levels halve coarsely
+    pts = [lo, *_loop_float_candidates(der, lo, hi, atlas._LEVEL_WIDTH), hi]
     if not all(a < b for a, b in zip(pts, pts[1:])):
         raise atlas._Inconclusive
     signs = [_loop_float_sign(c, x) for x in pts]
@@ -270,7 +286,8 @@ def _loop_float_candidates(c, lo, hi):
             continue
         up = sa > 0
         x, y = a, b
-        for _ in range(200):
+        steps = math.frexp((y - x) / (width * (1.0 + min(abs(x), abs(y)))))[1] if width else 200
+        for _ in range(steps):
             mid = 0.5 * (x + y)
             if mid <= x or mid >= y:
                 break
@@ -365,7 +382,9 @@ def test_root_search_matches_the_coefficient_loop_at_chunk_boundaries(case):
 
 def test_horner_kernels_match_the_coefficient_loop_on_domination_polynomials(rng):
     # near a root the float sign is noisy, so on about 3% of these another
-    # midpoint or Horner order lands on other floats
+    # midpoint or Horner order lands on other floats; a derivative level's
+    # coarse root is a segment end of the level above, so the loop must stop
+    # its derivative levels at the kernels' width too
     for _ in range(400):
         coeffs = dom_poly_inclusion_exclusion(random_graph(rng, rng.randint(8, 12))).coeffs
         cof = coeffs[trailing_zeros(coeffs):]
@@ -383,6 +402,39 @@ def test_horner_kernels_match_the_coefficient_loop_at_degree_300():
     want = _outcome(_loop_float_candidates, c, -5.0, 0.0)
     assert want == ["-0x1.c7ccada1687fep+1", "-0x1.20192a62d10dep-1"]
     assert _outcome(atlas._float_candidates, c, -5.0, 0.0) == want
+
+
+def test_derivative_levels_stop_at_the_level_width():
+    # x^2 - 2 on (0, 2): a derivative level halves the segment until it is
+    # narrower than _LEVEL_WIDTH (1 + 0), the top level to adjacent floats
+    search = atlas._root_search(2)
+    (coarse,), (fine,) = search(0.0, 2.0, atlas._LEVEL_WIDTH, -2.0, 0.0, 1.0), \
+        search(0.0, 2.0, 0.0, -2.0, 0.0, 1.0)
+    assert abs(fine - math.sqrt(2.0)) <= math.ulp(fine)
+    assert 0.0 < abs(coarse - fine) < atlas._LEVEL_WIDTH / 2
+    assert _loop_float_candidates([-2.0, 0.0, 1.0], 0.0, 2.0, atlas._LEVEL_WIDTH) == [coarse]
+
+
+def test_few_domination_polynomials_fall_back_to_sturm_isolation():
+    # 2,000 seeded graphs of orders 8-12, edge probability uniform per graph:
+    # 8 of the 1,312 distinct zero-free polynomials fail the float route, and
+    # a change that sends more of them to Sturm isolation fails this test
+    rng = random.Random(1)
+    polys = set()
+    for k in range(2000):
+        n, p = 8 + k % 5, rng.random()
+        adj = [0] * n
+        for v in range(1, n):
+            for u in range(v):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        coeffs = dom_poly_inclusion_exclusion(Graph(n, tuple(adj))).coeffs
+        polys.add(coeffs[trailing_zeros(coeffs):])
+    assert len(polys) == 1312
+    fallbacks = sum(atlas._try_float_roots(list(c), DEFAULT_TOL) is None
+                    for c in polys if len(c) > 1)
+    assert fallbacks <= 8
 
 
 def test_isolated_vertices_share_one_certification(monkeypatch):

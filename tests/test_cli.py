@@ -170,7 +170,7 @@ def test_atlas_order6_golden_sha256(capsys):
     code, out, _ = run(capsys, "--workers", "1", "atlas", "6")
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-    assert digest == "dfbd6435e9dd5fac8e3e5f6a35c224fe08ae6dce96cfd3aaac676a82c247e4ca"
+    assert digest == "91d6ef0a84a58116089d9da89eeb1d75e1bd3422623b5b22a12a5ddc896284da"
 
 
 def test_atlas_dedup_rows_are_the_labeled_rows(capsys):
