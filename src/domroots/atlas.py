@@ -9,10 +9,10 @@ extensions, each packed into one int (see :func:`_polynomial_ids`).  Every
 formats each one's enclosures once; ``x^t q`` shares one certification for
 every ``t >= 1``.  Root finding is float-first: the Sturm chain comes
 first, and its first element, the square-free part, is searched, so a
-repeated root is a simple one there.  Locations come from floating
-bisection over monotone segments, then exact endpoint signs certify each
-enclosure and the chain's count of distinct real roots certifies
-completeness.  The float search is one function per degree, generated and
+repeated root is a simple one there.  Floating bisection over monotone
+segments only guesses the locations: exact endpoint signs certify each
+enclosure, and the chain's count of distinct real roots completeness.
+The float search is one function per degree, generated and
 compiled on first use: it calls the search of the derivative's degree,
 then takes its signs and bisects in straight-line Horner code, which
 performs the same float operations in the same order as a loop over the
@@ -22,13 +22,12 @@ times one more than its ends' smaller magnitude; the top level bisects to
 adjacent floats, and the printed digits follow its bisection path, so no
 step of it may change.  The count is that of the chain's sign variations
 at -inf and +inf, read off each element's leading sign and degree, so
-nothing is evaluated.  A domination polynomial's
-coefficients are positive, so it has no positive root (Descartes' rule of
-signs) and the float search covers the negative axis only; a polynomial
-with a positive root fails the count.  Anything inconclusive (values within
-``1e3 * machine epsilon`` of zero, mismatched counts, overlapping
-enclosures, an enclosure that reaches 0) escalates to fully exact
-isolation.
+nothing is evaluated.  A domination polynomial's coefficients are
+positive, so it has no positive root (Descartes' rule of signs) and the
+float search covers the negative axis only; a polynomial with a positive
+root fails the count.  A guess that fails an exact check (the count, an
+end sign, overlapping enclosures, an enclosure that reaches 0) escalates
+to fully exact isolation.
 Workers take contiguous prefix ranges and the parent places their
 polynomial ids by edge mask, so parallel output is byte-identical to a
 single worker's.
@@ -73,7 +72,6 @@ from .realroots import count_roots_in  # noqa: F401
 
 LABELED_CAP_DEFAULT = 7
 
-_FLOAT_MARGIN = 1e3 * sys.float_info.epsilon
 # a derivative level of the float search halves to this relative width only
 _LEVEL_WIDTH = 2.0 ** -7
 
@@ -153,10 +151,6 @@ def _labeled_graphs(n: int, dedup: bool) -> Iterator[Graph]:
 # certified per-polynomial root scan
 # ---------------------------------------------------------------------------
 
-class _Inconclusive(Exception):
-    pass
-
-
 _HORNER_STEPS = 16  # per statement: CPython's parser rejects 200 nested parentheses
 
 
@@ -184,15 +178,16 @@ def _root_search(deg: int):
     ``sum ci x^i`` on ``(lo, hi)``, by derivative subdivision: the
     degree-``d-1`` search finds the roots of the derivative, whose
     coefficients ``i * ci`` are written into the call, and with ``lo`` and
-    ``hi`` they cut ``(lo, hi)`` into monotone segments.  The ends must
-    ascend strictly, and each end's sign must be conclusive: the value
-    ``acc`` must exceed ``_FLOAT_MARGIN`` times the larger of 1 and
-    ``scale``, the sum of the terms' magnitudes, or the search raises
-    :class:`_Inconclusive`.  A segment ``(x, y)`` whose ends differ in sign
-    is halved, moving the end whose sign the midpoint shares, until the
-    midpoint is no longer strictly between the ends, and the final midpoint
-    is its root.  With ``width = 0.0`` that takes at most 200 halvings; a
-    positive ``width`` takes at most ``k``, the least ``k >= 0`` with
+    ``hi`` they cut ``(lo, hi)`` into monotone segments.  An end is
+    positive if its float value is ``> 0.0``.  The search never refuses:
+    its roots are guesses, which :func:`_try_float_roots` checks exactly.
+    The ends ascend, as each derivative root lies in its own segment; one
+    that repeats an end leaves an empty segment with equal signs.  A
+    segment ``(x, y)`` whose ends differ in sign is halved, moving the end
+    whose sign the midpoint shares, until the midpoint is no longer strictly
+    between the ends, and the final midpoint is its root.  With ``width =
+    0.0`` that takes at most 200 halvings; a positive ``width`` takes at
+    most ``k``, the least ``k >= 0`` with
     ``(y - x) / 2^k < width * (1 + min(|x|, |y|))``, the exponent of that
     ratio (``math.frexp``).  At degree 1 the root is ``-c0 / c1``.
 
@@ -214,23 +209,13 @@ def _root_search(deg: int):
     else:
         top_down = coefs[::-1]
         derivative = ", ".join(["c1"] + [f"{i} * c{i}" for i in range(2, deg + 1)])
-        absolutes = "".join(f"\n    a{i} = abs(c{i})" for i in range(deg + 1))
         acc_pre, acc = _horner(top_down, "x", "acc", 8)
-        scale_pre, scale = _horner([f"a{i}" for i in range(deg, -1, -1)], "ax", "scale", 8)
         mid_pre, mid = _horner(top_down, "mid", "acc", 16)
         body = f"""
     pts = [lo, *inner(lo, hi, level_width, {derivative}), hi]
-    for a, b in zip(pts, pts[1:]):
-        if not a < b:
-            raise inconclusive{absolutes}
     ups = []
-    for x in pts:
-        ax = abs(x){acc_pre}
-        acc = {acc}{scale_pre}
-        scale = {scale}
-        if abs(acc) <= margin * (scale if scale > 1.0 else 1.0):
-            raise inconclusive
-        ups.append(acc > 0.0)
+    for x in pts:{acc_pre}
+        ups.append({acc} > 0.0)
     roots = []
     for x, y, up, next_up in zip(pts, pts[1:], ups, ups[1:]):
         if up is next_up:
@@ -258,7 +243,7 @@ def _root_search(deg: int):
     return roots"""
     src = f"def search(lo, hi, width, {', '.join(coefs)}):{body}\n"
     ns = {"inner": _root_search(deg - 1) if deg > 1 else None, "level_width": _LEVEL_WIDTH,
-          "margin": _FLOAT_MARGIN, "inconclusive": _Inconclusive, "frexp": frexp}
+          "frexp": frexp}
     exec(compile(src, f"<root search, degree {deg}>", "exec"), ns)
     return ns["search"]
 
@@ -284,18 +269,19 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     signs (:func:`count_real_roots`), with no evaluation, and must equal the
     number of candidates, so any other polynomial with a positive root
     fails the count and falls back to Sturm isolation, which builds its own
-    chain.  Each float root ``r`` is certified by the square-free part's
-    exact signs at its ends ``r -/+ tol/2``, taken as integer numerators
-    over one denominator (:func:`intpoly.eval_homogeneous`); the enclosures
-    come out ascending, and the rational ends are built only once every
-    root is certified.  A coarse ``tol`` can reach past 0
-    (``tol/2 >= |r|``), so an enclosure whose high end is not negative falls
-    back too.  Isolation runs on ``coeffs`` itself, so it splits off the
-    root 0 exactly and keeps every other enclosure clear of it; its list is
-    sorted, with a positive root, which no domination polynomial has, after
-    ``(0, 0)``.  The audit tests check on random samples, repeated factors
-    among them, that the fast path agrees, root for root, with Sturm
-    isolation alone.
+    chain.  The float roots are only guesses: each root ``r`` is certified
+    by the square-free part's exact signs at ``r -/+ tol/2``, taken as
+    integer numerators over one denominator
+    (:func:`intpoly.eval_homogeneous`), and must lie strictly above the one
+    before, so a wrong guess falls back, as does a float overflow or a
+    coarse ``tol`` that reaches past 0 (``tol/2 >= |r|``).  The rational
+    ends are built only once every root is certified.  Isolation runs on
+    ``coeffs`` itself, so it splits off the root 0 exactly and keeps every
+    other enclosure clear of it; its list is sorted, with a positive root,
+    which no domination polynomial has, after ``(0, 0)``.  The audit tests
+    check on random samples, repeated factors among them, that the fast
+    path agrees, root for root, with Sturm isolation alone, and on wrong
+    guesses that the result does not change.
     """
     tol = _tolerance(tol)
     coeffs = intpoly.normalize(list(coeffs))
@@ -328,16 +314,16 @@ def _try_float_roots(cof, tol) -> Optional[list]:
     f = list(chain.squarefree)  # the distinct roots of cof, each simple
     try:
         # a positive root, which no domination polynomial has, fails the count
-        cands = _float_candidates([float(c) for c in f], _search_end(f), 0.0)
-    except (_Inconclusive, OverflowError):
+        cands = [r.as_integer_ratio()  # a midpoint that overflows is -inf
+                 for r in _float_candidates([float(c) for c in f], _search_end(f), 0.0)]
+    except OverflowError:
         return None
     if len(cands) != count_real_roots(chain):
         return None
     # r = n/d and tol = p/q put the ends r -/+ tol/2 over the one denominator 2qd
     p, q = tol.numerator, tol.denominator
     ends = []
-    for r in cands:
-        n, d = r.as_integer_ratio()
+    for n, d in cands:
         den, mid, rad = 2 * q * d, 2 * q * n, p * d
         lo, hi = mid - rad, mid + rad
         if hi >= 0:  # a coarse tol reaches 0, where the root 0 may lie

@@ -1,8 +1,8 @@
 import io
 import math
 import random
-import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -252,17 +252,11 @@ def test_float_fast_path_agrees_with_exact(rng):
 # The float search as a loop over the coefficients: the reference that the
 # per-degree kernels must match float for float.
 
-_MARGIN = 1e3 * sys.float_info.epsilon
-
 
 def _loop_float_sign(c, x):
     acc = 0.0
-    scale = 0.0
     for coef in reversed(c):
         acc = acc * x + coef
-        scale = scale * abs(x) + abs(coef)
-    if abs(acc) <= _MARGIN * max(1.0, scale):
-        raise atlas._Inconclusive
     return 1 if acc > 0.0 else -1
 
 
@@ -276,8 +270,6 @@ def _loop_float_candidates(c, lo, hi, width=0.0):
     der = [i * c[i] for i in range(1, len(c))]
     # the derivative's roots only place segment ends: its levels halve coarsely
     pts = [lo, *_loop_float_candidates(der, lo, hi, atlas._LEVEL_WIDTH), hi]
-    if not all(a < b for a, b in zip(pts, pts[1:])):
-        raise atlas._Inconclusive
     signs = [_loop_float_sign(c, x) for x in pts]
     top_down = c[::-1]
     roots = []
@@ -303,12 +295,8 @@ def _loop_float_candidates(c, lo, hi, width=0.0):
 
 
 def _outcome(fn, *args):
-    """Every float bit of ``fn(*args)``, or the inconclusive verdict."""
-    try:
-        got = fn(*args)
-    except atlas._Inconclusive:
-        return "inconclusive"
-    return [r.hex() for r in got] if isinstance(got, list) else got
+    """Every float bit of ``fn(*args)``."""
+    return [r.hex() for r in fn(*args)]
 
 
 _HUGE = (st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
@@ -319,7 +307,7 @@ _HUGE = (st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_inf
 def float_searches(draw, degrees=st.integers(1, 40), kinds=("small", "repeated", "huge")):
     """``(coefficients, lo, hi)``: small integer coefficients; products with
     repeated factors, whose multiple roots are roots of the derivative too,
-    so a segment end lands within the margin; or huge coefficients, whose
+    so a segment end lands on or next to a root; or huge coefficients, whose
     derivatives and Horner sums overflow to inf and nan.  ``degrees`` draws
     the degree of the small and huge kinds."""
     kind = draw(st.sampled_from(kinds))
@@ -353,17 +341,17 @@ def float_searches(draw, degrees=st.integers(1, 40), kinds=("small", "repeated",
 
 @settings(max_examples=300)
 @given(float_searches())
-@example(([1e-20, 0.0, 1e-20], -2.0, 0.0))  # below 1 the margin is absolute
+@example(([1e-20, 0.0, 1e-20], -2.0, 0.0))  # values far below 1 keep their signs
 def test_horner_kernels_match_the_coefficient_loop(case):
     # the printed digits follow the bisection path, so the kernels must give
-    # the loop's floats bit for bit and raise where it raises
+    # the loop's floats bit for bit
     c, lo, hi = case
     want = _outcome(_loop_float_candidates, c, lo, hi)
-    event("inconclusive" if want == "inconclusive" else "candidates")
+    event("candidates" if want else "no candidates")
     assert _outcome(atlas._float_candidates, c, lo, hi) == want
-    # the search takes its signs and verdicts at the ends of its segments,
-    # so a bracket ending at x checks them at x, at every derivative level;
-    # it evaluates at finite points only, where 0.0 * x + c is c
+    # the search takes its signs at the ends of its segments, so a bracket
+    # ending at x checks them at x, at every derivative level; it evaluates
+    # at finite points only, where 0.0 * x + c is c
     for x in (0.5 * lo + 0.5 * hi, -1.0, -2.0):
         for a, b in ((lo, x), (x, hi)):
             assert _outcome(atlas._float_candidates, c, a, b) == \
@@ -417,8 +405,8 @@ def test_derivative_levels_stop_at_the_level_width():
 
 def test_few_domination_polynomials_fall_back_to_sturm_isolation():
     # 2,000 seeded graphs of orders 8-12, edge probability uniform per graph:
-    # 8 of the 1,312 distinct zero-free polynomials fail the float route, and
-    # a change that sends more of them to Sturm isolation fails this test
+    # none of the 1,312 distinct zero-free polynomials fails the float route,
+    # and a change that sends any of them to Sturm isolation fails this test
     rng = random.Random(1)
     polys = set()
     for k in range(2000):
@@ -434,7 +422,99 @@ def test_few_domination_polynomials_fall_back_to_sturm_isolation():
     assert len(polys) == 1312
     fallbacks = sum(atlas._try_float_roots(list(c), DEFAULT_TOL) is None
                     for c in polys if len(c) > 1)
-    assert fallbacks <= 8
+    assert fallbacks == 0
+
+
+def _overlap_root_for_root(got, want, tol=DEFAULT_TOL):
+    """``got`` encloses the roots of ``want``, one each: the same count, each
+    enclosure at most ``tol`` wide and strictly above the one before, and
+    each one overlapping the exact enclosure of its root."""
+    assert len(got) == len(want)
+    assert all(hi - lo <= tol for lo, hi in got)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(got, got[1:]))
+    for (a, b), (c, d) in zip(got, want):
+        assert max(a, c) <= min(b, d)
+
+
+def test_a_float_sign_near_zero_on_a_derivative_level_only_guesses():
+    # the zero-free part of D(KCH_W@??Oaa?): a float sign on a derivative
+    # level lies within 1e3 machine epsilons of zero; it only places a
+    # segment end, so the polynomial stays on the float route
+    coeffs = dom_poly_inclusion_exclusion(from_graph6("KCH_W@??Oaa?")).coeffs
+    cof = list(coeffs[trailing_zeros(coeffs):])
+    assert cof == [3, 51, 211, 361, 336, 187, 63, 12, 1]
+    got = atlas._try_float_roots(cof, DEFAULT_TOL)
+    assert got is not None
+    assert [round(float(lo), 3) for lo, _ in got] == [-2.618, -2.270, -0.382, -0.084]
+    _overlap_root_for_root(got, exact_negative_roots(cof))
+
+
+def test_a_float_root_past_the_float_range_falls_back():
+    # x^2 + 1.3e308 x + 2e305 has a root near -1.3e308, the search's end: the
+    # search's midpoint there overflows to -inf, which has no integer ratio
+    cof = [2 * 10 ** 305, 13 * 10 ** 307, 1]
+    assert float("-inf") in atlas._float_candidates([float(c) for c in cof],
+                                                    atlas._search_end(cof), 0.0)
+    assert atlas._try_float_roots(cof, DEFAULT_TOL) is None
+    assert certified_negative_roots(cof) == exact_negative_roots(cof)
+
+
+@st.composite
+def wrong_guesses(draw):
+    """``(coefficients, kind, guesses)``: the domination polynomial of a
+    small graph, squared at times for repeated roots, and a float guess at
+    its nonzero roots that may be unsorted, duplicated, of the wrong count,
+    the right count at random places, the true roots shifted by about
+    ``tol/2``, or the true roots themselves."""
+    n = draw(st.integers(2, 7))
+    g = _graph_from_mask(draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)), n)
+    coeffs = dom_poly_inclusion_exclusion(g).coeffs
+    if draw(st.booleans()):
+        coeffs = tuple(mul(coeffs, coeffs))
+    true = [float((lo + hi) / 2) for lo, hi in exact_negative_roots(coeffs) if hi < 0]
+    cof = coeffs[trailing_zeros(coeffs):]
+    places = st.floats(-float(cauchy_root_bound(cof)) if len(cof) > 1 else -1.0, 0.0)
+    kind = draw(st.sampled_from(
+        ["unsorted", "duplicated", "wrong count", "wrong places", "shifted", "true"]))
+    if kind == "unsorted":
+        guesses = draw(st.permutations(true))
+    elif kind == "duplicated" and true:
+        i, j = draw(st.integers(0, len(true) - 1)), draw(st.integers(0, len(true) - 1))
+        guesses = sorted(true + [true[i]])
+        if draw(st.booleans()):  # the right count: root i in place of root j
+            guesses = sorted(true[:j] + [true[i]] + true[j + 1:])
+    elif kind == "wrong count":
+        guesses = list(true)
+        if guesses and draw(st.booleans()):
+            guesses.pop(draw(st.integers(0, len(guesses) - 1)))
+        else:
+            guesses = sorted(guesses + [draw(places)])
+    elif kind == "wrong places":
+        guesses = sorted(draw(st.lists(places, min_size=len(true), max_size=len(true))))
+    elif kind == "shifted":
+        half = float(DEFAULT_TOL) / 2
+        guesses = [r + draw(st.sampled_from([-1, 1])) * half * draw(st.floats(0.9, 1.1))
+                   for r in true]
+    else:
+        guesses = true
+    event(kind)
+    return coeffs, kind, guesses
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrong_guesses())
+def test_wrong_float_guesses_still_give_the_exact_roots(case):
+    # the float search only guesses: whatever it returns, each root comes out
+    # certified by exact checks, either on the float route or by isolation
+    coeffs, kind, guesses = case
+    want = exact_negative_roots(coeffs)
+    cof = list(coeffs[trailing_zeros(coeffs):])
+    with mock.patch.object(atlas, "_float_candidates", lambda c, lo, hi: list(guesses)):
+        if len(cof) > 1 and kind == "true":
+            assert atlas._try_float_roots(cof, DEFAULT_TOL) is not None
+        got = certified_negative_roots(coeffs)
+    assert got[-1:] == want[-1:] == [(0, 0)]
+    _overlap_root_for_root(got[:-1], want[:-1])
 
 
 def test_isolated_vertices_share_one_certification(monkeypatch):
