@@ -59,16 +59,16 @@ from .graph import (
 from .realroots import (
     DEFAULT_TOL,
     RationalInterval,
+    _isolate,
     _tolerance,
     count_real_roots,
     format_fixed,
-    isolate_real_roots,
     star_domination_root,
     star_root,
     sturm_chain,
 )
-# unused here; bench/spans.py wraps this name on this module
-from .realroots import count_roots_in  # noqa: F401
+# unused here; bench/spans.py wraps these names on this module
+from .realroots import count_roots_in, isolate_real_roots  # noqa: F401
 
 LABELED_CAP_DEFAULT = 7
 
@@ -268,8 +268,8 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     number of distinct nonzero real roots comes from the chain's leading
     signs (:func:`count_real_roots`), with no evaluation, and must equal the
     number of candidates, so any other polynomial with a positive root
-    fails the count and falls back to Sturm isolation, which builds its own
-    chain.  The float roots are only guesses: each root ``r`` is certified
+    fails the count and falls back to Sturm isolation, on the same chain.
+    The float roots are only guesses: each root ``r`` is certified
     by the square-free part's exact signs at ``r -/+ tol/2``, taken as
     integer numerators over one denominator
     (:func:`intpoly.eval_homogeneous`), and must lie strictly above the one
@@ -292,12 +292,13 @@ def certified_negative_roots(coeffs, tol: Fraction = DEFAULT_TOL) -> list:
     cof = coeffs[t0:]
     if intpoly.degree(cof) < 1:
         return zero
-    intervals = _try_float_roots(cof, tol)
+    chain = sturm_chain(cof)
+    intervals = _try_float_roots(cof, tol, chain)
     if intervals is not None:  # ascending and negative
         return intervals + zero
     bound = intpoly.cauchy_root_bound(cof)
     # isolation splits off the root 0 exactly and keeps the others clear of it
-    encs = isolate_real_roots(coeffs, RationalInterval(-bound, bound), tol)
+    encs = _isolate(coeffs, chain, RationalInterval(-bound, bound), tol)
     return [(e.interval.lo, e.interval.hi) for e in encs]
 
 
@@ -309,8 +310,11 @@ def _search_end(cof) -> float:
     return -((lead + max(map(abs, cof[:-1]))) / lead)
 
 
-def _try_float_roots(cof, tol) -> Optional[list]:
-    chain = sturm_chain(cof)
+def _try_float_roots(cof, tol, chain=None) -> Optional[list]:
+    """The certified roots of ``cof`` on the float route, or None; ``chain``
+    is the Sturm chain of ``cof`` when the caller has built it."""
+    if chain is None:
+        chain = sturm_chain(cof)
     f = list(chain.squarefree)  # the distinct roots of cof, each simple
     try:
         # a positive root, which no domination polynomial has, fails the count

@@ -15,9 +15,9 @@ integers at a working precision that doubles until the ball excludes 0,
 with the exact sign once it is no more work.  Star roots are bisected on
 ``D(K_{1,k})`` itself.  Binary floating point appears only in
 :func:`lambert_w` / :func:`star_root_estimate` and in
-:func:`bipartite_sign_estimate`, the witness search's guess at a ``K_{a,b}``
-sign; they serve as search seeds, guides and reporting checks, never as
-evidence.
+:func:`bipartite_log_value`, the witness search's guide to a ``K_{a,b}``
+sign (:func:`bipartite_sign_estimate` is its sign); they serve as search
+seeds, guides and reporting checks, never as evidence.
 
 Counting convention: an interval ``(lo, hi]`` is half-open on the left, so a
 root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
@@ -247,7 +247,7 @@ def _exact_enclosure(point: Fraction) -> RootEnclosure:
 
 
 def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
-                 avoid: Sequence[Fraction], floor: Fraction = Fraction(0)) -> tuple:
+                 avoid: Sequence[Fraction]) -> tuple:
     """Bisect ``(a, b)`` on ``sign``, which has one root there and changes sign at it.
 
     ``sign(num, den)`` takes a point as an unreduced pair with ``den > 0``:
@@ -255,23 +255,22 @@ def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
     midpoint needs it, so every caller's sign must be homogeneous (the same
     for ``(num, den)`` and ``(c num, c den)``, ``c > 0``).  ``ref`` is the
     sign just right of ``a``.  The loop runs until the width is at most
-    ``tol`` and no point of ``avoid`` lies in the closed ``[a, b]``, or is
-    at most ``floor``; a midpoint that is the root comes back as
-    ``(mid, mid)``.  The root is not in ``avoid``, so every point there is
-    bisected off in finitely many steps.  An end that may itself be a root
-    must be named in ``avoid``: the ends are never evaluated.  A ``sign``
-    that may be wrong needs a positive ``floor``: it can steer the cell
-    onto a point of ``avoid``.
+    ``tol`` and no point of ``avoid`` lies in the closed ``[a, b]``; a
+    midpoint that is the root comes back as ``(mid, mid)``.  The root is
+    not in ``avoid``, so every point there is bisected off in finitely many
+    steps.  An end that may itself be a root must be named in ``avoid``:
+    the ends are never evaluated.  Every midpoint is a dyadic point of
+    ``(a, b)``, and the loop cannot stop while the width is above ``tol``,
+    so it passes through every dyadic cell that holds the root inside it,
+    down to the first depth at which the width is at most ``tol``; started
+    from such a cell, it ends where it ends from ``(a, b)``.
     """
     den = math.lcm(a.denominator, b.denominator)
     lo = a.numerator * (den // a.denominator)
     hi = b.numerator * (den // b.denominator)
     tn, td = tol.numerator, tol.denominator
-    fn, fd = floor.numerator, floor.denominator
     avoid = [(x.numerator, x.denominator) for x in avoid]
-    while (hi - lo) * fd > fn * den and (
-            (hi - lo) * td > tn * den
-            or any(lo * xd <= xn * den <= hi * xd for xn, xd in avoid)):
+    while (hi - lo) * td > tn * den or any(lo * xd <= xn * den <= hi * xd for xn, xd in avoid):
         if (lo + hi) & 1:
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) >> 1
@@ -296,18 +295,28 @@ def _simplest(lo: Fraction, hi: Fraction, open_lo: bool = False, open_hi: bool =
     ``n + 1/t`` for the simplest ``t`` between ``1/(hi - n)`` and
     ``1/(lo - n)``, the ends swapped with their openness.  The loop keeps
     the continued fraction so far as ``(h1 t + h0) / (k1 t + k0)``, all on
-    ints; a range of ``t`` with no upper end has ``ud = 0``."""
-    if hi < 0 or hi == 0 and open_hi:
-        return -_simplest(-hi, -lo, open_hi, open_lo)
-    if lo < 0:
-        return Fraction(0)
-    ln, ld, un, ud = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    ints (:func:`_simplest_ratio`)."""
+    return Fraction(*_simplest_ratio(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                                     open_lo, open_hi))
+
+
+def _simplest_ratio(ln: int, ld: int, un: int, ud: int, open_lo: bool = False,
+                    open_hi: bool = False) -> tuple:
+    """:func:`_simplest` of the range from ``ln/ld`` to ``un/ud``, each end
+    an int pair with a positive denominator and not necessarily in lowest
+    terms, as ``(num, den)`` in lowest terms; a range of ``t`` with no
+    upper end has ``ud = 0``."""
+    if un < 0 or un == 0 and open_hi:
+        n, d = _simplest_ratio(-un, ud, -ln, ld, open_hi, open_lo)
+        return -n, d
+    if ln < 0:
+        return 0, 1
     h0, k0, h1, k1 = 0, 1, 1, 0
     while True:
         n, r = divmod(ln, ld)
         c = n + bool(r or open_lo)
         if c * ud < un or c * ud == un and not open_hi:
-            return Fraction(h1 * c + h0, k1 * c + k0)
+            return h1 * c + h0, k1 * c + k0
         h0, k0, h1, k1 = h1, k1, n * h1 + h0, n * k1 + k0
         ln, ld, un, ud = ud, un - n * ud, ld, r
         open_lo, open_hi = open_hi, open_lo
@@ -335,18 +344,29 @@ def isolate_real_roots(
     coeffs = _coeffs(p)
     if not coeffs:
         raise DomainError("cannot isolate roots of the zero polynomial")
-    lo, hi = interval.lo, interval.hi
-    results = []
     t0 = intpoly.trailing_zeros(coeffs)
     work = coeffs[t0:] if t0 else coeffs
-    if t0 and lo < 0 <= hi:
+    chain = None
+    if intpoly.degree(work) >= 1 and interval.lo != interval.hi:
+        chain = sturm_chain(work)
+    return _isolate(coeffs, chain, interval, tol)
+
+
+def _isolate(coeffs: list, chain: Optional[SturmChain], interval: RationalInterval,
+             tol: Fraction) -> list:
+    """:func:`isolate_real_roots` of the normalized ``coeffs``, for a
+    positive ``tol``, given the Sturm chain of their zero-free part, or None
+    when that part is a constant or the window a point: the route of a
+    caller that has built the chain already."""
+    lo, hi = interval.lo, interval.hi
+    results = []
+    if coeffs[0] == 0 and lo < 0 <= hi:
         results.append(_exact_enclosure(Fraction(0)))
-    if intpoly.degree(work) < 1 or lo == hi:
+    if chain is None:
         return results
-    chain = sturm_chain(work)
     if intpoly.sign_at(chain.squarefree, hi) == 0:
         results.append(_exact_enclosure(hi))
-    deflated = (Fraction(0),) if t0 else ()
+    deflated = (Fraction(0),) if coeffs[0] == 0 else ()
     stack = [(lo, hi, _open_count(chain, lo, hi))]
     while stack:
         a, b, cnt = stack.pop()
@@ -663,34 +683,33 @@ def _log_power_minus_one(log_y: float, y_negative: bool, n: int) -> tuple:
     return 0, -math.inf
 
 
-def _log_sum(terms) -> tuple:
-    """``(sign, log|sum|)`` of terms given as ``(sign, log|term|)``."""
-    top = -math.inf
-    for s, l in terms:
-        if s and l > top:
-            top = l
-    total = 0.0
-    for s, l in terms:
-        if s:
-            total += s * math.exp(l - top)
-    if not total:
-        return 0, -math.inf
-    return (1 if total > 0 else -1), top + math.log(abs(total))
+def _log_total(logs: list) -> float:
+    """``log`` of the sum of ``e^l`` over ``logs``, scaled by the largest;
+    ``-inf`` for none."""
+    top = max(logs, default=-math.inf)
+    if len(logs) < 2 or top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(l - top) for l in logs))
 
 
 _LOG_2 = math.log(2)
 
 
-def bipartite_sign_estimate(sides: tuple, y: float, m: int) -> int:
-    """A float guess at the sign of ``D(K_{a,b}, y^m - 1)``, for ``m >= 1``.
+def bipartite_log_value(sides: tuple, y: float, m: int) -> float:
+    """A float stand-in for ``D(K_{a,b}, y^m - 1)``, for ``m >= 1``: the
+    log of the sum of its positive terms minus the log of the sum of its
+    negative ones, which has the polynomial's sign.
 
     The terms are those :func:`_expand` groups, at ``x = y^m - 1`` with
-    ``d = (1+x)^a - 1``: ``d (1+x)^b + (x^a - d) + x^b`` for ``a < b``
+    ``d = (1+x)^a - 1``: ``d (1+x)^b + x^a - d + x^b`` for ``a < b``
     (``x^a - d`` is 0 for a star) and ``d^2 + 2 x^a`` for ``a = b``.  Each
-    is carried as ``(sign, log|term|)`` and summed scaled by the largest, so
-    no power of ``y`` overflows.  Near a root the guess can be wrong: it
-    picks where an exact sign is worth taking and is never read as
-    evidence."""
+    is carried as ``(sign, log|term|)``, so no power of ``y`` overflows, and
+    each sum is scaled by its largest term.  Where a term of each sign is
+    left, the value is continuous in ``y``, and in its log form it is close
+    to linear along a family: for a star with ``y <= -1`` it is exactly
+    linear in ``k`` up to the sign ``(-1)^k``.  Near a root it can have the
+    wrong sign: it guides the witness search to where an exact sign is
+    worth taking and is never read as evidence."""
     a, b = sorted(sides)
     neg = y < 0
     log_y = math.log(-y if neg else y) if y else -math.inf
@@ -699,10 +718,23 @@ def bipartite_sign_estimate(sides: tuple, y: float, m: int) -> int:
     if a == b:
         terms = ((sd * sd, 2 * ld), (sx ** a, _LOG_2 + a * lx))
     else:
-        db = (-sd if neg and m * b & 1 else sd, ld + m * b * log_y)
-        xb = (sx ** b, b * lx)
-        terms = (db, xb) if a == 1 else (db, _log_sum(((sx ** a, a * lx), (-sd, ld))), xb)
-    return _log_sum(terms)[0]
+        terms = [(-sd if neg and m * b & 1 else sd, ld + m * b * log_y), (sx ** b, b * lx)]
+        if a > 1:
+            terms += ((sx ** a, a * lx), (-sd, ld))
+    pos, negative = [], []
+    for s, l in terms:
+        if s > 0:
+            pos.append(l)
+        elif s < 0:
+            negative.append(l)
+    return _log_total(pos) - _log_total(negative)
+
+
+def bipartite_sign_estimate(sides: tuple, y: float, m: int) -> int:
+    """A float guess at the sign of ``D(K_{a,b}, y^m - 1)``: the sign of
+    :func:`bipartite_log_value`, 0 where that is NaN."""
+    v = bipartite_log_value(sides, y, m)
+    return (v > 0) - (v < 0)
 
 
 def star_domination_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:

@@ -45,13 +45,17 @@ mapped window's near end (the right end for stars and ``K_{k,k}``, the left
 for ``K_{2,l}``), and it is a hit exactly when it is not also past the far
 end.
 
-Floats pick, exact signs decide.  Each bisection first runs on a float
-guess, :func:`domroots.realroots.bipartite_sign_estimate`, and exact signs
-then confirm its answer: two for the first root past the near end (the
-index must turn there), two at the ends of the certifying bisection's cell.
-Where they do not confirm it, the exact bisection runs from the start.  A
-confirmed answer is the one the exact bisection gives, so a guess only
-saves exact signs and never reaches a certificate.
+Floats pick, exact signs decide.  The float guide is
+:func:`domroots.realroots.bipartite_log_value`, a log-form value with the
+sign of the family polynomial, and a bracketed secant on it
+(:func:`_first_past`) guesses where that sign turns: the first ``p`` past
+the mapped near end, over the whole range of ``p``, and the dyadic cell of
+the window part that holds the root.  Exact signs then confirm each guess:
+two for the first ``p`` past (the sign must turn there, which also puts the
+top ``p`` past), two at the ends of the cell.  Where they do not confirm
+it, the exact bisection runs from the start.  A confirmed answer is the one
+the exact bisection gives, so a guess only saves exact signs and never
+reaches a certificate.
 
 Every witness family is a complete bipartite ``K_{a,b}`` (the family table
 is :data:`domroots.graph.FAMILIES`).  The known rational domination roots 0
@@ -118,6 +122,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -135,11 +140,11 @@ from .realroots import (
     _exact_enclosure,
     _frac_str,
     _sign_bisect,
-    _simplest,
+    _simplest_ratio,
     _tolerance,
+    bipartite_log_value,
     bipartite_numerator_sign,
     bipartite_sign,
-    bipartite_sign_estimate,
     enclosure_json,
 )
 # unused here; bench/spans.py wraps these names on this module
@@ -161,6 +166,14 @@ FAMILY_STAR = "star"
 # homogenised integer numerator; above it the verifier, like the search at
 # every degree, takes the numerator's exact signs.
 VERIFY_EXPANSION_MAX_DEGREE = 120
+
+# The verifier expands no composed numerator estimated above this many bits
+# (see _certified_signs).  The largest that any CI step or benchmark query
+# expands is the z = -20 star's (60,487 leaves, m = 3), about 4.4e6 bits; a
+# sign of a star numerator of 9.0e6 bits took 0.25 s in exact decimal
+# (Python 3.11.7, libmpdec 2.5.1, 2-core x86-64 host), so a sign at the cap
+# takes about 0.3 s.
+VERIFY_MAX_NUMERATOR_BITS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -351,10 +364,19 @@ class _Search:
         also past the far end, and no other one can be.  When even the top
         ``p`` is not past the near end, no larger ``m`` has a hit either: as
         ``m`` grows the range never grows, and the mapped near end never
-        moves away from the limit."""
+        moves away from the limit.
+
+        The float guide guesses the first ``p`` past the near end over the
+        whole range (:func:`_first_past` on
+        :func:`domroots.realroots.bipartite_log_value` times ``ahead(p)``),
+        and two exact signs confirm it: ``ps[i]`` is past and ``ps[i-1]`` is
+        not.  ``toward`` is monotone in ``p``, so a confirmed guess is the
+        first ``p`` past, and the top ``p`` is past as well; the exact sign at
+        the top, the costliest one, is taken only when the guess is not
+        confirmed, and then the exact bisection finds the first ``p``."""
         row = _KINDS[self.kind]
         sides = graph.FAMILIES[row.family].to_shape
-        y = float(1 + (self.w_lo if row.climbs else self.w_hi))  # 1 + the near end
+        y = _float(1 + (self.w_lo if row.climbs else self.w_hi))  # 1 + the near end
 
         def toward(p: int, x: Fraction) -> int:
             # 1 when the root of the family at p is past x, 0 at x, else -1
@@ -369,15 +391,15 @@ class _Search:
             near, far = _phi(self.w_lo, m), _phi(self.w_hi, m)
             if not row.climbs:
                 near, far = far, near
-            if not ps or toward(ps[-1], near) < 1:
+            if not ps:
                 break
-            # the guess picks the first p past the near end; toward is
-            # monotone in p, so two exact signs confirm it, or it bisects
-            top = len(ps) - 1
-            i = bisect.bisect_left(
-                ps, 1, hi=top, key=lambda p: bipartite_sign_estimate(sides(p), y, m) * row.ahead(p))
-            if i and toward(ps[i - 1], near) == 1 or i < top and toward(ps[i], near) < 1:
-                i = bisect.bisect_left(ps, 1, hi=top, key=lambda p: toward(p, near))
+            i = _first_past(lambda i: bipartite_log_value(sides(ps[i]), y, m) * row.ahead(ps[i]),
+                            len(ps))
+            if not (0 <= i < len(ps) and (i == 0 or toward(ps[i - 1], near) < 1)
+                    and toward(ps[i], near) == 1):
+                if toward(ps[-1], near) < 1:
+                    break
+                i = bisect.bisect_left(ps, 1, hi=len(ps) - 1, key=lambda p: toward(p, near))
             p = ps[i]
             if toward(p, far) == -1:
                 best = (m + p, m, p)
@@ -397,26 +419,30 @@ class _Search:
         the target window's: the composed polynomial at ``t`` is the family's
         at ``_phi(t, m)``, and the numerator is homogeneous.
 
-        A first pass of the same bisection takes the float guess of
-        :func:`domroots.realroots.bipartite_sign_estimate` as its sign, and
-        stops where the exact one would or at 2^-40 of the window, whichever
-        comes first.  Exact signs at its cell's ends then decide.  Signs
-        ``s_lo`` and ``-s_lo`` put the one root inside, so the cell is the
-        dyadic cell the exact bisection passes through at that depth, and
-        the exact one would not have stopped before it (its stop rule
-        implies the first pass's); the exact bisection goes on from there.
-        An end of sign 0 is the root, a midpoint the exact bisection
-        reaches.  Any other signs send the exact bisection back to the
-        whole window.  So the bracket is the one exact signs alone give, and
-        a simple-certified one then takes its simplest ends within the part
-        (:func:`_simplest_ends`), which keep the signs ``(s_lo, -s_lo)`` and
-        lie strictly inside the target window."""
+        The float guide picks where the exact bisection starts.  ``D`` is
+        the depth at which the part's dyadic cells are first at most ``tol``
+        wide, or 40 if that is less, and :func:`_first_past` on
+        :func:`domroots.realroots.bipartite_log_value` at the ``2^D + 1``
+        ends of those cells finds the cell that holds the float root.  Exact
+        signs at that cell's ends then decide.  Signs ``s_lo`` and ``-s_lo``
+        put the one root inside, so the cell is the one the exact bisection
+        passes through at that depth, where it cannot have stopped yet
+        (:func:`domroots.realroots._sign_bisect`), and the exact bisection
+        goes on from there.  An end of sign 0 is the root, a midpoint the
+        exact bisection reaches.  Any other signs send the exact bisection
+        back to the whole part.  So the bracket is the one exact signs alone
+        give, and a simple-certified one then takes its simplest ends within
+        the part (:func:`_simplest_ends`), which keep the signs
+        ``(s_lo, -s_lo)`` and lie strictly inside the target window."""
         sides = _sides(self.kind, p)
         avoid = (self.z - self.eps, self.z + self.eps)
         exact = _composed(bipartite_sign, sides, m)
-        lo, hi = _sign_bisect(
-            lambda num, den: bipartite_sign_estimate(sides, (num + den) / den, m),
-            self.w_lo, self.w_hi, s_lo, self.tol, avoid, (self.w_hi - self.w_lo) / (1 << 40))
+        width = self.w_hi - self.w_lo
+        cells = 1 << min(_GUIDED_DEPTH, (-(-width // self.tol) - 1).bit_length())
+        y, step = _float(1 + self.w_lo), _float(width) / cells
+        i = _first_past(lambda i: -s_lo * bipartite_log_value(sides, y + i * step, m), cells + 1)
+        i = min(max(i, 1), cells)
+        lo, hi = self.w_lo + (i - 1) * width / cells, self.w_lo + i * width / cells
         ends = exact(lo.numerator, lo.denominator), exact(hi.numerator, hi.denominator)
         if 0 in ends:
             lo = hi = lo if ends[0] == 0 else hi
@@ -433,6 +459,72 @@ class _Search:
         return WitnessCertificate(self.z, self.eps, self.kind, p, m, deg, enc, self.case)
 
 
+# the guided pass of _Search._certify picks a dyadic cell at most this deep
+_GUIDED_DEPTH = 40
+
+
+def _float(q: Fraction) -> float:
+    """``float(q)``, or NaN past the float range: the guide's value at NaN
+    is NaN, on which :func:`_first_past` guesses nothing."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.nan
+
+
+def _first_past(value: Callable, n: int) -> int:
+    """A guess at the first ``i`` in ``range(n)`` with ``value(i) > 0``, or
+    ``n`` when ``value(n - 1)`` is not, for a ``value`` that rises through 0
+    once: a bracketed secant (regula falsi with the Illinois rule, Dowell
+    and Jarratt, BIT 1971) on the indices.
+
+    The bracket starts at ``(0, n - 1)``.  Each step takes an index strictly
+    inside it, where the secant through its ends meets 0, rounded down, or
+    the middle where that is not a number or where the last two steps did
+    not halve the bracket, and moves the end on the same side; an end that
+    stays for two steps in a row has its value halved.  It ends when the
+    ends are neighbours, so a guess comes with the float values of both.
+    On a value linear in the index, such as a star's
+    (:func:`domroots.realroots.bipartite_log_value`), the first step lands
+    next to the root.  Where ``value`` raises ``ArithmeticError`` or
+    ``ValueError`` the guess is ``n``.  Any guess may be wrong; the caller
+    confirms it with exact signs."""
+    try:
+        lo, hi = 0, n - 1
+        v_hi = value(hi)
+        if not v_hi > 0:
+            return n
+        if not hi:
+            return 0
+        v_lo = value(lo)
+        if v_lo > 0:
+            return 0
+        moved = 0  # which end the last step moved: 1 for hi, -1 for lo
+        two_back = one_back = 2 * n  # the bracket's width two steps and one step back
+        while hi - lo > 1:
+            i = (lo + hi) // 2
+            if 2 * (hi - lo) <= two_back:
+                try:
+                    i = min(max(lo + int((hi - lo) * v_lo / (v_lo - v_hi)), lo + 1), hi - 1)
+                except (ArithmeticError, ValueError):
+                    pass
+            two_back, one_back = one_back, hi - lo
+            v = value(i)
+            if v > 0:
+                hi, v_hi = i, v
+                if moved > 0:
+                    v_lo /= 2
+                moved = 1
+            else:
+                lo, v_lo = i, v
+                if moved < 0:
+                    v_hi /= 2
+                moved = -1
+        return hi
+    except (ArithmeticError, ValueError):
+        return n
+
+
 def _simplest_ends(lo: Fraction, hi: Fraction, w_lo: Fraction, w_hi: Fraction,
                    tol: Fraction) -> tuple:
     """The ends of the bracket ``(lo, hi)`` of the one root in the part
@@ -443,13 +535,20 @@ def _simplest_ends(lo: Fraction, hi: Fraction, w_lo: Fraction, w_hi: Fraction,
     the part's end stays.  The width stays at most ``tol``, no denominator
     grows, and the ends keep their signs: every point of the part left of
     its one simple root has the sign of ``lo``, and every point right of it
-    that of ``hi``."""
-    if lo > w_lo:
-        bound = hi - tol
-        lo = _simplest(max(bound, w_lo), lo, bound <= w_lo)
-    if hi < w_hi:
-        bound = lo + tol
-        hi = _simplest(hi, min(bound, w_hi), False, bound >= w_hi)
+    that of ``hi``.  The comparisons and bounds are taken on int pairs
+    (:func:`domroots.realroots._simplest_ratio`)."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    tn, td = tol.numerator, tol.denominator
+    an, ad, bn, bd = w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator
+    if ln * ad > an * ld:
+        en, ed = hn * td - tn * hd, hd * td  # hi - tol
+        past = en * ad <= an * ed
+        ln, ld = _simplest_ratio(*((an, ad) if past else (en, ed)), ln, ld, past)
+        lo = Fraction(ln, ld)
+    if hn * bd < bn * hd:
+        en, ed = ln * td + tn * ld, ld * td  # lo + tol
+        past = en * bd >= bn * ed
+        hi = Fraction(*_simplest_ratio(hn, hd, *((bn, bd) if past else (en, ed)), False, past))
     return lo, hi
 
 
@@ -542,11 +641,26 @@ def _certified_signs(cert: WitnessCertificate):
     raises :class:`DomainError` before anything is expanded: the work grows
     with the family parameter, and a tampered parameter would otherwise buy
     unbounded work (a star of 10^6 leaves took 8 s and 92 MiB to reject).
-    ``m < 1`` takes the identity route, which rejects it."""
-    degree = family_order(cert.family_kind, cert.family_param) * cert.m
+    The degree does not bound ``m`` when ``composed_degree`` was edited to
+    match, nor the ends' lengths, so the numerator's length is estimated
+    too, as ``order (m bits(|num| + den) + 1)`` over the enclosure's ends,
+    and one above :data:`VERIFY_MAX_NUMERATOR_BITS` raises
+    :class:`DomainError` before anything is expanded (the z = -10 star with
+    ``m = 1,001`` took 9.9 s to reject without it, and ``m = 10,001`` did
+    not finish in 90 s).  A certificate under the cap can still be false; its
+    recomputed signs reject it.  ``m < 1`` takes the identity route, which
+    rejects it."""
+    order = family_order(cert.family_kind, cert.family_param)
+    degree = order * cert.m
     if degree != cert.composed_degree:
         raise DomainError(f"the descriptor implies degree {degree}, not the stored "
                           f"{cert.composed_degree}; nothing was expanded")
+    lo, hi = cert.enclosure.interval.lo, cert.enclosure.interval.hi
+    size = max(abs(lo.numerator) + lo.denominator, abs(hi.numerator) + hi.denominator)
+    bits = order * (cert.m * size.bit_length() + 1)
+    if bits > VERIFY_MAX_NUMERATOR_BITS:
+        raise DomainError(f"the composed numerator would have about {bits} bits, above the cap "
+                          f"of {VERIFY_MAX_NUMERATOR_BITS}; nothing was expanded")
     if 0 < degree <= VERIFY_EXPANSION_MAX_DEGREE:
         composed = compose_with_complete(
             family_polynomial(cert.family_kind, cert.family_param), cert.m

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from domroots import atlas
+from domroots import atlas, realroots
 from domroots.atlas import (
     certified_negative_roots,
     enumerate_graphs,
@@ -457,6 +457,23 @@ def test_a_float_root_past_the_float_range_falls_back():
                                                     atlas._search_end(cof), 0.0)
     assert atlas._try_float_roots(cof, DEFAULT_TOL) is None
     assert certified_negative_roots(cof) == exact_negative_roots(cof)
+
+
+def test_a_fallback_isolates_on_the_chain_it_built(monkeypatch):
+    # the polynomial above falls back to Sturm isolation, which takes the
+    # chain the float route built instead of building a second one
+    cof = [2 * 10 ** 305, 13 * 10 ** 307, 1]
+    expected = exact_negative_roots(cof)
+    chains = []
+
+    def counted(p):
+        chains.append(p)
+        return sturm_chain(p)
+
+    monkeypatch.setattr(atlas, "sturm_chain", counted)
+    monkeypatch.setattr(realroots, "sturm_chain", counted)
+    assert certified_negative_roots(cof) == expected
+    assert len(chains) == 1
 
 
 @st.composite

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import functools
 import json
+import math
 import random
 import re
 import time
@@ -694,7 +695,7 @@ def _seeded_random_guide():
 _WRONG_GUIDES = {
     "always +1": lambda: lambda sides, y, m: 1,
     "always -1": lambda: lambda sides, y, m: -1,
-    "negated": lambda: lambda sides, y, m: -realroots.bipartite_sign_estimate(sides, y, m),
+    "negated": lambda: lambda sides, y, m: -realroots.bipartite_log_value(sides, y, m),
     "seeded random": _seeded_random_guide,
 }
 
@@ -721,7 +722,7 @@ def test_a_wrong_guide_changes_no_byte(monkeypatch, guide):
 
     guided = outputs()
     assert guided[:len(_GRID)] == [output(exact_witness(F(z), F(e))) for z, e in _GRID]
-    monkeypatch.setattr(witness, "bipartite_sign_estimate", _WRONG_GUIDES[guide]())
+    monkeypatch.setattr(witness, "bipartite_log_value", _WRONG_GUIDES[guide]())
     assert outputs() == guided
 
 
@@ -739,16 +740,16 @@ _STAND_IN_GUIDES = {
 def test_a_dyadic_root_comes_back_as_the_exact_bisection_gives_it(monkeypatch, guide, at):
     # the families' roots in a window are irrational, so a stand-in sign
     # with its root at a dyadic point of the window (-1, -1/2) takes its
-    # place: the first pass may stop on the root, or end a cell there, and
-    # the enclosure is the exact bisection's all the same.  At 5/2^45 of
-    # the window the root lies past the first pass's 2^-40
+    # place: the guided cell may end on the root, and the enclosure is the
+    # exact bisection's all the same.  At 5/2^45 of the window the root is
+    # inside a guided cell (depth 29 here, and at most 40)
     lo, hi = F(-1), F("-1/2")
     root = lo + (hi - lo) * at
     search = witness._Search(F("-3/4"), F("1/4"), SearchBudget(), DEFAULT_TOL,
                              (FAMILY_KKK, lo, hi))
     monkeypatch.setattr(witness, "bipartite_sign",
                         lambda sides, u, v: _sign(u * root.denominator - root.numerator * v))
-    monkeypatch.setattr(witness, "bipartite_sign_estimate",
+    monkeypatch.setattr(witness, "bipartite_log_value",
                         lambda sides, y, m: _STAND_IN_GUIDES[guide](F(y) - 1, root))
     exact = witness._composed(witness.bipartite_sign, (3, 3), 1)
     expected = realroots._sign_bisect(exact, lo, hi, -1, DEFAULT_TOL, (lo, hi))
@@ -760,6 +761,136 @@ def test_a_dyadic_root_comes_back_as_the_exact_bisection_gives_it(monkeypatch, g
         enc = search._certify(1, 3, -1).enclosure
     assert (enc.interval.lo, enc.interval.hi) == expected
     assert (expected == (root, root)) == (at == Fraction(3, 8))
+
+
+def _raising_guide(sides, y, m):
+    raise OverflowError("a guide past the float range")
+
+
+# float guides that are wrong in every way a float can be, and the true one
+# for index guesses that are off alone; each is built from the true guide
+# and a shift of the point it is taken at
+_ADVERSARIAL_VALUES = {
+    "NaN": lambda true, shift: lambda sides, y, m: math.nan,
+    "+inf": lambda true, shift: lambda sides, y, m: math.inf,
+    "-inf": lambda true, shift: lambda sides, y, m: -math.inf,
+    "negated": lambda true, shift: lambda sides, y, m: -true(sides, y, m),
+    "root-shifted": lambda true, shift: lambda sides, y, m: true(sides, y + shift, m),
+    "raises OverflowError": lambda true, shift: _raising_guide,
+    "true": lambda true, shift: true,
+}
+
+
+@settings(max_examples=120)
+@given(
+    z=st.one_of(*(st.fractions(lo, hi, max_denominator=1000) for lo, hi in _REGIMES.values()),
+                _near_anchor()),
+    eps_den=st.integers(2, 1000),
+    tol=st.sampled_from((DEFAULT_TOL, Fraction(1, 10 ** 30), Fraction(1, 4))),
+    budget=st.just(SearchBudget()) | st.builds(SearchBudget, st.integers(1, 41),
+                                               st.integers(1, 5001), st.integers(1, 20000)),
+    value=st.sampled_from(sorted(_ADVERSARIAL_VALUES)),
+    shift=st.floats(-1 / 2, 1 / 2),
+    off=st.integers(-3, 3) | st.integers(-10 ** 15, 10 ** 15),
+)
+def test_adversarial_guides_leave_the_exact_answer(z, eps_den, tol, budget, value, shift, off):
+    # index guesses off by any amount, inside the range or outside it, and
+    # values that are NaN, infinite, negated, taken at a shifted point or
+    # raise: every certificate, report and exhaustion frontier is the one
+    # exact signs alone give
+    eps = Fraction(1, eps_den)
+    assume(z + eps <= 0 and not z - eps < -2 < z + eps)
+    expected = exact_witness(z, eps, budget, tol)
+    first_past = witness._first_past
+    guide = _ADVERSARIAL_VALUES[value](realroots.bipartite_log_value, shift)
+    with mock.patch.object(witness, "bipartite_log_value", guide), \
+            mock.patch.object(witness, "_first_past", lambda v, n: first_past(v, n) + off):
+        if expected is None:
+            with pytest.raises(BudgetExhaustedError) as exc:
+                construct_witness(z, eps, budget, tol)
+        else:
+            cert = construct_witness(z, eps, budget, tol)
+    if expected is None:
+        parts = witness._classify(z - eps, z + eps)
+        assert exc.value.frontier == {
+            "case": "+".join(witness._KINDS[kind].case for kind, _, _ in parts),
+            "cells_tested": sum(witness._Search(z, eps, budget, tol, part).cells for part in parts),
+            "max_m": budget.max_m, "max_param": budget.max_param,
+            "max_degree": budget.max_degree,
+        }
+    else:
+        assert cert == expected
+        assert str(verify_certificate(cert)) == str(verify_certificate(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 5001, 2 ** 40 + 1])
+@pytest.mark.parametrize("at", [-7.5, -0.5, 0.5, 0.25, 1 / 3, 0.999, 1.5])
+def test_first_past_lands_next_to_the_root_of_a_linear_value(n, at):
+    # a star's guide is linear in its index: the secant's first step lands
+    # next to the root, and one more step takes its other neighbour
+    root = math.floor(at * (n - 1)) + 0.5
+    calls = []
+
+    def value(i):
+        calls.append(i)
+        return 3 * (i - root)
+
+    assert witness._first_past(value, n) == min(max(math.ceil(root), 0), n)
+    assert len(calls) <= 4
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 10 ** 6),
+    first=st.integers(0, 10 ** 6),
+    shape=st.sampled_from(["step", "cube", "exp", "inf above", "-inf below", "NaN below"]),
+)
+def test_first_past_finds_the_first_positive_index_of_a_rising_value(n, first, shape):
+    # for any value that rises through 0 once the bracket's ends stay on
+    # their sides, so the guess is exact, and the bracket halves at least
+    # every third step
+    first = min(first, n)
+    below, above = {"step": (-1.0, 1.0), "cube": (None, None), "exp": (None, None),
+                    "inf above": (-1.0, math.inf), "-inf below": (-math.inf, 1.0),
+                    "NaN below": (math.nan, 2.0)}[shape]
+    calls = []
+
+    def value(i):
+        calls.append(i)
+        if shape == "cube":
+            return float(i - first + 1) ** 3 - 0.5
+        if shape == "exp":
+            return math.exp(min(i - first, 700)) - math.exp(-1)
+        return above if i >= first else below
+
+    assert witness._first_past(value, n) == first
+    assert len(calls) <= 3 * n.bit_length() + 4
+
+
+def test_the_grid_takes_fewer_exact_signs(monkeypatch):
+    # the guess confirmed by two exact signs replaces the exact sign at the
+    # top p of every searched m; the guided cell saves the rest.  The 16
+    # cells took 196 exact signs when the top p was always taken
+    calls = []
+
+    def counted(sides, u, v):
+        calls.append(sides)
+        return realroots.bipartite_sign(sides, u, v)
+
+    monkeypatch.setattr(witness, "bipartite_sign", counted)
+    for z, e in _GRID[:16]:
+        construct_witness(F(z), F(e))
+    assert len(calls) == 158
+
+
+def test_a_target_past_the_float_range_is_searched_on_exact_signs():
+    # 1 + z has no float, so the guides guess nothing and exact signs alone
+    # search the window; it used to end in an OverflowError
+    budget = SearchBudget(3, 50, 1000)
+    z, eps = F(-10 ** 400), F("1/100")
+    assert exact_witness(z, eps, budget) is None
+    with pytest.raises(BudgetExhaustedError):
+        construct_witness(z, eps, budget)
 
 
 @settings(max_examples=300)
@@ -1056,6 +1187,50 @@ def test_verify_rejects_a_huge_tampered_parameter_at_once():
     assert failed["endpoint_certification"] == (
         f"the descriptor implies degree 3000003, not the stored "
         f"{cert.composed_degree}; nothing was expanded")
+
+
+def _no_expansion(*args):
+    raise AssertionError("the verifier expanded a numerator above the cap")
+
+
+@pytest.mark.parametrize("m", [1001, 10001])
+def test_verify_rejects_a_tampered_m_before_any_expansion(monkeypatch, m):
+    # composed_degree edited to match: the z = -10 star's numerator would
+    # have about 1.1e8 bits at m = 1,001 (9.9 s to reject when it was
+    # expanded) and 1.1e9 at m = 10,001
+    cert = construct_witness(F(-10), F("1/100"))
+    order = cert.composed_degree // cert.m
+    bad = dataclasses.replace(cert, m=m, composed_degree=order * m)
+    monkeypatch.setattr(witness, "_composed", _no_expansion)
+    monkeypatch.setattr(witness, "compose_with_complete", _no_expansion)
+    failed = [(c.name, c.detail) for c in verify_certificate(bad).checks if not c.passed]
+    [(name, detail)] = failed
+    assert name == "endpoint_certification"
+    assert detail.endswith(f"above the cap of {witness.VERIFY_MAX_NUMERATOR_BITS}; "
+                           "nothing was expanded")
+
+
+def test_a_tampered_m_under_the_cap_is_rejected_by_its_signs():
+    # K_{75,75} at m = 1,001 estimates 2.7e6 bits, under the cap, so the
+    # verifier expands it and the recomputed signs reject it
+    cert = construct_witness(F("-0.8"), F("1/100"))
+    assert (cert.family_param, cert.m) == (75, 3)
+    bad = dataclasses.replace(cert, m=1001, composed_degree=150 * 1001)
+    failed = [(c.name, c.detail) for c in verify_certificate(bad).checks if not c.passed]
+    [(name, detail)] = failed
+    assert name == "endpoint_certification"
+    assert detail.startswith("recomputed signs")
+
+
+def test_the_largest_pinned_certificate_is_under_the_cap():
+    # the largest numerator a CI step expands, the z = -20 star's, is under
+    # half the cap, and the certificate verifies
+    cert = construct_witness(F(-20), F("1/100"), SearchBudget(41, 70000, 200000))
+    assert cert.family_param == 60487
+    ends = (cert.enclosure.interval.lo, cert.enclosure.interval.hi)
+    bits = 60488 * (3 * max((abs(t.numerator) + t.denominator).bit_length() for t in ends) + 1)
+    assert 4.0e6 < bits < witness.VERIFY_MAX_NUMERATOR_BITS / 2
+    assert verify_certificate(cert).ok
 
 
 def test_verify_rejects_even_family_parameter():
