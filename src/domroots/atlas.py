@@ -310,11 +310,9 @@ def _search_end(cof) -> float:
     return -((lead + max(map(abs, cof[:-1]))) / lead)
 
 
-def _try_float_roots(cof, tol, chain=None) -> Optional[list]:
+def _try_float_roots(cof, tol, chain) -> Optional[list]:
     """The certified roots of ``cof`` on the float route, or None; ``chain``
-    is the Sturm chain of ``cof`` when the caller has built it."""
-    if chain is None:
-        chain = sturm_chain(cof)
+    is the Sturm chain of ``cof``."""
     f = list(chain.squarefree)  # the distinct roots of cof, each simple
     try:
         # a positive root, which no domination polynomial has, fails the count

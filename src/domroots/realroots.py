@@ -16,8 +16,8 @@ with the exact sign once it is no more work.  Star roots are bisected on
 ``D(K_{1,k})`` itself.  Binary floating point appears only in
 :func:`lambert_w` / :func:`star_root_estimate` and in
 :func:`bipartite_log_value`, the witness search's guide to a ``K_{a,b}``
-sign (:func:`bipartite_sign_estimate` is its sign); they serve as search
-seeds, guides and reporting checks, never as evidence.
+sign; they serve as search seeds, guides and reporting checks, never as
+evidence.
 
 Counting convention: an interval ``(lo, hi]`` is half-open on the left, so a
 root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
@@ -728,13 +728,6 @@ def bipartite_log_value(sides: tuple, y: float, m: int) -> float:
         elif s < 0:
             negative.append(l)
     return _log_total(pos) - _log_total(negative)
-
-
-def bipartite_sign_estimate(sides: tuple, y: float, m: int) -> int:
-    """A float guess at the sign of ``D(K_{a,b}, y^m - 1)``: the sign of
-    :func:`bipartite_log_value`, 0 where that is NaN."""
-    v = bipartite_log_value(sides, y, m)
-    return (v > 0) - (v < 0)
 
 
 def star_domination_root(k: int, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:

@@ -129,7 +129,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import dompoly, graph, intpoly
 from .dompoly import DomPolynomial, compose_with_complete
-from .errors import BudgetExhaustedError, DomainError, DomRootsError
+from .errors import BudgetExhaustedError, CapacityError, DomainError, DomRootsError
 from .realroots import (
     DEFAULT_TOL,
     NOTE_EXACT,
@@ -168,12 +168,13 @@ FAMILY_STAR = "star"
 VERIFY_EXPANSION_MAX_DEGREE = 120
 
 # The verifier expands no composed numerator estimated above this many bits
-# (see _certified_signs).  The largest that any CI step or benchmark query
-# expands is the z = -20 star's (60,487 leaves, m = 3), about 4.4e6 bits; a
-# sign of a star numerator of 9.0e6 bits took 0.25 s in exact decimal
-# (Python 3.11.7, libmpdec 2.5.1, 2-core x86-64 host), so a sign at the cap
-# takes about 0.3 s.
-VERIFY_MAX_NUMERATOR_BITS = 10_000_000
+# (see _numerator_bits), and construct_witness emits no certificate above
+# it.  The largest that any CI step or benchmark query expands is the
+# z = -20 star's (60,487 leaves, m = 3), about 4.4e6 bits at the default
+# tol.  Its ends lengthen with tol: at tol = 1e-100 it estimates 3.15e7 bits
+# and verified in 1.4 s (Python 3.11.7, libmpdec 2.5.1, 2-core x86-64
+# host), so a certificate at the cap takes about 1.5 s to verify.
+VERIFY_MAX_NUMERATOR_BITS = 32_000_000
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,10 @@ class _Search:
         back to the whole part.  So the bracket is the one exact signs alone
         give, and a simple-certified one then takes its simplest ends within
         the part (:func:`_simplest_ends`), which keep the signs
-        ``(s_lo, -s_lo)`` and lie strictly inside the target window."""
+        ``(s_lo, -s_lo)`` and lie strictly inside the target window.  A
+        certificate that :func:`verify_certificate` would not expand
+        (:func:`_numerator_bits` above :data:`VERIFY_MAX_NUMERATOR_BITS`)
+        raises :class:`CapacityError` instead."""
         sides = _sides(self.kind, p)
         avoid = (self.z - self.eps, self.z + self.eps)
         exact = _composed(bipartite_sign, sides, m)
@@ -455,6 +459,11 @@ class _Search:
         else:
             lo, hi = _simplest_ends(lo, hi, self.w_lo, self.w_hi, self.tol)
             enc = RootEnclosure(RationalInterval(lo, hi), s_lo, -s_lo, NOTE_SIMPLE)
+        bits = _numerator_bits(sum(sides), m, enc.interval)
+        if bits > VERIFY_MAX_NUMERATOR_BITS:
+            raise CapacityError(f"the certificate found ({self.kind} {p}, m = {m}) has a composed "
+                                f"numerator of about {bits} bits, above the verifier's cap of "
+                                f"{VERIFY_MAX_NUMERATOR_BITS}")
         deg = sum(sides) * m
         return WitnessCertificate(self.z, self.eps, self.kind, p, m, deg, enc, self.case)
 
@@ -567,7 +576,11 @@ def construct_witness(
     its frontier's ``case`` joins the parts' case tags with ``+``
     (``case-1.1+case-1.2`` for a window that straddles -1), and
     ``cells_tested`` counts the cells of every part.  Raises
-    :class:`DomainError` for ``z > 0``.
+    :class:`CapacityError` when the certificate found is one that
+    :func:`verify_certificate` would not expand, its composed numerator
+    estimated above :data:`VERIFY_MAX_NUMERATOR_BITS` (:func:`_numerator_bits`:
+    a fine ``tol`` lengthens the ends, and a far target needs a large
+    order).  Raises :class:`DomainError` for ``z > 0``.
     """
     z = _as_fraction(z)
     eps = _as_fraction(eps)
@@ -629,6 +642,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _numerator_bits(order: int, m: int, interval: RationalInterval) -> int:
+    """The length in bits of the composed numerator of a family of
+    ``order`` vertices at the ends of ``interval``, estimated before
+    anything is expanded: ``order (m bits(|num| + den) + 1)`` at the longer
+    end."""
+    size = max(abs(t.numerator) + t.denominator for t in (interval.lo, interval.hi))
+    return order * (m * size.bit_length() + 1)
+
+
 def _certified_signs(cert: WitnessCertificate):
     """The sign of the composed polynomial at a point, re-derived from the
     descriptor.
@@ -643,21 +665,19 @@ def _certified_signs(cert: WitnessCertificate):
     unbounded work (a star of 10^6 leaves took 8 s and 92 MiB to reject).
     The degree does not bound ``m`` when ``composed_degree`` was edited to
     match, nor the ends' lengths, so the numerator's length is estimated
-    too, as ``order (m bits(|num| + den) + 1)`` over the enclosure's ends,
-    and one above :data:`VERIFY_MAX_NUMERATOR_BITS` raises
-    :class:`DomainError` before anything is expanded (the z = -10 star with
-    ``m = 1,001`` took 9.9 s to reject without it, and ``m = 10,001`` did
-    not finish in 90 s).  A certificate under the cap can still be false; its
-    recomputed signs reject it.  ``m < 1`` takes the identity route, which
-    rejects it."""
+    too (:func:`_numerator_bits`), and one above
+    :data:`VERIFY_MAX_NUMERATOR_BITS` raises :class:`DomainError` before
+    anything is expanded (the z = -10 star with ``m = 1,001`` took 9.9 s to
+    reject without it, and ``m = 10,001`` did not finish in 90 s).
+    :func:`construct_witness` emits no certificate above the cap.  A
+    certificate under the cap can still be false; its recomputed signs
+    reject it.  ``m < 1`` takes the identity route, which rejects it."""
     order = family_order(cert.family_kind, cert.family_param)
     degree = order * cert.m
     if degree != cert.composed_degree:
         raise DomainError(f"the descriptor implies degree {degree}, not the stored "
                           f"{cert.composed_degree}; nothing was expanded")
-    lo, hi = cert.enclosure.interval.lo, cert.enclosure.interval.hi
-    size = max(abs(lo.numerator) + lo.denominator, abs(hi.numerator) + hi.denominator)
-    bits = order * (cert.m * size.bit_length() + 1)
+    bits = _numerator_bits(order, cert.m, cert.enclosure.interval)
     if bits > VERIFY_MAX_NUMERATOR_BITS:
         raise DomainError(f"the composed numerator would have about {bits} bits, above the cap "
                           f"of {VERIFY_MAX_NUMERATOR_BITS}; nothing was expanded")

@@ -233,7 +233,8 @@ def test_float_fast_path_agrees_with_exact(rng):
         h = g if rng.random() < 0.5 else random_graph(rng, rng.randint(2, 5))
         cases.append((dom_poly_inclusion_exclusion(disjoint_union(g, h)).coeffs, None))
     for c in floated:
-        assert atlas._try_float_roots(c[trailing_zeros(c):], DEFAULT_TOL) is not None
+        cof = c[trailing_zeros(c):]
+        assert atlas._try_float_roots(cof, DEFAULT_TOL, sturm_chain(cof)) is not None
     for coeffs, roots in cases:
         fast = certified_negative_roots(coeffs, DEFAULT_TOL)
         exact = exact_negative_roots(coeffs, DEFAULT_TOL)
@@ -420,7 +421,7 @@ def test_few_domination_polynomials_fall_back_to_sturm_isolation():
         coeffs = dom_poly_inclusion_exclusion(Graph(n, tuple(adj))).coeffs
         polys.add(coeffs[trailing_zeros(coeffs):])
     assert len(polys) == 1312
-    fallbacks = sum(atlas._try_float_roots(list(c), DEFAULT_TOL) is None
+    fallbacks = sum(atlas._try_float_roots(list(c), DEFAULT_TOL, sturm_chain(c)) is None
                     for c in polys if len(c) > 1)
     assert fallbacks == 0
 
@@ -443,7 +444,7 @@ def test_a_float_sign_near_zero_on_a_derivative_level_only_guesses():
     coeffs = dom_poly_inclusion_exclusion(from_graph6("KCH_W@??Oaa?")).coeffs
     cof = list(coeffs[trailing_zeros(coeffs):])
     assert cof == [3, 51, 211, 361, 336, 187, 63, 12, 1]
-    got = atlas._try_float_roots(cof, DEFAULT_TOL)
+    got = atlas._try_float_roots(cof, DEFAULT_TOL, sturm_chain(cof))
     assert got is not None
     assert [round(float(lo), 3) for lo, _ in got] == [-2.618, -2.270, -0.382, -0.084]
     _overlap_root_for_root(got, exact_negative_roots(cof))
@@ -455,7 +456,7 @@ def test_a_float_root_past_the_float_range_falls_back():
     cof = [2 * 10 ** 305, 13 * 10 ** 307, 1]
     assert float("-inf") in atlas._float_candidates([float(c) for c in cof],
                                                     atlas._search_end(cof), 0.0)
-    assert atlas._try_float_roots(cof, DEFAULT_TOL) is None
+    assert atlas._try_float_roots(cof, DEFAULT_TOL, sturm_chain(cof)) is None
     assert certified_negative_roots(cof) == exact_negative_roots(cof)
 
 
@@ -528,7 +529,7 @@ def test_wrong_float_guesses_still_give_the_exact_roots(case):
     cof = list(coeffs[trailing_zeros(coeffs):])
     with mock.patch.object(atlas, "_float_candidates", lambda c, lo, hi: list(guesses)):
         if len(cof) > 1 and kind == "true":
-            assert atlas._try_float_roots(cof, DEFAULT_TOL) is not None
+            assert atlas._try_float_roots(cof, DEFAULT_TOL, sturm_chain(cof)) is not None
         got = certified_negative_roots(coeffs)
     assert got[-1:] == want[-1:] == [(0, 0)]
     _overlap_root_for_root(got[:-1], want[:-1])
@@ -563,14 +564,14 @@ def test_certified_roots_ascend_with_zero_in_place():
     # x(x - 1)(x + 3): the positive root 1 fails the count, and on the
     # isolation path the root 0 lies between the others
     cof = [-3, 2, 1]
-    assert atlas._try_float_roots(cof, DEFAULT_TOL) is None
+    assert atlas._try_float_roots(cof, DEFAULT_TOL, sturm_chain(cof)) is None
     roots = certified_negative_roots([0, *cof])
     assert len(roots) == 3 and all(a <= r <= b for (a, b), r in zip(roots, (-3, 0, 1)))
     assert roots[1] == (0, 0)
     # D(K_{3,3}) = x^2 (...) on the float path: its two negative roots, then 0
     coeffs = dom_poly_closed_form("Kkk", 3).coeffs
     cof = list(coeffs[trailing_zeros(coeffs):])
-    assert atlas._try_float_roots(cof, DEFAULT_TOL) is not None
+    assert atlas._try_float_roots(cof, DEFAULT_TOL, sturm_chain(cof)) is not None
     roots = certified_negative_roots(coeffs)
     assert len(roots) == 3 and roots[-1] == (0, 0)
     assert all(b < c for (_, b), (c, _) in zip(roots, roots[1:]))
@@ -581,7 +582,7 @@ def test_coarse_tol_enclosures_stop_short_of_zero():
     # which reached past the exact root 0; isolation keeps it negative
     coeffs = (0, 0, 1, 3, 1)
     cof = list(coeffs[2:])
-    assert atlas._try_float_roots(cof, Fraction(1)) is None
+    assert atlas._try_float_roots(cof, Fraction(1), sturm_chain(cof)) is None
     assert certified_negative_roots(coeffs, Fraction(1)) == [
         (-3, Fraction(-5, 2)), (Fraction(-1, 2), Fraction(-1, 4)), (0, 0)]
 

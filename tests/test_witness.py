@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from domroots import intpoly, realroots, witness
+from domroots import cli, intpoly, realroots, witness
 from domroots.dompoly import compose_with_complete, dom_poly_bruteforce, eval_rational
-from domroots.errors import BudgetExhaustedError, DomainError, EndpointRootError
+from domroots.errors import BudgetExhaustedError, CapacityError, DomainError, EndpointRootError
 from domroots.graph import substitute_complete
 from domroots.realroots import (
     DEFAULT_TOL,
@@ -911,7 +911,8 @@ def test_guide_agrees_with_the_kernel_where_its_first_ball_decides(kind, p, m, a
     u = y.numerator ** m - v
     mid, rad, _ = realroots._numerator_ball(*sorted(sides), u, v, realroots._START_BITS)
     assume(abs(mid) > rad)
-    assert realroots.bipartite_sign_estimate(sides, float(y), m) == _sign(mid)
+    v = realroots.bipartite_log_value(sides, float(y), m)
+    assert (v > 0) - (v < 0) == _sign(mid)
 
 
 # -- the simplest ends of the bracket ------------------------------------------
@@ -1232,6 +1233,37 @@ def test_the_largest_pinned_certificate_is_under_the_cap():
     assert 4.0e6 < bits < witness.VERIFY_MAX_NUMERATOR_BITS / 2
     assert verify_certificate(cert).ok
 
+
+
+@pytest.mark.parametrize("tol, code", [("1e-40", cli.EXIT_OK), ("1e-110", cli.EXIT_CAPACITY)])
+def test_a_fine_tol_far_out_verifies_or_exits_on_the_cap(capsys, tol, code):
+    # the z = -20 star's ends lengthen with tol: about 1.3e7 bits at 1e-40,
+    # which verifies, and 3.5e7 at 1e-110, which the search does not emit
+    # and the CLI reports as a cap, never as a failed verification
+    argv = ["--tol", tol, "witness", "-z", "-20", "-e", "1/100",
+            "--max-param", "70000", "--max-degree", "200000"]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "FAIL" not in err and "internal invariant" not in err
+    if code == cli.EXIT_CAPACITY:
+        assert "above the verifier's cap of 32000000" in err
+
+
+def test_the_search_and_the_verifier_share_the_cap(monkeypatch):
+    # with the cap just under a certificate's estimate, the search refuses
+    # to emit it and the verifier refuses to expand it
+    cert = construct_witness(F(-10), F("1/100"))
+    bits = witness._numerator_bits(cert.composed_degree // cert.m, cert.m,
+                                   cert.enclosure.interval)
+    monkeypatch.setattr(witness, "VERIFY_MAX_NUMERATOR_BITS", bits - 1)
+    with pytest.raises(CapacityError, match=f"about {bits} bits"):
+        construct_witness(F(-10), F("1/100"))
+    [check] = [c for c in verify_certificate(cert).checks if not c.passed]
+    assert check.name == "endpoint_certification"
+    assert f"about {bits} bits" in check.detail
+    monkeypatch.setattr(witness, "VERIFY_MAX_NUMERATOR_BITS", bits)
+    assert construct_witness(F(-10), F("1/100")) == cert
+    assert verify_certificate(cert).ok
 
 def test_verify_rejects_even_family_parameter():
     cert = construct_witness(F("-0.75"), F("0.1"))
