@@ -5,16 +5,16 @@ reduction after every Euclidean step), interval endpoints as rationals, and
 sign evaluations on homogenised integer forms.  The number of all distinct
 real roots comes from the chain's leading signs alone
 (:func:`count_real_roots`).  One formula, :func:`_expand`, writes the
-integer ``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness
-for both arithmetics; :func:`bipartite_numerator` is its int form, and
+integer ``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness,
+in each of three arithmetics: ints, an exact ``decimal`` context, and
+midpoint-radius balls of integers (:class:`_Balls`).
 :func:`bipartite_numerator_sign` expands it exactly for its sign: in ints,
-or past a measured crossover in an exact ``decimal`` context, whose
-libmpdec multiplies long numbers faster.  One kernel,
-:func:`bipartite_sign`, decides that sign: midpoint-radius balls of
-integers at a working precision that doubles until the ball excludes 0,
-with the exact sign once it is no more work.  Star roots are bisected on
-``D(K_{1,k})`` itself.  Binary floating point appears only in
-:func:`lambert_w` / :func:`star_root_estimate` and in
+or past a measured crossover in exact ``decimal``, whose libmpdec
+multiplies long numbers faster.  One kernel, :func:`bipartite_sign`,
+decides that sign: balls at a working precision that doubles until the
+ball excludes 0, with the exact sign once it is no more work.  Star roots
+are bisected on ``D(K_{1,k})`` itself.  Binary floating point appears only
+in :func:`lambert_w` / :func:`star_root_estimate` and in
 :func:`bipartite_log_value`, the witness search's guide to a ``K_{a,b}``
 sign; they serve as search seeds, guides and reporting checks, never as
 evidence.
@@ -285,27 +285,20 @@ def _sign_bisect(sign, a: Fraction, b: Fraction, ref: int, tol: Fraction,
     return Fraction(lo, den), Fraction(hi, den)
 
 
-def _simplest(lo: Fraction, hi: Fraction, open_lo: bool = False, open_hi: bool = False) -> Fraction:
-    """The simplest rational in the range from ``lo`` to ``hi``: the one with
-    the smallest denominator, and of those the one nearest 0.  An open end
-    is left out of the range, which must hold a rational.
+def _simplest_ratio(ln: int, ld: int, un: int, ud: int, open_lo: bool = False,
+                    open_hi: bool = False) -> tuple:
+    """The simplest rational in the range from ``ln/ld`` to ``un/ud``: the
+    one with the smallest denominator, and of those the one nearest 0, as
+    ``(num, den)`` in lowest terms.  Each end is an int pair with a positive
+    denominator, not necessarily in lowest terms; a range of ``t`` with no
+    upper end has ``ud = 0``.  An open end is left out of the range, which
+    must hold a rational.
 
     For ``0 <= lo``: a range that holds an integer gives its smallest;
     otherwise both ends have the integer part ``n``, and the answer is
     ``n + 1/t`` for the simplest ``t`` between ``1/(hi - n)`` and
     ``1/(lo - n)``, the ends swapped with their openness.  The loop keeps
-    the continued fraction so far as ``(h1 t + h0) / (k1 t + k0)``, all on
-    ints (:func:`_simplest_ratio`)."""
-    return Fraction(*_simplest_ratio(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-                                     open_lo, open_hi))
-
-
-def _simplest_ratio(ln: int, ld: int, un: int, ud: int, open_lo: bool = False,
-                    open_hi: bool = False) -> tuple:
-    """:func:`_simplest` of the range from ``ln/ld`` to ``un/ud``, each end
-    an int pair with a positive denominator and not necessarily in lowest
-    terms, as ``(num, den)`` in lowest terms; a range of ``t`` with no
-    upper end has ``ud = 0``."""
+    the continued fraction so far as ``(h1 t + h0) / (k1 t + k0)``."""
     if un < 0 or un == 0 and open_hi:
         n, d = _simplest_ratio(-un, ud, -ln, ld, open_hi, open_lo)
         return -n, d
@@ -529,15 +522,6 @@ def _sum(balls, prec: int) -> tuple:
     return total, rad, low
 
 
-def _short_side(a: int, u: int, v: int) -> tuple:
-    """``(v^a, d, c)`` with ``d = (u+v)^a - v^a`` and ``c = u^a - d``: the
-    ``K_{a,b}`` numerator is ``d (u+v)^b + c v^b + v^a u^b``, and ``c = 0``
-    when ``a = 1``."""
-    va = v ** a
-    d = (u + v) ** a - va
-    return va, d, u ** a - d
-
-
 class _Ints:
     """Python ints under the names of ``decimal.Context``'s methods."""
 
@@ -547,32 +531,55 @@ class _Ints:
     subtract = operator.sub
 
 
+class _Balls:
+    """Balls at ``prec`` bits under the names of ``decimal.Context``'s
+    methods, on :func:`_power`, :func:`_mul` and :func:`_sum`.  An int
+    operand is cut to a ball (:func:`_ball`); only the first operand of
+    ``multiply`` can be one."""
+
+    __slots__ = ("prec",)
+
+    def __init__(self, prec: int):
+        self.prec = prec
+
+    def power(self, x: int, n: int) -> tuple:
+        return _power(x, n, self.prec)
+
+    def multiply(self, x, y: tuple) -> tuple:
+        if isinstance(x, int):
+            x = _ball(x, self.prec)
+        return _mul(x, y, self.prec)
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return _sum((x, y), self.prec)
+
+    def subtract(self, x: tuple, y: tuple) -> tuple:
+        m, r, e = y
+        return _sum((x, (-m, r, e)), self.prec)
+
+
 def _expand(a: int, b: int, u: int, v: int, ar):
-    """The ``K_{a,b}`` numerator (``a <= b``) in the arithmetic ``ar``:
-    :class:`_Ints`, or an exact ``decimal.Context``.  Only ``u``, ``v``,
-    ``u + v``, 2 and the short side's integers enter as ints; every long
-    power and product is taken in ``ar``."""
+    """The ``K_{a,b}`` numerator ``v^(a+b) D(K_{a,b}, u/v)`` (``a <= b``),
+    which for ``v > 0`` has the value's sign, in the arithmetic ``ar``:
+    :class:`_Ints`, an exact ``decimal.Context`` or :class:`_Balls`.  With
+    ``w = u + v``, ``K_{k,k}`` is ``(w^k - v^k)^2 + 2 u^k v^k``; otherwise the
+    short side is expanded in ints, ``d = w^a - v^a`` and ``c = u^a - d``,
+    and the numerator is ``v^a u^b + d w^b + c v^b`` (``c = 0`` for a star).
+    Every long power and product is taken in ``ar``."""
     w = u + v
     if a == b:
         va = ar.power(v, a)
         d = ar.subtract(ar.power(w, a), va)
         return ar.add(ar.multiply(d, d), ar.multiply(ar.multiply(2, ar.power(u, a)), va))
-    va, d, c = _short_side(a, u, v)
+    va = v ** a
+    d = w ** a - va
+    c = u ** a - d
     n = ar.multiply(va, ar.power(u, b))
     if d:
         n = ar.add(n, ar.multiply(d, ar.power(w, b)))
     if c:
         n = ar.add(n, ar.multiply(c, ar.power(v, b)))
     return n
-
-
-def bipartite_numerator(sides: tuple, u: int, v: int) -> int:
-    """``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v``, for ``sides = (a, b)``,
-    which for ``v > 0`` has the value's sign.  The short side is expanded
-    first (:func:`_short_side`): a star takes two long powers, ``K_{2,l}``
-    three, and ``K_{k,k}`` is ``(w^k - v^k)^2 + 2 u^k v^k``, ``w = u + v``."""
-    a, b = sorted(sides)
-    return _expand(a, b, u, v, _Ints)
 
 
 def _numerator_bits(a: int, b: int, u: int, v: int) -> int:
@@ -594,7 +601,8 @@ _DECIMAL_BITS = 400_000
 
 
 def bipartite_numerator_sign(sides: tuple, u: int, v: int) -> int:
-    """Sign of :func:`bipartite_numerator`, from the integer's expansion.
+    """Sign of the ``K_{a,b}`` numerator (:func:`_expand`) for
+    ``sides = (a, b)``, from the integer's expansion.
 
     Up to :data:`_DECIMAL_BITS` the integer is expanded in ints.  Above,
     the same integer is expanded in a private ``decimal.Context`` with the
@@ -605,13 +613,7 @@ def bipartite_numerator_sign(sides: tuple, u: int, v: int) -> int:
     int in quadratic time).  Without the C module ``_decimal``, ``decimal``
     is the slow pure-Python one, and ints are kept at every size."""
     a, b = sorted(sides)
-    return _exact_sign(a, b, u, v, _numerator_bits(a, b, u, v))
-
-
-def _exact_sign(a: int, b: int, u: int, v: int, size: int) -> int:
-    """:func:`bipartite_numerator_sign` for ``a <= b`` and the size
-    estimate ``size`` the caller already has."""
-    if _decimal is None or size <= _DECIMAL_BITS:
+    if _decimal is None or _numerator_bits(a, b, u, v) <= _DECIMAL_BITS:
         n = _expand(a, b, u, v, _Ints)
         return (n > 0) - (n < 0)
     d = _decimal
@@ -619,26 +621,6 @@ def _exact_sign(a: int, b: int, u: int, v: int, size: int) -> int:
                       traps=[d.Inexact, d.Rounded, d.Overflow, d.InvalidOperation])
     n = _expand(a, b, u, v, exact)
     return 0 if n.is_zero() else -1 if n.is_signed() else 1
-
-
-def _numerator_ball(a: int, b: int, u: int, v: int, prec: int) -> tuple:
-    """The ``K_{a,b}`` numerator (``a <= b``) as a ball at ``prec`` bits.
-    With ``a < b`` the short side's integers are exact; with ``a = b`` the
-    numerator is ``(w^a - v^a)^2 + 2 u^a v^a``."""
-    w = u + v
-    if a < b:
-        va, d, c = _short_side(a, u, v)
-        terms = [_mul(_ball(va, prec), _power(u, b, prec), prec)]
-        if d:
-            terms.append(_mul(_ball(d, prec), _power(w, b, prec), prec))
-        if c:
-            terms.append(_mul(_ball(c, prec), _power(v, b, prec), prec))
-    else:
-        wa, va, ua = (_power(x, a, prec) for x in (w, v, u))
-        d = _sum([wa, (-va[0], va[1], va[2])], prec)
-        m, r, e = _mul(ua, va, prec)
-        terms = [_mul(d, d, prec), (2 * m, 2 * r, e)]
-    return _sum(terms, prec)
 
 
 # the first working precision, in bits
@@ -650,12 +632,12 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
     ``(w^a - v^a)(w^b - v^b) + u^a v^b + u^b v^a`` with ``w = u + v``.
     A star ``K_{1,k}`` gives ``u w^k + u^k v``.
 
-    The numerator is evaluated in balls (:func:`_numerator_ball`) at a
-    working precision of ``P`` bits, and a ball that excludes 0 decides;
-    otherwise ``P`` doubles.  A pass squares ``steps`` numbers of ``P``
-    bits, and once the exact integer is no larger than those together it
-    is expanded instead (:func:`bipartite_numerator_sign`), so the answer
-    is always the integer's sign."""
+    The numerator is expanded in balls (:func:`_expand` in
+    :class:`_Balls`) at a working precision of ``P`` bits, and a ball that
+    excludes 0 decides; otherwise ``P`` doubles.  A pass squares ``steps``
+    numbers of ``P`` bits, and once the exact integer is no larger than
+    those together it is expanded instead (:func:`bipartite_numerator_sign`),
+    so the answer is always the integer's sign."""
     if not u:
         return 0  # x = 0 is a root of every domination polynomial
     a, b = sorted(sides)
@@ -663,11 +645,11 @@ def bipartite_sign(sides: tuple, u: int, v: int) -> int:
     steps = (2 if a == 1 else 3) * b.bit_length()
     prec = _START_BITS
     while size > prec * steps:
-        m, r, _ = _numerator_ball(a, b, u, v, prec)
+        m, r, _ = _expand(a, b, u, v, _Balls(prec))
         if abs(m) > r:
             return (m > 0) - (m < 0)
         prec *= 2
-    return _exact_sign(a, b, u, v, size)
+    return bipartite_numerator_sign((a, b), u, v)
 
 
 def _log_power_minus_one(log_y: float, y_negative: bool, n: int) -> tuple:

@@ -64,18 +64,17 @@ cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
 composed polynomial.  Signs are those of the integer numerator of the
 ``K_{a,b}`` closed form, never of reduced fractions; one formula,
-:func:`domroots.realroots._expand`, writes that integer for ints and for
-exact ``decimal``, and :func:`domroots.realroots.bipartite_numerator` is its
-int form.  The search takes
-the signs from :func:`domroots.realroots.bipartite_sign` for every family:
-balls of integers whose precision doubles until they exclude 0, or else
-that integer, so the answer is always the integer's sign.
-:func:`verify_certificate` never calls the balls: it expands every integer
-it checks, through :func:`domroots.realroots.bipartite_numerator_sign`,
-in ints or, for integers of more than about 4e5 bits, in exact
-``decimal``.  The bisection is
-:func:`domroots.realroots._sign_bisect`, the one that also narrows
-isolation leaves and star roots.  It stops once the width is at most
+:func:`domroots.realroots._expand`, writes that integer in ints, in exact
+``decimal`` and in balls.  :func:`_composed` maps a point of the window
+to the family's argument in integers, and the search takes every sign
+there from :func:`domroots.realroots.bipartite_sign`: balls of integers
+whose precision doubles until they exclude 0, or else that integer, so
+the answer is always the integer's sign.  :func:`verify_certificate` never
+calls the balls: it expands every integer it checks, through
+:func:`domroots.realroots.bipartite_numerator_sign`, in ints or, for
+integers of more than about 4e5 bits, in exact ``decimal``.  The
+bisection is :func:`domroots.realroots._sign_bisect`, the one that also
+narrows isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
 and on exact signs it has no step limit, so a fine ``tol`` gets every
 halving it needs.  Its bracket's ends are dyadic refinements of the
@@ -84,9 +83,7 @@ window's, and the certificate's are the simplest rationals around it
 other and inside the searched part, to the rational of smallest
 denominator.  The one-simple-root lemma below keeps their signs, and the
 integers the verifier expands, whose length grows with the ends'
-denominators, about halve: at ``tol = 1e-9`` the ends of the 573
-simple-certified answers to the 600 benchmark queries of seeds 1-3 went
-from mostly 28-35 bits of denominator to mostly 15-19.
+denominators, are shorter.
 
 Endpoint signs decide as much as a Sturm count would, because in each
 interval the search uses its family has at most one real root, and a
@@ -275,8 +272,10 @@ def _composed(sign, sides: tuple, m: int):
     """``sign(num, den)`` of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)``
     at ``t = num/den``, in integers alone: the inner point is
     ``((num+den)^m - den^m) / den^m``, handed to ``sign(sides, u, v)``, a sign
-    of :func:`domroots.realroots.bipartite_numerator`.  ``m < 1`` raises at
-    the first call, so the verifier reports an unknown enclosure note first."""
+    of the numerator :func:`domroots.realroots._expand` writes.  For ``t`` in
+    lowest terms that pair is ``_phi(t, m)`` in lowest terms.  ``m < 1``
+    raises at the first call, so the verifier reports an unknown enclosure
+    note first."""
     def composed(num: int, den: int) -> int:
         if m < 1:
             raise DomainError("substitution order must be >= 1")
@@ -374,14 +373,20 @@ class _Search:
         not.  ``toward`` is monotone in ``p``, so a confirmed guess is the
         first ``p`` past, and the top ``p`` is past as well; the exact sign at
         the top, the costliest one, is taken only when the guess is not
-        confirmed, and then the exact bisection finds the first ``p``."""
+        confirmed, and then the exact bisection finds the first ``p``.
+
+        Each exact sign is taken at an end of the part through
+        :func:`_composed`, whose integers are the mapped end ``_phi(end, m)``
+        in lowest terms, so no mapped end is formed as a fraction."""
         row = _KINDS[self.kind]
         sides = graph.FAMILIES[row.family].to_shape
-        y = _float(1 + (self.w_lo if row.climbs else self.w_hi))  # 1 + the near end
+        near, far = (self.w_lo, self.w_hi) if row.climbs else (self.w_hi, self.w_lo)
+        y = _float(1 + near)
 
         def toward(p: int, x: Fraction) -> int:
-            # 1 when the root of the family at p is past x, 0 at x, else -1
-            return bipartite_sign(sides(p), x.numerator, x.denominator) * row.ahead(p)
+            # 1 when the root of the family at p is past _phi(x, m) for the
+            # m of the loop below, 0 at it, else -1
+            return _composed(bipartite_sign, sides(p), m)(x.numerator, x.denominator) * row.ahead(p)
 
         best = None  # (m + p, m, p) of the first hit so far
         for m, ps in self.ranges:
@@ -389,9 +394,6 @@ class _Search:
                 if m + 1 >= best[0]:
                     break
                 ps = ps[:bisect.bisect_left(ps, best[0] - m)]
-            near, far = _phi(self.w_lo, m), _phi(self.w_hi, m)
-            if not row.climbs:
-                near, far = far, near
             if not ps:
                 break
             i = _first_past(lambda i: bipartite_log_value(sides(ps[i]), y, m) * row.ahead(ps[i]),
@@ -538,14 +540,13 @@ def _simplest_ends(lo: Fraction, hi: Fraction, w_lo: Fraction, w_hi: Fraction,
                    tol: Fraction) -> tuple:
     """The ends of the bracket ``(lo, hi)`` of the one root in the part
     ``(w_lo, w_hi)``, each moved outwards to the simplest rational it may
-    take (:func:`domroots.realroots._simplest`): ``lo`` to the simplest in
-    ``[max(hi - tol, w_lo), lo]``, then ``hi`` to the simplest in
-    ``[hi, min(lo + tol, w_hi)]``, the part's ends left out.  An end that is
-    the part's end stays.  The width stays at most ``tol``, no denominator
-    grows, and the ends keep their signs: every point of the part left of
-    its one simple root has the sign of ``lo``, and every point right of it
-    that of ``hi``.  The comparisons and bounds are taken on int pairs
-    (:func:`domroots.realroots._simplest_ratio`)."""
+    take: ``lo`` to the simplest in ``[max(hi - tol, w_lo), lo]``, then
+    ``hi`` to the simplest in ``[hi, min(lo + tol, w_hi)]``, the part's ends
+    left out.  An end that is the part's end stays.  The width stays at most
+    ``tol``, no denominator grows, and the ends keep their signs: every
+    point of the part left of its one simple root has the sign of ``lo``,
+    and every point right of it that of ``hi``.  The comparisons and bounds
+    are taken on int pairs (:func:`domroots.realroots._simplest_ratio`)."""
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     tn, td = tol.numerator, tol.denominator
     an, ad, bn, bd = w_lo.numerator, w_lo.denominator, w_hi.numerator, w_hi.denominator

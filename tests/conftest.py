@@ -233,7 +233,7 @@ def exact_negative_roots(coeffs, tol=DEFAULT_TOL):
 def simplest_ref(lo, hi, open_lo=False, open_hi=False) -> Fraction:
     """The rational of the range from ``lo`` to ``hi`` with the smallest
     denominator, and of those the one nearest 0, by trying each denominator
-    from 1 up: the reference for :func:`realroots._simplest`.  With
+    from 1 up: the reference for :func:`realroots._simplest_ratio`.  With
     denominator ``q`` the candidates nearest 0 are 0 and the multiples of
     ``1/q`` next to ``lo`` and to ``hi``."""
     def inside(x):

@@ -10,7 +10,7 @@ import pytest
 from domroots import witness
 from domroots.dompoly import dom_poly_bruteforce, dom_poly_closed_form, eval_rational
 from domroots.graph import FAMILIES, family
-from domroots.realroots import bipartite_numerator
+from domroots.realroots import _expand, _Ints, bipartite_numerator_sign
 
 SMALL_ORDER = 10
 
@@ -46,5 +46,5 @@ def test_numerator_is_homogenised_closed_form(kind, p):
     points += [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(5)]
     for u, v in points:
         value = v ** order * eval_rational(poly, Fraction(u, v))
-        assert bipartite_numerator(sides, u, v) == value, (u, v)
-        assert bipartite_numerator(sides[::-1], u, v) == value, (u, v)
+        assert _expand(*sorted(sides), u, v, _Ints) == value, (u, v)
+        assert bipartite_numerator_sign(sides[::-1], u, v) == (value > 0) - (value < 0), (u, v)

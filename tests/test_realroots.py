@@ -371,7 +371,8 @@ def test_simplest_is_the_brute_force_simplest(lo, width, open_lo, open_hi):
     # the one nearest 0, with an open end left out
     hi = lo + width
     assume(width or not (open_lo or open_hi))
-    got = realroots._simplest(lo, hi, open_lo, open_hi)
+    got = Fraction(*realroots._simplest_ratio(lo.numerator, lo.denominator, hi.numerator,
+                                              hi.denominator, open_lo, open_hi))
     assert got == simplest_ref(lo, hi, open_lo, open_hi)
     assert lo < got < hi or got == lo and not open_lo or got == hi and not open_hi
     for q in range(1, got.denominator):
@@ -567,7 +568,8 @@ def test_star_sign_is_the_integer_sign(point):
     assert bipartite_sign((1, k), u, v) == exact
     if u:
         value = u * (u + v) ** k + u ** k * v
-        assert _in_ball(value, realroots._numerator_ball(1, k, u, v, realroots._START_BITS))
+        ball = realroots._expand(1, k, u, v, realroots._Balls(realroots._START_BITS))
+        assert _in_ball(value, ball)
 
 
 def test_star_sign_doubles_the_precision_next_to_a_root():
@@ -575,7 +577,7 @@ def test_star_sign_doubles_the_precision_next_to_a_root():
     # working precision holds 0 for every one of them, and the kernel still
     # gives the integer's sign
     for k, u, v in _undecidable_star_points():
-        m, r, _ = realroots._numerator_ball(1, k, u, v, realroots._START_BITS)
+        m, r, _ = realroots._expand(1, k, u, v, realroots._Balls(realroots._START_BITS))
         assert abs(m) <= r
         assert bipartite_sign((1, k), u, v) == star_form_sign(k, u, v) != 0
 
@@ -651,7 +653,7 @@ def test_bipartite_sign_is_the_integer_sign(point):
     assert bipartite_sign(sides[::-1], u, v) == (value > 0) - (value < 0)
     if u:
         for prec in range(2, 420, 6):
-            assert _in_ball(value, realroots._numerator_ball(*sides, u, v, prec)), prec
+            assert _in_ball(value, realroots._expand(*sides, u, v, realroots._Balls(prec))), prec
 
 
 @example(((1, 1), -2 * 5 ** 90, 5 ** 90))  # the integer is 0

@@ -230,17 +230,19 @@ def test_fine_tolerance_is_not_a_false_exhaustion():
 
 
 def _counted_passes(monkeypatch) -> list:
-    """Wrap the sign kernel's ball pass; the list collects the working
-    precision of every pass and whether its ball decided."""
+    """Wrap the numerator's expansion; the list collects the working
+    precision of every pass in balls and whether its ball decided."""
     passes = []
-    ball = realroots._numerator_ball
+    expand = realroots._expand
 
-    def counted(a, b, u, v, prec):
-        m, r, e = ball(a, b, u, v, prec)
-        passes.append((prec, abs(m) > r))
-        return m, r, e
+    def counted(a, b, u, v, ar):
+        n = expand(a, b, u, v, ar)
+        if isinstance(ar, realroots._Balls):
+            m, r, _ = n
+            passes.append((ar.prec, abs(m) > r))
+        return n
 
-    monkeypatch.setattr(realroots, "_numerator_ball", counted)
+    monkeypatch.setattr(realroots, "_expand", counted)
     return passes
 
 
@@ -304,7 +306,8 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
     # crossover, in exact decimal (their size estimates are 426,577 and
     # 431,370 bits; at the default tolerance 292,373 and 321,131, below it);
     # without _decimal they are ints, and every certificate and report keeps
-    # its bytes.  The caller's decimal context is untouched
+    # its bytes.  The caller's decimal context is untouched.  Only the exact
+    # expansions count: the sign kernel's balls are the third arithmetic
     queries = _GRID + [("-10", "1/100", "1e-15")]
 
     def output(z, e, tol=DEFAULT_TOL):
@@ -318,17 +321,20 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
         arithmetics.append(ar)
         return expand(a, b, u, v, ar)
 
+    def exact():
+        return [ar for ar in arithmetics if not isinstance(ar, realroots._Balls)]
+
     monkeypatch.setattr(realroots, "_expand", recorded)
     context = decimal.getcontext()
     prec, traps = context.prec, dict(context.traps)
     with_decimal = [output(*q) for q in queries]
     assert decimal.getcontext() is context
     assert (context.prec, dict(context.traps)) == (prec, traps)
-    assert any(ar is not realroots._Ints for ar in arithmetics)
+    assert any(ar is not realroots._Ints for ar in exact())
     arithmetics.clear()
     monkeypatch.setattr(realroots, "_decimal", None)
     assert [output(*q) for q in queries] == with_decimal
-    assert arithmetics and all(ar is realroots._Ints for ar in arithmetics)
+    assert exact() and all(ar is realroots._Ints for ar in exact())
 
 
 def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
@@ -341,7 +347,7 @@ def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
         raise AssertionError("the verifier called the sign kernel")
 
     for module, name in ((witness, "bipartite_sign"), (realroots, "bipartite_sign"),
-                         (realroots, "_numerator_ball")):
+                         (realroots, "_Balls")):
         monkeypatch.setattr(module, name, refuse)
     assert all(verify_certificate(c).ok for c in certs)
 
@@ -487,6 +493,22 @@ def test_past_is_monotone_in_the_parameter(kind, at, near_minus_one):
             for p in range(1, top + 1, step)]
     assert past == sorted(past)
     assert not past[0]
+
+
+@given(t=st.fractions(), m=st.integers(1, 41))
+def test_composed_hands_the_sign_the_mapped_point_in_lowest_terms(t, m):
+    # the hit test signs the part's own ends through _composed: the sign
+    # gets exactly the integers of the mapped end _phi(t, m), so it takes
+    # the arguments the mapped Fraction would give it
+    seen = []
+
+    def record(sides, u, v):
+        seen.append((sides, u, v))
+        return 0
+
+    witness._composed(record, (1, 3), m)(t.numerator, t.denominator)
+    x = witness._phi(t, m)
+    assert seen == [((1, 3), x.numerator, x.denominator)]
 
 
 @pytest.mark.parametrize("z, eps", [("-3", "1/10"), ("-2.01", "1/100"), ("-1.5", "1/20"),
@@ -909,7 +931,7 @@ def test_guide_agrees_with_the_kernel_where_its_first_ball_decides(kind, p, m, a
     y = 1 + t
     v = y.denominator ** m
     u = y.numerator ** m - v
-    mid, rad, _ = realroots._numerator_ball(*sorted(sides), u, v, realroots._START_BITS)
+    mid, rad, _ = realroots._expand(*sorted(sides), u, v, realroots._Balls(realroots._START_BITS))
     assume(abs(mid) > rad)
     v = realroots.bipartite_log_value(sides, float(y), m)
     assert (v > 0) - (v < 0) == _sign(mid)
