@@ -53,7 +53,6 @@ from .graph import (
     class_masks,
     labeled_graph6,
     mask_to_graph6,
-    star,
     to_graph6,
 )
 from .realroots import (
@@ -597,9 +596,11 @@ def smallest_root_table(
     """Per-order minimum certified real root.
 
     Orders up to the labeled cap are scanned exhaustively; beyond it the star
-    value (computed exactly from its shifted polynomial) is reported with
+    value (certified by :func:`star_domination_root`) is reported with
     ``exhaustive=False``, since stars are only *expected* to be extremal
-    there.  The order-2 row carries a note about its often-misprinted sign.
+    there.  A star row's graph6 is written from its edge mask, so no order
+    meets the vertex cap.  The order-2 row carries a note about its
+    often-misprinted sign.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -613,7 +614,8 @@ def smallest_root_table(
         records.append(ExtremalRecord(n, best[0], best[1], best_g6, True, note))
     for n in range(min(n_max, labeled_cap) + 1, n_max + 1):
         enc = star_domination_root(n - 1, tol)
-        g6 = to_graph6(star(n - 1))
+        # edge (0, j) is mask bit j(j-1)/2
+        g6 = mask_to_graph6(sum(1 << j * (j - 1) // 2 for j in range(1, n)), n)
         records.append(
             ExtremalRecord(n, enc.interval.lo, enc.interval.hi, g6, False,
                            "star value; larger orders are not scanned exhaustively")

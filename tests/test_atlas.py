@@ -27,6 +27,7 @@ from domroots.graph import (
     empty_graph,
     from_graph6,
     read_graph6_file,
+    star,
     to_graph6,
 )
 from domroots.intpoly import cauchy_root_bound, mul, sign_at, trailing_zeros
@@ -643,6 +644,12 @@ def test_smallest_root_table_star_rows_beyond_cap():
     by_n = {r.n: r for r in table}
     assert abs(float(by_n[9].root_lo) + 5.309330065) < 5e-9
     assert from_graph6(by_n[8].graph6).degree_sequence() == (1,) * 7 + (7,)
+
+
+def test_star_rows_are_the_stars_past_the_vertex_cap():
+    # a star row's graph6 is written from its edge mask, with no Graph built
+    table = smallest_root_table(64, labeled_cap=1)
+    assert [r.graph6 for r in table[1:]] == [to_graph6(star(n - 1)) for n in range(2, 65)]
 
 
 def test_growth_check():

@@ -217,6 +217,14 @@ def test_atlas_table(capsys):
     assert lines[2].startswith("2,-2.000000000")
 
 
+def test_atlas_table_past_the_vertex_cap(capsys):
+    code, out, _ = run(capsys, "atlas", "66", "--table")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 67
+    assert lines[-1].startswith("66,")
+
+
 def test_atlas_growth(capsys):
     code, out, _ = run(capsys, "atlas", "5", "--growth")
     assert code == 0

@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from domroots import cli, intpoly, realroots, witness
@@ -1308,6 +1308,22 @@ def test_verify_report_is_readable():
 
 def test_certificate_json_round_trip():
     cert = construct_witness(F("-1.9"), F("0.1"))
+    assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+# targets on a grid of hundredths: no window's left end falls strictly
+# between -1.01 and -1, where the K_{2,l} search slows as its sliver closes
+@given(st.integers(0, 1200).map(lambda k: Fraction(-k, 100)),
+       st.sampled_from([F("1/10"), F("1/20")]))
+@example(F(-2), F("1/10"))  # exact_K2
+@example(F("-1.5"), F("1/20"))  # K_2_ell
+@example(F("-0.9"), F("1/20"))  # K_k_k
+@example(F(-3), F("1/10"))  # star
+def test_certificate_json_round_trip_property(z, eps):
+    try:
+        cert = construct_witness(z, eps)
+    except BudgetExhaustedError:
+        assume(False)
     assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
