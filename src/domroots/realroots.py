@@ -5,19 +5,19 @@ reduction after every Euclidean step), interval endpoints as rationals, and
 sign evaluations on homogenised integer forms.  The number of all distinct
 real roots comes from the chain's leading signs alone
 (:func:`count_real_roots`).  One formula, :func:`_expand`, writes the
-integer ``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness,
-in each of three arithmetics: ints, an exact ``decimal`` context, and
-midpoint-radius balls of integers (:class:`_Balls`).
+integer ``v^(a+b) D(K_{a,b}, u/v)`` behind every star root and witness
+search, in each of three arithmetics: ints, an exact ``decimal`` context,
+and midpoint-radius balls of integers (:class:`_Balls`).
 :func:`bipartite_numerator_sign` expands it exactly for its sign: in ints,
 or past a measured crossover in exact ``decimal``, whose libmpdec
-multiplies long numbers faster.  One kernel, :func:`bipartite_sign`,
-decides that sign: balls at a working precision that doubles until the
-ball excludes 0, with the exact sign once it is no more work.  Star roots
-are bisected on ``D(K_{1,k})`` itself.  Binary floating point appears only
-in :func:`lambert_w` / :func:`star_root_estimate` and in
-:func:`bipartite_log_value`, the witness search's guide to a ``K_{a,b}``
-sign; they serve as search seeds, guides and reporting checks, never as
-evidence.
+multiplies long numbers faster; the witness verifier hands it a writer of
+its own.  One kernel, :func:`bipartite_sign`, decides that sign: balls at
+a working precision that doubles until the ball excludes 0, with the exact
+sign once it is no more work.  Star roots are bisected on ``D(K_{1,k})``
+itself.  Binary floating point appears only in :func:`lambert_w` /
+:func:`star_root_estimate` and in :func:`bipartite_log_value`, the witness
+search's guide to a ``K_{a,b}`` sign; they serve as search seeds, guides
+and reporting checks, never as evidence.
 
 Counting convention: an interval ``(lo, hi]`` is half-open on the left, so a
 root exactly at ``hi`` is counted and a root exactly at ``lo`` is not.
@@ -600,9 +600,11 @@ def _numerator_bits(a: int, b: int, u: int, v: int) -> int:
 _DECIMAL_BITS = 400_000
 
 
-def bipartite_numerator_sign(sides: tuple, u: int, v: int) -> int:
-    """Sign of the ``K_{a,b}`` numerator (:func:`_expand`) for
-    ``sides = (a, b)``, from the integer's expansion.
+def bipartite_numerator_sign(sides: tuple, u: int, v: int, writer=None) -> int:
+    """Sign of the ``K_{a,b}`` numerator for ``sides = (a, b)``, expanded by
+    ``writer(a, b, u, v, ar)`` (``a <= b``): :func:`_expand`, looked up at
+    call time, unless the witness verifier hands over its own
+    (:func:`domroots.witness._closed_form`).
 
     Up to :data:`_DECIMAL_BITS` the integer is expanded in ints.  Above,
     the same integer is expanded in a private ``decimal.Context`` with the
@@ -613,13 +615,14 @@ def bipartite_numerator_sign(sides: tuple, u: int, v: int) -> int:
     int in quadratic time).  Without the C module ``_decimal``, ``decimal``
     is the slow pure-Python one, and ints are kept at every size."""
     a, b = sorted(sides)
+    write = writer or _expand
     if _decimal is None or _numerator_bits(a, b, u, v) <= _DECIMAL_BITS:
-        n = _expand(a, b, u, v, _Ints)
+        n = write(a, b, u, v, _Ints)
         return (n > 0) - (n < 0)
     d = _decimal
     exact = d.Context(prec=d.MAX_PREC, Emax=d.MAX_EMAX, Emin=d.MIN_EMIN,
                       traps=[d.Inexact, d.Rounded, d.Overflow, d.InvalidOperation])
-    n = _expand(a, b, u, v, exact)
+    n = write(a, b, u, v, exact)
     return 0 if n.is_zero() else -1 if n.is_signed() else 1
 
 

@@ -63,18 +63,20 @@ and -2 (both from ``K_2``) short-cut windows containing them.  Every other
 cell is decided by one route: a hit is a change of the family's exact sign
 across the mapped window, and certification bisects on exact signs of the
 composed polynomial.  Signs are those of the integer numerator of the
-``K_{a,b}`` closed form, never of reduced fractions; one formula,
-:func:`domroots.realroots._expand`, writes that integer in ints, in exact
-``decimal`` and in balls.  :func:`_composed` maps a point of the window
-to the family's argument in integers, and the search takes every sign
-there from :func:`domroots.realroots.bipartite_sign`: balls of integers
-whose precision doubles until they exclude 0, or else that integer, so
-the answer is always the integer's sign.  :func:`verify_certificate` never
-calls the balls: it expands every integer it checks, through
-:func:`domroots.realroots.bipartite_numerator_sign`, in ints or, for
-integers of more than about 4e5 bits, in exact ``decimal``.  The
-bisection is :func:`domroots.realroots._sign_bisect`, the one that also
-narrows isolation leaves and star roots.  It stops once the width is at most
+``K_{a,b}`` closed form, never of reduced fractions; for the search one
+formula, :func:`domroots.realroots._expand`, writes that integer in ints,
+in exact ``decimal`` and in balls.  :func:`_composed` maps a point of the
+window to the family's argument in integers, and the search takes every
+sign there from :func:`domroots.realroots.bipartite_sign`: balls of
+integers whose precision doubles until they exclude 0, or else that
+integer, so the answer is always the integer's sign.
+:func:`verify_certificate` calls neither the balls nor ``_expand``: at
+every degree it writes every integer it checks by its own transcription of
+the closed form, :func:`_closed_form`, at the same mapped point, and
+expands it through :func:`domroots.realroots.bipartite_numerator_sign`, in
+ints or, for integers of more than about 4e5 bits, in exact ``decimal``.
+The bisection is :func:`domroots.realroots._sign_bisect`, the one that
+also narrows isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
 and on exact signs it has no step limit, so a fine ``tol`` gets every
 halving it needs.  Its bracket's ends are dyadic refinements of the
@@ -122,10 +124,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from . import dompoly, graph, intpoly
-from .dompoly import DomPolynomial, compose_with_complete
+from . import dompoly, graph
+from .dompoly import DomPolynomial
 from .errors import BudgetExhaustedError, CapacityError, DomainError, DomRootsError
 from .realroots import (
     DEFAULT_TOL,
@@ -145,6 +148,7 @@ from .realroots import (
     enclosure_json,
 )
 # unused here; bench/spans.py wraps these names on this module
+from .dompoly import compose_with_complete  # noqa: F401
 from .realroots import count_roots_in, isolate_real_roots, star_root_estimate, sturm_chain  # noqa: F401
 
 CASE_EXACT = "exact"
@@ -156,13 +160,6 @@ FAMILY_EXACT_K2 = "exact_K2"
 FAMILY_K2_ELL = "K_2_ell"
 FAMILY_KKK = "K_k_k"
 FAMILY_STAR = "star"
-
-# Up to this composed degree verify_certificate re-expands the composed
-# polynomial (compose_with_complete applies the substitution identity to the
-# dense family polynomial) and evaluates it, a cross-check independent of the
-# homogenised integer numerator; above it the verifier, like the search at
-# every degree, takes the numerator's exact signs.
-VERIFY_EXPANSION_MAX_DEGREE = 120
 
 # The verifier expands no composed numerator estimated above this many bits
 # (see _numerator_bits), and construct_witness emits no certificate above
@@ -272,7 +269,7 @@ def _composed(sign, sides: tuple, m: int):
     """``sign(num, den)`` of ``D(K_{a,b}[K_m], t) = D(K_{a,b}, (1+t)^m - 1)``
     at ``t = num/den``, in integers alone: the inner point is
     ``((num+den)^m - den^m) / den^m``, handed to ``sign(sides, u, v)``, a sign
-    of the numerator :func:`domroots.realroots._expand` writes.  For ``t`` in
+    of the numerator ``v^(a+b) D(K_{a,b}, u/v)``.  For ``t`` in
     lowest terms that pair is ``_phi(t, m)`` in lowest terms.  ``m < 1``
     raises at the first call, so the verifier reports an unknown enclosure
     note first."""
@@ -652,14 +649,34 @@ def _numerator_bits(order: int, m: int, interval: RationalInterval) -> int:
     return order * (m * size.bit_length() + 1)
 
 
+def _closed_form(a: int, b: int, u: int, v: int, ar):
+    """The verifier's own writer of ``v^(a+b) D(K_{a,b}, u/v)`` (``a <= b``)
+    in the arithmetic ``ar``.  It transcribes the closed form
+    ``((1+x)^a - 1)((1+x)^b - 1) + x^a + x^b`` (Alikhani and Peng, Ars
+    Combinatoria 2014) as ``(w^a - v^a)(w^b - v^b) + u^a v^b + u^b v^a``
+    with ``w = u + v``, and a star's row ``x(1+x)^k + x^k`` as
+    ``u w^b + v u^b``, two long powers instead of three.  Every power is
+    taken in ``ar``; it calls nothing of :func:`domroots.realroots._expand`,
+    the search's writer."""
+    w = u + v
+    power = ar.power
+    if a == 1:
+        return ar.add(ar.multiply(u, power(w, b)), ar.multiply(v, power(u, b)))
+    return ar.add(ar.multiply(ar.subtract(power(w, a), power(v, a)),
+                              ar.subtract(power(w, b), power(v, b))),
+                  ar.add(ar.multiply(power(u, a), power(v, b)),
+                         ar.multiply(power(u, b), power(v, a))))
+
+
 def _certified_signs(cert: WitnessCertificate):
     """The sign of the composed polynomial at a point, re-derived from the
     descriptor.
 
-    Up to :data:`VERIFY_EXPANSION_MAX_DEGREE` the polynomial is re-expanded
-    (once, by :func:`compose_with_complete`) and evaluated, independently of
-    the homogenised integer numerator the search signs; above it the sign is
-    that numerator's, from :func:`domroots.realroots.bipartite_numerator_sign`.
+    At every degree the sign is that of the integer numerator at the mapped
+    point (:func:`_composed`), expanded exactly by
+    :func:`domroots.realroots.bipartite_numerator_sign` from the verifier's
+    own writer, :func:`_closed_form`, and never from the search's
+    :func:`domroots.realroots._expand` or its balls.
     The degree the descriptor implies must equal the stored one, or this
     raises :class:`DomainError` before anything is expanded: the work grows
     with the family parameter, and a tampered parameter would otherwise buy
@@ -672,7 +689,8 @@ def _certified_signs(cert: WitnessCertificate):
     reject without it, and ``m = 10,001`` did not finish in 90 s).
     :func:`construct_witness` emits no certificate above the cap.  A
     certificate under the cap can still be false; its recomputed signs
-    reject it.  ``m < 1`` takes the identity route, which rejects it."""
+    reject it.  ``m < 1`` raises at the first sign (:func:`_composed`),
+    which rejects it."""
     order = family_order(cert.family_kind, cert.family_param)
     degree = order * cert.m
     if degree != cert.composed_degree:
@@ -682,13 +700,8 @@ def _certified_signs(cert: WitnessCertificate):
     if bits > VERIFY_MAX_NUMERATOR_BITS:
         raise DomainError(f"the composed numerator would have about {bits} bits, above the cap "
                           f"of {VERIFY_MAX_NUMERATOR_BITS}; nothing was expanded")
-    if 0 < degree <= VERIFY_EXPANSION_MAX_DEGREE:
-        composed = compose_with_complete(
-            family_polynomial(cert.family_kind, cert.family_param), cert.m
-        )
-        return lambda t: intpoly.sign_at(composed.coeffs, t)
-    sign = _composed(bipartite_numerator_sign, _sides(cert.family_kind, cert.family_param),
-                     cert.m)
+    sign = _composed(partial(bipartite_numerator_sign, writer=_closed_form),
+                     _sides(cert.family_kind, cert.family_param), cert.m)
     return lambda t: sign(t.numerator, t.denominator)
 
 

@@ -47,4 +47,5 @@ def test_numerator_is_homogenised_closed_form(kind, p):
     for u, v in points:
         value = v ** order * eval_rational(poly, Fraction(u, v))
         assert _expand(*sorted(sides), u, v, _Ints) == value, (u, v)
+        assert witness._closed_form(*sorted(sides), u, v, _Ints) == value, (u, v)
         assert bipartite_numerator_sign(sides[::-1], u, v) == (value > 0) - (value < 0), (u, v)

@@ -12,6 +12,7 @@ new digest in ``CHANGES.md``.
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -29,6 +30,7 @@ from conftest import time_limit
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from checks import check_corpus  # noqa: E402
 from run import _graph6, random_corpus, witness_queries  # noqa: E402
+from spans import BOUNDARIES  # noqa: E402
 
 STDOUT, RUN, ARGV = "stdout", "run", "argv"
 CORPUS = "corpus.g6"  # the input file of file-mode calls, in the test's directory
@@ -276,3 +278,11 @@ def test_star_witness_at_z_minus_20_builds_and_verifies():
                           "--max-degree", "200000"], out)
     assert code == 0, err
     assert '"composed_degree": 181464' in out.getvalue()
+
+
+def test_every_traced_boundary_resolves():
+    # a traced benchmark run wraps each (module, attribute) of bench/spans.py
+    # by name, so a name the package no longer has would raise only there
+    missing = [(module, attr) for module, attr, _ in BOUNDARIES
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing

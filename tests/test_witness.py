@@ -315,16 +315,19 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
         return certificate_to_json(cert) + "\n" + str(verify_certificate(cert))
 
     arithmetics = []
-    expand = realroots._expand
 
-    def recorded(a, b, u, v, ar):
-        arithmetics.append(ar)
-        return expand(a, b, u, v, ar)
+    def recorder(write):
+        def recorded(a, b, u, v, ar):
+            arithmetics.append(ar)
+            return write(a, b, u, v, ar)
+        return recorded
 
     def exact():
         return [ar for ar in arithmetics if not isinstance(ar, realroots._Balls)]
 
-    monkeypatch.setattr(realroots, "_expand", recorded)
+    # the search's writer, and the verifier's, whose are the decimal expansions
+    monkeypatch.setattr(realroots, "_expand", recorder(realroots._expand))
+    monkeypatch.setattr(witness, "_closed_form", recorder(witness._closed_form))
     context = decimal.getcontext()
     prec, traps = context.prec, dict(context.traps)
     with_decimal = [output(*q) for q in queries]
@@ -337,19 +340,79 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
     assert exact() and all(ar is realroots._Ints for ar in exact())
 
 
-def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
+def _verify_certs():
+    """The (-10, 1/100) star, the (-5, 1/10) star and the (-0.8, 1/100)
+    ``K_{75,75}``: composed degrees 14,379, 8 and 450."""
     certs = [construct_witness(F(z), F(e)) for z, e in (("-10", "1/100"), ("-5", "1/10"),
                                                         ("-0.8", "1/100"))]
     assert [c.family_kind for c in certs] == [FAMILY_STAR, FAMILY_STAR, FAMILY_KKK]
-    assert all(c.composed_degree > witness.VERIFY_EXPANSION_MAX_DEGREE for c in certs[::2])
+    assert [c.composed_degree for c in certs] == [14379, 8, 450]
+    return certs
+
+
+def test_verify_certificate_never_calls_the_star_kernel(monkeypatch):
+    # nor, at any degree, the search's writer of the numerator or a dense
+    # composition
+    certs = _verify_certs()
+    assert all(c.composed_degree > 120 for c in certs[::2])
 
     def refuse(*args):
-        raise AssertionError("the verifier called the sign kernel")
+        raise AssertionError("the verifier called the sign kernel or the search's writer")
 
     for module, name in ((witness, "bipartite_sign"), (realroots, "bipartite_sign"),
-                         (realroots, "_Balls")):
+                         (realroots, "_Balls"), (realroots, "_expand"),
+                         (witness, "compose_with_complete"), (intpoly, "sign_at")):
         monkeypatch.setattr(module, name, refuse)
     assert all(verify_certificate(c).ok for c in certs)
+
+
+def test_verify_rejects_flipped_signs_that_a_negated_search_writer_would_confirm(monkeypatch):
+    # a slip in the search's writer that negates its exact integers, and a
+    # certificate whose stored end signs agree with the slip: the verifier
+    # writes its own numerator at every degree, so it rejects all three
+    certs = _verify_certs()
+    expand = realroots._expand
+
+    def negated(a, b, u, v, ar):
+        n = expand(a, b, u, v, ar)
+        return n if isinstance(ar, realroots._Balls) else -n
+
+    monkeypatch.setattr(realroots, "_expand", negated)
+    for cert in certs:
+        enc = cert.enclosure
+        flipped = dataclasses.replace(cert, enclosure=dataclasses.replace(
+            enc, sign_lo=-enc.sign_lo, sign_hi=-enc.sign_hi))
+        failed = [c.name for c in verify_certificate(flipped).checks if not c.passed]
+        assert failed == ["endpoint_certification"], cert.composed_degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 300), b=st.integers(1, 300), u=st.integers(),
+       v=st.integers(min_value=1))
+@example(a=300, b=300, u=-(3 ** 450), v=2 ** 700 + 1)
+def test_the_verifiers_writer_is_the_searchs_integer(a, b, u, v):
+    a, b = sorted((a, b))
+    sides = (a, b)
+    assert witness._closed_form(a, b, u, v, realroots._Ints) == realroots._expand(
+        a, b, u, v, realroots._Ints)
+    if realroots._numerator_bits(a, b, u, v) > realroots._DECIMAL_BITS:
+        # both signs from exact decimal
+        assert bipartite_numerator_sign(sides, u, v, witness._closed_form) == (
+            bipartite_numerator_sign(sides, u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 300), b=st.integers(1, 300),
+       t=st.fractions(-12, 1, max_denominator=10 ** 6), half=st.integers(0, 20))
+def test_the_verifiers_writer_at_the_mapped_points(a, b, t, half):
+    # the points _composed hands over for odd m <= 41
+    a, b = sorted((a, b))
+    seen = []
+    witness._composed(lambda sides, u, v: seen.append((u, v)), (a, b), 2 * half + 1)(
+        t.numerator, t.denominator)
+    [(u, v)] = seen
+    assert witness._closed_form(a, b, u, v, realroots._Ints) == realroots._expand(
+        a, b, u, v, realroots._Ints)
 
 
 def test_star_witness_at_minus_fifteen():
@@ -1152,8 +1215,8 @@ def test_verify_rejects_even_m():
 
 
 def test_verify_reports_nonpositive_m_without_raising():
-    # above the re-expansion threshold the verifier evaluates through the
-    # substitution identity, which needs a positive substitution order
+    # the verifier evaluates through the substitution identity, which needs
+    # a positive substitution order
     cert = construct_witness(F(-7), F("0.5"))
     point = RootEnclosure(RationalInterval(F(-7), F(-7)), 0, 0, NOTE_EXACT)
     bad = dataclasses.replace(cert, family_param=4999, m=-1, composed_degree=1000,
@@ -1171,29 +1234,34 @@ def test_verify_reports_bad_family_parameter_without_raising(param):
     assert {"family_parameter", "composed_degree", "endpoint_certification"} <= failed
 
 
-def test_verify_expands_the_composed_polynomial_once(monkeypatch):
-    cert = construct_witness(F("-1.5"), F("0.05"))
+def _counted_writes(monkeypatch) -> list:
+    """Wrap the verifier's writer of the numerator; the list collects the
+    sides of every call."""
     calls = []
+    write = witness._closed_form
 
-    def counted(p, m):
-        calls.append(m)
-        return compose_with_complete(p, m)
+    def counted(a, b, u, v, ar):
+        calls.append((a, b))
+        return write(a, b, u, v, ar)
 
-    monkeypatch.setattr(witness, "compose_with_complete", counted)
+    monkeypatch.setattr(witness, "_closed_form", counted)
+    return calls
+
+
+def test_verify_expands_the_composed_polynomial_once(monkeypatch):
+    # once per end: the verifier writes one numerator at each end of a
+    # simple-certified enclosure
+    cert = construct_witness(F("-1.5"), F("0.05"))
+    assert cert.enclosure.note == NOTE_SIMPLE
+    calls = _counted_writes(monkeypatch)
     assert verify_certificate(cert).ok
-    assert calls == [cert.m]
+    assert calls == [(2, cert.family_param)] * 2
 
 
 def test_verify_routes_by_the_implied_degree(monkeypatch):
     # degree 27 is stored, but l = 5001 implies 15009: no expansion
     cert = construct_witness(F("-1.5"), F("0.05"))
-    calls = []
-
-    def counted(p, m):
-        calls.append(m)
-        return compose_with_complete(p, m)
-
-    monkeypatch.setattr(witness, "compose_with_complete", counted)
+    calls = _counted_writes(monkeypatch)
     assert not verify_certificate(dataclasses.replace(cert, family_param=5001)).ok
     assert calls == []
 
@@ -1225,7 +1293,7 @@ def test_verify_rejects_a_tampered_m_before_any_expansion(monkeypatch, m):
     order = cert.composed_degree // cert.m
     bad = dataclasses.replace(cert, m=m, composed_degree=order * m)
     monkeypatch.setattr(witness, "_composed", _no_expansion)
-    monkeypatch.setattr(witness, "compose_with_complete", _no_expansion)
+    monkeypatch.setattr(witness, "_closed_form", _no_expansion)
     failed = [(c.name, c.detail) for c in verify_certificate(bad).checks if not c.passed]
     [(name, detail)] = failed
     assert name == "endpoint_certification"
