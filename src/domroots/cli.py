@@ -199,13 +199,16 @@ def _add_input_flags(sp) -> None:
     sp.add_argument("--family", help=_FAMILY_USAGE)
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads every negative number, such as ``-3/2``, as a value: argparse's
     own pattern covers ``-3`` and ``-1.5`` only, and takes ``-3/2`` for an
     unknown option.  No option starts with a digit."""
 
     def _parse_optional(self, arg_string):
-        if re.match(r"-\.?\d", arg_string):
+        if _NEGATIVE_NUMBER.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
 

@@ -630,28 +630,37 @@ def bipartite_numerator_sign(sides: tuple, u: int, v: int, writer=None) -> int:
 _START_BITS = 128
 
 
+def _precisions(a: int, b: int, u: int, v: int):
+    """The working precisions ``P``, in bits, of a sign of the ``K_{a,b}``
+    numerator by precision doubling: from :data:`_START_BITS`, doubling
+    while the integer's size estimate exceeds ``P`` times ``steps``.  A pass
+    squares ``steps`` numbers of ``P`` bits, so past that the exact integer
+    costs no more."""
+    size = _numerator_bits(a, b, u, v)
+    steps = (2 if a == 1 else 3) * b.bit_length()
+    prec = _START_BITS
+    while size > prec * steps:
+        yield prec
+        prec *= 2
+
+
 def bipartite_sign(sides: tuple, u: int, v: int) -> int:
     """Sign of ``v^(a+b)`` times ``D(K_{a,b})`` at ``u/v`` (``v > 0``): of
     ``(w^a - v^a)(w^b - v^b) + u^a v^b + u^b v^a`` with ``w = u + v``.
     A star ``K_{1,k}`` gives ``u w^k + u^k v``.
 
     The numerator is expanded in balls (:func:`_expand` in
-    :class:`_Balls`) at a working precision of ``P`` bits, and a ball that
-    excludes 0 decides; otherwise ``P`` doubles.  A pass squares ``steps``
-    numbers of ``P`` bits, and once the exact integer is no larger than
-    those together it is expanded instead (:func:`bipartite_numerator_sign`),
-    so the answer is always the integer's sign."""
+    :class:`_Balls`) at each precision of :func:`_precisions` in turn, and a
+    ball that excludes 0 decides.  When none does, the exact integer is
+    expanded instead (:func:`bipartite_numerator_sign`), so the answer is
+    always the integer's sign."""
     if not u:
         return 0  # x = 0 is a root of every domination polynomial
     a, b = sorted(sides)
-    size = _numerator_bits(a, b, u, v)
-    steps = (2 if a == 1 else 3) * b.bit_length()
-    prec = _START_BITS
-    while size > prec * steps:
+    for prec in _precisions(a, b, u, v):
         m, r, _ = _expand(a, b, u, v, _Balls(prec))
         if abs(m) > r:
             return (m > 0) - (m < 0)
-        prec *= 2
     return bipartite_numerator_sign((a, b), u, v)
 
 

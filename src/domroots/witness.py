@@ -72,9 +72,12 @@ integers whose precision doubles until they exclude 0, or else that
 integer, so the answer is always the integer's sign.
 :func:`verify_certificate` calls neither the balls nor ``_expand``: at
 every degree it writes every integer it checks by its own transcription of
-the closed form, :func:`_closed_form`, at the same mapped point, and
-expands it through :func:`domroots.realroots.bipartite_numerator_sign`, in
-ints or, for integers of more than about 4e5 bits, in exact ``decimal``.
+the closed form, :func:`_closed_form`, at the same mapped point.  It writes
+it first in intervals of its own (:class:`_Bounds`), pairs of ``decimal``
+numbers rounded down and up, at a precision that doubles by the balls' rule,
+and an interval that excludes 0 decides.  Where none does, it expands the
+integer through :func:`domroots.realroots.bipartite_numerator_sign`, in ints
+or, for integers of more than about 4e5 bits, in exact ``decimal``.
 The bisection is :func:`domroots.realroots._sign_bisect`, the one that
 also narrows isolation leaves and star roots.  It stops once the width is at most
 ``tol`` and neither end of ``(z - eps, z + eps)`` lies in the enclosure,
@@ -84,7 +87,7 @@ window's, and the certificate's are the simplest rationals around it
 (:func:`_simplest_ends`): each end moves outwards, within ``tol`` of the
 other and inside the searched part, to the rational of smallest
 denominator.  The one-simple-root lemma below keeps their signs, and the
-integers the verifier expands, whose length grows with the ends'
+integers the verifier writes, whose length grows with the ends'
 denominators, are shorter.
 
 Endpoint signs decide as much as a Sturm count would, because in each
@@ -120,14 +123,14 @@ moves it left once, by 2^-16 of the part's width.
 from __future__ import annotations
 
 import bisect
+import decimal
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from . import dompoly, graph
+from . import dompoly, graph, realroots
 from .dompoly import DomPolynomial
 from .errors import BudgetExhaustedError, CapacityError, DomainError, DomRootsError
 from .realroots import (
@@ -161,13 +164,16 @@ FAMILY_K2_ELL = "K_2_ell"
 FAMILY_KKK = "K_k_k"
 FAMILY_STAR = "star"
 
-# The verifier expands no composed numerator estimated above this many bits
+# The verifier signs no composed numerator estimated above this many bits
 # (see _numerator_bits), and construct_witness emits no certificate above
-# it.  The largest that any CI step or benchmark query expands is the
+# it.  The verifier's decimal intervals cost little at any length, but where
+# they cannot decide a sign the integer is expanded exactly, and the cap
+# bounds that.  The longest numerator of any test or benchmark query is the
 # z = -20 star's (60,487 leaves, m = 3), about 4.4e6 bits at the default
-# tol.  Its ends lengthen with tol: at tol = 1e-100 it estimates 3.15e7 bits
-# and verified in 1.4 s (Python 3.11.7, libmpdec 2.5.1, 2-core x86-64
-# host), so a certificate at the cap takes about 1.5 s to verify.
+# tol.  Its ends lengthen with tol: at tol = 1e-100 it estimates 3.15e7
+# bits, and its two signs took 0.7-0.9 ms in the intervals and 2.1-2.3 s
+# expanded exactly (Python 3.11.7, libmpdec 2.5.1, 2-core x86-64 host), so
+# an exact expansion at the cap takes about 2.5 s.
 VERIFY_MAX_NUMERATOR_BITS = 32_000_000
 
 
@@ -651,7 +657,8 @@ def _numerator_bits(order: int, m: int, interval: RationalInterval) -> int:
 
 def _closed_form(a: int, b: int, u: int, v: int, ar):
     """The verifier's own writer of ``v^(a+b) D(K_{a,b}, u/v)`` (``a <= b``)
-    in the arithmetic ``ar``.  It transcribes the closed form
+    in the arithmetic ``ar``: ints, an exact ``decimal.Context`` or
+    :class:`_Bounds`.  It transcribes the closed form
     ``((1+x)^a - 1)((1+x)^b - 1) + x^a + x^b`` (Alikhani and Peng, Ars
     Combinatoria 2014) as ``(w^a - v^a)(w^b - v^b) + u^a v^b + u^b v^a``
     with ``w = u + v``, and a star's row ``x(1+x)^k + x^k`` as
@@ -668,15 +675,94 @@ def _closed_form(a: int, b: int, u: int, v: int, ar):
                          ar.multiply(power(u, b), power(v, a))))
 
 
+class _Bounds:
+    """Intervals ``(lo, hi)`` of Decimals at ``digits`` significant digits,
+    under the names of ``decimal.Context``'s methods, so that
+    :func:`_closed_form` runs in them.  Every ``lo`` comes from a private
+    ``ROUND_FLOOR`` context and every ``hi`` from a ``ROUND_CEILING`` one,
+    both correctly rounded (Cowlishaw, General Decimal Arithmetic), so each
+    interval holds the integer the same operations give on ints (Moore,
+    Interval Analysis, 1966).  Ints enter through each context's
+    ``create_decimal``, and a sign flips by ``copy_negate``: unary ``-``,
+    ``+`` and ``abs`` round in the thread's context.  ``Overflow`` and
+    ``InvalidOperation`` are trapped.  Only ``multiply`` takes an int, as
+    its first operand."""
+
+    __slots__ = ("floor", "ceiling")
+
+    def __init__(self, digits: int):
+        d = decimal
+        self.floor, self.ceiling = (d.Context(prec=digits, rounding=r, Emax=d.MAX_EMAX,
+                                              traps=[d.Overflow, d.InvalidOperation])
+                                    for r in (d.ROUND_FLOOR, d.ROUND_CEILING))
+
+    def _entered(self, n: int) -> tuple:
+        return self.floor.create_decimal(n), self.ceiling.create_decimal(n)
+
+    def power(self, x: int, n: int) -> tuple:
+        """``x^n`` for ``n >= 1``: square-and-multiply on ``|x|``, then the
+        sign."""
+        f, c = self.floor.multiply, self.ceiling.multiply
+        lo0, hi0 = lo, hi = self._entered(-x if x < 0 else x)
+        for bit in bin(n)[3:]:
+            lo, hi = f(lo, lo), c(hi, hi)
+            if bit == "1":
+                lo, hi = f(lo, lo0), c(hi, hi0)
+        return (hi.copy_negate(), lo.copy_negate()) if x < 0 and n & 1 else (lo, hi)
+
+    def multiply(self, x, y: tuple) -> tuple:
+        (a, b), (c, d) = self._entered(x) if isinstance(x, int) else x, y
+        f, g = self.floor.multiply, self.ceiling.multiply
+        return (min(f(a, c), f(a, d), f(b, c), f(b, d)),
+                max(g(a, c), g(a, d), g(b, c), g(b, d)))
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return self.floor.add(x[0], y[0]), self.ceiling.add(x[1], y[1])
+
+    def subtract(self, x: tuple, y: tuple) -> tuple:
+        return self.floor.subtract(x[0], y[1]), self.ceiling.subtract(x[1], y[0])
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _bounds_sign(a: int, b: int, u: int, v: int) -> int:
+    """The sign of the numerator ``v^(a+b) D(K_{a,b}, u/v)`` (``a <= b``)
+    where :func:`_closed_form` in :class:`_Bounds` decides it, else 0.
+    The precision starts at ``realroots._START_BITS`` bits and doubles by
+    the rule of the search's sign (:func:`domroots.realroots._precisions`),
+    and an interval that excludes 0 decides.  Without the C module
+    ``_decimal``, ``decimal`` is the slow pure-Python one, and nothing is
+    decided."""
+    if realroots._decimal is None:
+        return 0
+    for prec in realroots._precisions(a, b, u, v):
+        lo, hi = _closed_form(a, b, u, v, _Bounds(math.ceil(prec * _LOG10_2)))
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+    return 0
+
+
+def _verifier_sign(sides: tuple, u: int, v: int) -> int:
+    """The sign of the numerator: decided by :func:`_bounds_sign`, or else
+    exactly by :func:`domroots.realroots.bipartite_numerator_sign` from
+    :func:`_closed_form`."""
+    a, b = sorted(sides)
+    return _bounds_sign(a, b, u, v) or bipartite_numerator_sign((a, b), u, v, _closed_form)
+
+
 def _certified_signs(cert: WitnessCertificate):
     """The sign of the composed polynomial at a point, re-derived from the
     descriptor.
 
     At every degree the sign is that of the integer numerator at the mapped
-    point (:func:`_composed`), expanded exactly by
-    :func:`domroots.realroots.bipartite_numerator_sign` from the verifier's
-    own writer, :func:`_closed_form`, and never from the search's
-    :func:`domroots.realroots._expand` or its balls.
+    point (:func:`_composed`), written by the verifier's own writer,
+    :func:`_closed_form`, and never by the search's
+    :func:`domroots.realroots._expand` or in its balls
+    (:func:`_verifier_sign`): in decimal intervals where they decide it
+    (:func:`_bounds_sign`), and otherwise expanded exactly by
+    :func:`domroots.realroots.bipartite_numerator_sign`, so a sign of 0 at
+    an exact root is always exact.
     The degree the descriptor implies must equal the stored one, or this
     raises :class:`DomainError` before anything is expanded: the work grows
     with the family parameter, and a tampered parameter would otherwise buy
@@ -700,8 +786,7 @@ def _certified_signs(cert: WitnessCertificate):
     if bits > VERIFY_MAX_NUMERATOR_BITS:
         raise DomainError(f"the composed numerator would have about {bits} bits, above the cap "
                           f"of {VERIFY_MAX_NUMERATOR_BITS}; nothing was expanded")
-    sign = _composed(partial(bipartite_numerator_sign, writer=_closed_form),
-                     _sides(cert.family_kind, cert.family_param), cert.m)
+    sign = _composed(_verifier_sign, _sides(cert.family_kind, cert.family_param), cert.m)
     return lambda t: sign(t.numerator, t.denominator)
 
 

@@ -255,8 +255,9 @@ def test_inclusion_exclusion_against_brute_force_at_order_20():
 
 def test_star_witness_at_z_minus_15_builds_and_verifies():
     # 21,678 leaves: the sign kernel builds this in about 0.01 s, and the
-    # verifier expands two numerators of about 1.4e6 and 1.6e6 bits in exact
-    # decimal in about 0.06 s; the search through the exact integer alone
+    # verifier's decimal intervals decide its two signs, on numerators of
+    # about 1.4e6 and 1.6e6 bits, in about 0.2 ms (expanding them in exact
+    # decimal took about 0.06 s); the search through the exact integer alone
     # takes 8.6 s
     out = io.StringIO()
     with time_limit(60):
@@ -270,14 +271,37 @@ def test_star_witness_at_z_minus_15_builds_and_verifies():
 
 def test_star_witness_at_z_minus_20_builds_and_verifies():
     # 60,487 leaves, composed degree 181,464: the command verifies what it
-    # emits, two numerators of about 3.8e6 and 4.4e6 bits, about 0.2 s in
-    # exact decimal (0.9 s as ints)
+    # emits, two numerators of about 3.8e6 and 4.4e6 bits, whose signs the
+    # verifier's decimal intervals decide in about 0.3 ms (expanding them
+    # took about 0.3 s in exact decimal, 0.9 s as ints)
     out = io.StringIO()
     with time_limit(60):
         code, err = call(["witness", "-z", "-20", "-e", "1/100", "--max-param", "70000",
                           "--max-degree", "200000"], out)
     assert code == 0, err
     assert '"composed_degree": 181464' in out.getvalue()
+
+
+def test_the_verifiers_interval_signs_are_the_exact_signs(monkeypatch):
+    # every sign the verifier takes on the 600 benchmark queries of seeds
+    # 1-3: 597 certificates, 24 of them at an exact root with one sign each.
+    # Where the decimal intervals decide a sign, it is the sign of the
+    # integer the search's writer expands in full
+    signs = []
+    verifier_sign = witness._verifier_sign
+
+    def compared(sides, u, v):
+        exact = realroots.bipartite_numerator_sign(sides, u, v)
+        signs.append((witness._bounds_sign(*sorted(sides), u, v), exact))
+        return verifier_sign(sides, u, v)
+
+    monkeypatch.setattr(witness, "_verifier_sign", compared)
+    codes = [call(argv, io.StringIO())[0] for seed in (1, 2, 3) for argv in queries(seed)]
+    assert codes.count(cli.EXIT_OK) == 597
+    assert len(signs) == 2 * 597 - 24
+    decided = [(s, e) for s, e in signs if s]
+    assert len(decided) == 390
+    assert all(s == e for s, e in decided)
 
 
 def test_every_traced_boundary_resolves():

@@ -269,9 +269,9 @@ def test_fine_tolerance_star_steps_double_the_precision(monkeypatch):
 def test_fine_tolerance_deep_star_builds():
     # 4,792 leaves at m = 3: every bisection step takes a star sign of
     # integers of millions of bits, which the balls decide at a few hundred.
-    # The verifier expands both end numerators, about 3.2e6 bits each (6.2e6
-    # with the bisection's dyadic ends), in exact decimal: about 0.15 s on a
-    # 2-core host, against 0.55 s for the same integers as ints
+    # The verifier's decimal intervals decide both end signs, on numerators
+    # of about 3.2e6 bits each, in about 0.4 ms on a 2-core host (expanding
+    # them took about 0.2 s in exact decimal)
     tol = Fraction(1, 10 ** 130)
     t0 = time.perf_counter()
     cert = construct_witness(F(-10), F("1/100"), tol=tol)
@@ -307,7 +307,9 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
     # 431,370 bits; at the default tolerance 292,373 and 321,131, below it);
     # without _decimal they are ints, and every certificate and report keeps
     # its bytes.  The caller's decimal context is untouched.  Only the exact
-    # expansions count: the sign kernel's balls are the third arithmetic
+    # expansions count: the sign kernel's balls and the verifier's intervals
+    # are not exact, and the intervals, which decide both of those signs,
+    # decide none here, so that the verifier expands them exactly
     queries = _GRID + [("-10", "1/100", "1e-15")]
 
     def output(z, e, tol=DEFAULT_TOL):
@@ -323,11 +325,13 @@ def test_without_the_c_decimal_module_the_numerators_stay_ints(monkeypatch):
         return recorded
 
     def exact():
-        return [ar for ar in arithmetics if not isinstance(ar, realroots._Balls)]
+        return [ar for ar in arithmetics
+                if not isinstance(ar, (realroots._Balls, witness._Bounds))]
 
     # the search's writer, and the verifier's, whose are the decimal expansions
     monkeypatch.setattr(realroots, "_expand", recorder(realroots._expand))
     monkeypatch.setattr(witness, "_closed_form", recorder(witness._closed_form))
+    monkeypatch.setattr(witness, "_bounds_sign", lambda a, b, u, v: 0)
     context = decimal.getcontext()
     prec, traps = context.prec, dict(context.traps)
     with_decimal = [output(*q) for q in queries]
@@ -401,6 +405,51 @@ def test_the_verifiers_writer_is_the_searchs_integer(a, b, u, v):
             bipartite_numerator_sign(sides, u, v))
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 300), b=st.integers(1, 300), u=st.integers(),
+       v=st.integers(min_value=1), digits=st.integers(3, 40))
+# the left end of the (-10, 1/100) star, 4,792 leaves at m = 3, mapped by
+# _composed: a numerator of 285,467 bits
+@example(a=1, b=4792, u=-854080992552997827, v=1173707204019904, digits=39)
+def test_the_verifiers_intervals_hold_the_integer(a, b, u, v, digits):
+    # at a few digits nearly every operation rounds; the powers are checked
+    # on their own too, since a later product would hide an interval whose
+    # ends came out swapped
+    a, b = sorted((a, b))
+    bounds = witness._Bounds(digits)
+    lo, hi = witness._closed_form(a, b, u, v, bounds)
+    assert lo <= witness._closed_form(a, b, u, v, realroots._Ints) <= hi
+    for x, n in ((u, b), (u + v, a)):
+        lo, hi = bounds.power(x, n)
+        assert lo <= x ** n <= hi
+
+
+def test_the_intervals_decide_deep_stars_and_an_exact_root_stays_exact(monkeypatch):
+    # the (-10, 1/100) and z = -20 stars verify with no exact expansion in
+    # the verifier; the exact root -2 is one the intervals cannot decide
+    deep = [construct_witness(F(-10), F("1/100")),
+            construct_witness(F(-20), F("1/100"), SearchBudget(41, 70000, 200000))]
+    assert [c.family_param for c in deep] == [4792, 60487]
+    root = construct_witness(F(-2), F("1/10"))
+    assert root.enclosure.note == NOTE_EXACT
+    end = deep[0].enclosure.interval.lo
+    seen = []
+    witness._composed(lambda sides, u, v: seen.append((u, v)), (1, 4792), 3)(
+        end.numerator, end.denominator)
+    assert seen == [(-854080992552997827, 1173707204019904)]  # the example above
+
+    def refuse(*args):
+        raise AssertionError("the verifier expanded a numerator exactly")
+
+    monkeypatch.setattr(witness, "bipartite_numerator_sign", refuse)
+    assert all(verify_certificate(c).ok for c in deep)
+    exact = []
+    monkeypatch.setattr(witness, "bipartite_numerator_sign",
+                        lambda *args: exact.append(args) or bipartite_numerator_sign(*args))
+    assert verify_certificate(root).ok
+    assert len(exact) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=st.integers(1, 300), b=st.integers(1, 300),
        t=st.fractions(-12, 1, max_denominator=10 ** 6), half=st.integers(0, 20))
@@ -417,9 +466,10 @@ def test_the_verifiers_writer_at_the_mapped_points(a, b, t, half):
 
 def test_star_witness_at_minus_fifteen():
     # 21,678 leaves: through the exact integer alone the search takes about
-    # 8 s on a 2-core host, with the sign kernel about 0.01 s; verification,
-    # exact in both, about 0.06 s (its two numerators, about 1.4e6 and 1.6e6
-    # bits, are expanded in exact decimal; as ints they take 0.17 s)
+    # 8 s on a 2-core host, with the sign kernel about 0.01 s; verification
+    # about 0.2 ms: the decimal intervals decide the signs of its two
+    # numerators, about 1.4e6 and 1.6e6 bits, which took 0.06 s to expand in
+    # exact decimal and 0.17 s as ints
     budget = SearchBudget(max_m=41, max_param=30000, max_degree=100000)
     t0 = time.perf_counter()
     cert = construct_witness(F(-15), F("1/100"), budget)
@@ -1303,7 +1353,8 @@ def test_verify_rejects_a_tampered_m_before_any_expansion(monkeypatch, m):
 
 def test_a_tampered_m_under_the_cap_is_rejected_by_its_signs():
     # K_{75,75} at m = 1,001 estimates 2.7e6 bits, under the cap, so the
-    # verifier expands it and the recomputed signs reject it
+    # verifier signs its ends (the decimal intervals decide both) and the
+    # recomputed signs reject it
     cert = construct_witness(F("-0.8"), F("1/100"))
     assert (cert.family_param, cert.m) == (75, 3)
     bad = dataclasses.replace(cert, m=1001, composed_degree=150 * 1001)
