@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, Graph6ParseError
@@ -257,22 +257,30 @@ def class_masks(n: int) -> Iterator[int]:
     """The smallest edge mask (:func:`_edge_pairs`) of every isomorphism
     class of order-``n`` graphs, in ascending order, by orbit marking.
 
-    The masks are walked in ascending order; one not yet marked is the
-    smallest of a new class, and its images under all ``n!`` relabelings
-    are marked in a table of ``2^(n(n-1)/2)`` bytes.
+    A table of ``2^(n(n-1)/2)`` bytes marks the masks seen.  The next
+    unmarked one (``bytearray.find``) is the smallest of a new class, and
+    its images under all ``n!`` relabelings are marked.  Each edge has an
+    int of ``array("I")`` slots, one per relabeling, holding the bit that
+    the edge moves to; a mask's images are the sum of its edges' ints, in
+    which no carry crosses a slot, as the edges' bits are distinct.
     """
+    from array import array
+    from collections import deque
+
     pairs = _edge_pairs(n)
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
-    # per relabeling, the mask bit that each edge's bit moves to
-    moves = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
-             for p in permutations(range(n))]
+    relabelings = list(permutations(range(n)))
+    moves = [int.from_bytes(array("I", [bit[min(p[u], p[v]), max(p[u], p[v])]
+                                        for p in relabelings]), "little")
+             for u, v in pairs]
+    size = len(relabelings) * array("I").itemsize
     marked = bytearray(1 << len(pairs))
-    for mask in range(len(marked)):
-        if not marked[mask]:
-            yield mask
-            edges = list(_bits(mask))
-            for move in moves:
-                marked[sum(map(move.__getitem__, edges))] = 1
+    mask = 0
+    while mask >= 0:
+        yield mask
+        images = array("I", sum(map(moves.__getitem__, _bits(mask))).to_bytes(size, "little"))
+        deque(map(marked.__setitem__, images, repeat(1)), 0)
+        mask = marked.find(0, mask + 1)
 
 
 def _graph_from_mask(mask: int, n: int) -> Graph:

@@ -784,25 +784,31 @@ def star_gap_report(k_max: int, tol: Fraction = DEFAULT_TOL) -> list:
     """Certified star roots for k = 1..k_max with gaps and asymptotic errors.
 
     ``gap`` is the midpoint difference to the next root (None on the last
-    row).  Successive enclosures are checked to be disjoint and increasing,
-    which certifies strict monotonicity of the sequence.
+    row).  Successive enclosures are made disjoint and checked to be
+    increasing, which certifies strict monotonicity of the sequence.  Each
+    root has its own tolerance, at first ``tol``: while the enclosures of
+    roots k and k+1 overlap, both tolerances halve and both roots are
+    recomputed.  A finer :func:`star_root` continues the same bisection
+    from the same bracket, so each enclosure lies inside the one before it,
+    and pairs already apart stay apart.
     """
     if k_max < 2:
         raise DomainError("the gap report needs k_max >= 2")
+    tols = [_tolerance(tol)] * k_max
     roots = [star_root(k, tol) for k in range(1, k_max + 1)]
-    for k in range(len(roots) - 1):
-        if not roots[k].interval.hi < roots[k + 1].interval.lo:
-            raise InternalInvariantError(
-                f"star root enclosures for k={k + 1},{k + 2} are not increasing"
-            )
+    for k in range(k_max - 1):
+        while not roots[k].interval.hi < roots[k + 1].interval.lo:
+            if roots[k + 1].interval.hi < roots[k].interval.lo:
+                raise InternalInvariantError(f"star root enclosures for k={k + 1},{k + 2} "
+                                             "are not increasing")
+            for i in (k, k + 1):
+                tols[i] /= 2
+                roots[i] = star_root(i + 1, tols[i])
     records = []
-    for i, enc in enumerate(roots):
-        k = i + 1
+    for k, enc in enumerate(roots, 1):
         est = star_root_estimate(k)
-        gap = roots[i + 1].midpoint - enc.midpoint if i + 1 < len(roots) else None
-        records.append(
-            StarGapRecord(k, enc, gap, est, abs(float(enc.midpoint) - est))
-        )
+        gap = roots[k].midpoint - enc.midpoint if k < k_max else None
+        records.append(StarGapRecord(k, enc, gap, est, abs(float(enc.midpoint) - est)))
     return records
 
 

@@ -189,7 +189,8 @@ class SearchBudget:
     ``z + eps >= -10.1`` certifies.  Past that edge the ``m = 3`` stars need
     more than ``max_param`` leaves, and only windows that contain a root of
     a star with at most ``max_param`` leaves (``m = 1``) certify;
-    ``z = -10.5, eps = 1/100`` exhausts the budget after 33,390 cells.
+    ``z = -10.5, eps = 1/100`` exhausts the budget, with 33,390 cells in
+    its frontier for 4 exact signs and 7 float guide values taken.
 
     Near -1 the caps put the nearest roots at ``m = 1`` (``m >= 3`` maps
     distance ``d`` from -1 to ``d^m``): ``K_{2,5001}`` at ``-1 - 1.3864e-4``
@@ -315,11 +316,6 @@ def target_interval(z, eps, m: int) -> RationalInterval:
 # the search
 # ---------------------------------------------------------------------------
 
-def _exact_certificate(z: Fraction, eps: Fraction, root: Fraction) -> WitnessCertificate:
-    return WitnessCertificate(z, eps, FAMILY_EXACT_K2, None, 1, 2, _exact_enclosure(root),
-                              CASE_EXACT)
-
-
 def _classify(win_lo: Fraction, win_hi: Fraction) -> list:
     """The parts of a window to search, in order, as ``(kind, lo, hi)``:
     family selection and window clipping.  -1 is never a domination root,
@@ -340,17 +336,18 @@ def _classify(win_lo: Fraction, win_hi: Fraction) -> list:
 
 
 class _Search:
-    """The search of one part of the window (see :func:`_classify`)."""
+    """The search of one part of the window (see :func:`_classify`).  It
+    binds its kind's row and ``to_shape`` once, and validates no ``p`` of
+    its own ranges."""
 
     def __init__(self, z, eps, budget: SearchBudget, tol: Fraction, part: tuple):
         self.z = z
         self.eps = eps
         self.tol = tol
         self.kind, self.w_lo, self.w_hi = part
-        row = _KINDS[self.kind]
-        self.case = row.case
+        self.row = row = _KINDS[self.kind]
+        self.sides = sides = graph.FAMILIES[row.family].to_shape
         # every family's order is affine in p, which bounds p for each odd m
-        sides = graph.FAMILIES[row.family].to_shape
         base = sum(sides(1))
         slope = sum(sides(2)) - base
         self.ranges = [(m, range(1, min(budget.max_param,
@@ -381,8 +378,7 @@ class _Search:
         Each exact sign is taken at an end of the part through
         :func:`_composed`, whose integers are the mapped end ``_phi(end, m)``
         in lowest terms, so no mapped end is formed as a fraction."""
-        row = _KINDS[self.kind]
-        sides = graph.FAMILIES[row.family].to_shape
+        row, sides = self.row, self.sides
         near, far = (self.w_lo, self.w_hi) if row.climbs else (self.w_hi, self.w_lo)
         y = _float(1 + near)
 
@@ -443,7 +439,7 @@ class _Search:
         certificate that :func:`verify_certificate` would not expand
         (:func:`_numerator_bits` above :data:`VERIFY_MAX_NUMERATOR_BITS`)
         raises :class:`CapacityError` instead."""
-        sides = _sides(self.kind, p)
+        sides = self.sides(p)
         avoid = (self.z - self.eps, self.z + self.eps)
         exact = _composed(bipartite_sign, sides, m)
         width = self.w_hi - self.w_lo
@@ -469,8 +465,8 @@ class _Search:
             raise CapacityError(f"the certificate found ({self.kind} {p}, m = {m}) has a composed "
                                 f"numerator of about {bits} bits, above the verifier's cap of "
                                 f"{VERIFY_MAX_NUMERATOR_BITS}")
-        deg = sum(sides) * m
-        return WitnessCertificate(self.z, self.eps, self.kind, p, m, deg, enc, self.case)
+        return WitnessCertificate(self.z, self.eps, self.kind, p, m, sum(sides) * m, enc,
+                                  self.row.case)
 
 
 # the guided pass of _Search._certify picks a dyadic cell at most this deep
@@ -579,12 +575,15 @@ def construct_witness(
     when every part runs out of budget (which never claims nonexistence):
     its frontier's ``case`` joins the parts' case tags with ``+``
     (``case-1.1+case-1.2`` for a window that straddles -1), and
-    ``cells_tested`` counts the cells of every part.  Raises
-    :class:`CapacityError` when the certificate found is one that
-    :func:`verify_certificate` would not expand, its composed numerator
-    estimated above :data:`VERIFY_MAX_NUMERATOR_BITS` (:func:`_numerator_bits`:
-    a fine ``tol`` lengthens the ends, and a far target needs a large
-    order).  Raises :class:`DomainError` for ``z > 0``.
+    ``cells_tested`` counts the ``(m, p)`` cells the budget admits in every
+    part, not the signs taken: the monotone bisection rules them out with a
+    few (``z = -1, eps = 10^-6`` reports 26,711 cells for 2 exact signs and
+    2 float guide values).  Raises :class:`CapacityError` when the
+    certificate found is one that :func:`verify_certificate` would not
+    expand, its composed numerator estimated above
+    :data:`VERIFY_MAX_NUMERATOR_BITS` (:func:`_numerator_bits`: a fine
+    ``tol`` lengthens the ends, and a far target needs a large order).
+    Raises :class:`DomainError` for ``z > 0``.
     """
     z = _as_fraction(z)
     eps = _as_fraction(eps)
@@ -595,17 +594,18 @@ def construct_witness(
         raise DomainError("eps must be positive")
     if budget is None:
         budget = SearchBudget()
-    if z - eps < 0 < z + eps:
-        return _exact_certificate(z, eps, Fraction(0))
-    if z - eps < -2 < z + eps:
-        return _exact_certificate(z, eps, Fraction(-2))
+    for root in (Fraction(0), Fraction(-2)):
+        if z - eps < root < z + eps:
+            return WitnessCertificate(z, eps, FAMILY_EXACT_K2, None, 1,
+                                      family_order(FAMILY_EXACT_K2, None),
+                                      _exact_enclosure(root), CASE_EXACT)
     searches = [_Search(z, eps, budget, tol, part) for part in _classify(z - eps, z + eps)]
     for search in searches:
         cert = search.run()
         if cert:
             return cert
     cells = sum(s.cells for s in searches)
-    case = "+".join(s.case for s in searches)
+    case = "+".join(s.row.case for s in searches)
     raise BudgetExhaustedError(
         "witness search budget exhausted (this does not prove nonexistence); "
         f"explored {cells} cells for case {case}",
@@ -751,60 +751,39 @@ def _verifier_sign(sides: tuple, u: int, v: int) -> int:
     return _bounds_sign(a, b, u, v) or bipartite_numerator_sign((a, b), u, v, _closed_form)
 
 
-def _certified_signs(cert: WitnessCertificate):
-    """The sign of the composed polynomial at a point, re-derived from the
-    descriptor.
-
-    At every degree the sign is that of the integer numerator at the mapped
-    point (:func:`_composed`), written by the verifier's own writer,
-    :func:`_closed_form`, and never by the search's
-    :func:`domroots.realroots._expand` or in its balls
-    (:func:`_verifier_sign`): in decimal intervals where they decide it
-    (:func:`_bounds_sign`), and otherwise expanded exactly by
-    :func:`domroots.realroots.bipartite_numerator_sign`, so a sign of 0 at
-    an exact root is always exact.
-    The degree the descriptor implies must equal the stored one, or this
-    raises :class:`DomainError` before anything is expanded: the work grows
-    with the family parameter, and a tampered parameter would otherwise buy
-    unbounded work (a star of 10^6 leaves took 8 s and 92 MiB to reject).
-    The degree does not bound ``m`` when ``composed_degree`` was edited to
-    match, nor the ends' lengths, so the numerator's length is estimated
-    too (:func:`_numerator_bits`), and one above
-    :data:`VERIFY_MAX_NUMERATOR_BITS` raises :class:`DomainError` before
-    anything is expanded (the z = -10 star with ``m = 1,001`` took 9.9 s to
-    reject without it, and ``m = 10,001`` did not finish in 90 s).
-    :func:`construct_witness` emits no certificate above the cap.  A
-    certificate under the cap can still be false; its recomputed signs
-    reject it.  ``m < 1`` raises at the first sign (:func:`_composed`),
-    which rejects it."""
-    order = family_order(cert.family_kind, cert.family_param)
-    degree = order * cert.m
-    if degree != cert.composed_degree:
-        raise DomainError(f"the descriptor implies degree {degree}, not the stored "
-                          f"{cert.composed_degree}; nothing was expanded")
-    bits = _numerator_bits(order, cert.m, cert.enclosure.interval)
-    if bits > VERIFY_MAX_NUMERATOR_BITS:
-        raise DomainError(f"the composed numerator would have about {bits} bits, above the cap "
-                          f"of {VERIFY_MAX_NUMERATOR_BITS}; nothing was expanded")
-    sign = _composed(_verifier_sign, _sides(cert.family_kind, cert.family_param), cert.m)
-    return lambda t: sign(t.numerator, t.denominator)
-
-
 def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     """Independently re-check every claim a certificate makes.
 
     Failures are report entries, never exceptions; a certificate emitted by
-    :func:`construct_witness` passes all checks.
+    :func:`construct_witness` passes all checks.  The descriptor is
+    resolved once (:func:`_sides`) for every check that reads it.
+
+    An end's sign is that of the integer numerator at the mapped point
+    (:func:`_composed`), written by the verifier's own :func:`_closed_form`
+    and never by the search's :func:`domroots.realroots._expand` or in its
+    balls (:func:`_verifier_sign`): in decimal intervals where they decide
+    it (:func:`_bounds_sign`), and otherwise expanded exactly, so a sign of
+    0 at an exact root is always exact.  Nothing is expanded unless the
+    degree the descriptor implies is the stored one (a tampered star of
+    10^6 leaves took 8 s and 92 MiB to reject without this guard) and the
+    numerator's estimated length (:func:`_numerator_bits`) is within
+    :data:`VERIFY_MAX_NUMERATOR_BITS`, which bounds an ``m`` edited along
+    with the degree (the z = -10 star with ``m = 1,001`` took 9.9 s to
+    reject without it); either guard fails ``endpoint_certification``.
+    :func:`construct_witness` emits no certificate above the cap, and one
+    under it can still be false: its recomputed signs reject it.  ``m < 1``
+    raises at the first sign (:func:`_composed`), so an unknown enclosure
+    note is reported first.
     """
     checks = []
 
     def add(name, passed, detail=""):
         checks.append(CheckResult(name, bool(passed), detail))
 
-    z, eps = cert.target_z, cert.epsilon
+    z, eps, m, enc = cert.target_z, cert.epsilon, cert.m, cert.enclosure
     add("target_nonpositive", z <= 0, f"z = {z}")
     add("epsilon_positive", eps > 0, f"eps = {eps}")
-    add("substitution_order_odd", cert.m >= 1 and cert.m % 2 == 1, f"m = {cert.m}")
+    add("substitution_order_odd", m >= 1 and m % 2 == 1, f"m = {m}")
 
     kind, p = cert.family_kind, cert.family_param
     row = _KINDS.get(kind)
@@ -820,35 +799,41 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         add("case_tag", cert.case_tag == row.case, cert.case_tag)
 
     try:
-        order = family_order(kind, p)
-        add("composed_degree", cert.composed_degree == order * cert.m,
-            f"{cert.composed_degree} vs {order}*{cert.m}")
+        sides = _sides(kind, p)
     except DomainError as exc:
+        sides, unresolved = None, exc
         add("composed_degree", False, str(exc))
+    else:
+        order = sum(sides)
+        add("composed_degree", cert.composed_degree == order * m,
+            f"{cert.composed_degree} vs {order}*{m}")
 
-    enc = cert.enclosure
-    add(
-        "enclosure_within_window",
-        z - eps < enc.interval.lo and enc.interval.hi < z + eps,
-        f"[{enc.interval.lo}, {enc.interval.hi}] vs ({z - eps}, {z + eps})",
-    )
+    lo, hi = enc.interval.lo, enc.interval.hi
+    add("enclosure_within_window", z - eps < lo and hi < z + eps,
+        f"[{lo}, {hi}] vs ({z - eps}, {z + eps})")
 
     try:
-        sign = _certified_signs(cert)
+        if sides is None:
+            raise unresolved
+        if order * m != cert.composed_degree:
+            raise DomainError(f"the descriptor implies degree {order * m}, not the stored "
+                              f"{cert.composed_degree}; nothing was expanded")
+        bits = _numerator_bits(order, m, enc.interval)
+        if bits > VERIFY_MAX_NUMERATOR_BITS:
+            raise DomainError(f"the composed numerator would have about {bits} bits, above the "
+                              f"cap of {VERIFY_MAX_NUMERATOR_BITS}; nothing was expanded")
+        sign = _composed(_verifier_sign, sides, m)
         if enc.note == NOTE_EXACT:
-            s = sign(enc.interval.lo)
+            s = sign(lo.numerator, lo.denominator)
             detail = "value at exact root = 0" if s == 0 else f"value at exact root has sign {s}"
             add("endpoint_certification", s == 0, detail)
         elif enc.note != NOTE_SIMPLE:
             add("endpoint_certification", False, f"unknown enclosure note {enc.note!r}")
         else:
-            s_lo = sign(enc.interval.lo)
-            s_hi = sign(enc.interval.hi)
-            add(
-                "endpoint_certification",
+            s_lo, s_hi = sign(lo.numerator, lo.denominator), sign(hi.numerator, hi.denominator)
+            add("endpoint_certification",
                 s_lo == enc.sign_lo and s_hi == enc.sign_hi and s_lo * s_hi == -1,
-                f"recomputed signs ({s_lo}, {s_hi}) vs stored ({enc.sign_lo}, {enc.sign_hi})",
-            )
+                f"recomputed signs ({s_lo}, {s_hi}) vs stored ({enc.sign_lo}, {enc.sign_hi})")
     except DomRootsError as exc:
         add("endpoint_certification", False, str(exc))
 

@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from domroots import cli, dompoly
+from domroots import cli, dompoly, realroots
 from domroots.cli import main
 
 from conftest import time_limit
@@ -249,6 +250,25 @@ def test_star_roots_final_row(capsys):
     last = rows[-1].split(",")
     assert last[0] == "8"
     assert abs(float(last[1]) - 5.309330065) < 5e-9
+
+
+COARSE_TOL_CALLS = [["star-roots", "2"], ["star-roots", "3"], ["star-roots", "40"],
+                    ["atlas", "12", "--table"], ["atlas", "30", "--growth"],
+                    ["roots", "--family", "star:9"], ["witness", "-z", "-5", "-e", "1/10"]]
+
+
+@pytest.mark.parametrize("tol", ["1/2", "1", "2", "1000"])
+def test_a_coarse_tol_is_valid_input(capsys, tol):
+    # at a tolerance wider than the gaps between star roots, neighbouring
+    # enclosures are refined until they part, and no call reports a bug
+    for argv in COARSE_TOL_CALLS:
+        code, _, err = run(capsys, "--tol", tol, *argv)
+        assert code == cli.EXIT_OK, (argv, err)
+    for k_max in (2, 3, 40):
+        ends = [(r.enclosure.interval.lo, r.enclosure.interval.hi)
+                for r in realroots.star_gap_report(k_max, Fraction(tol))]
+        assert all(hi - lo <= Fraction(tol) for lo, hi in ends)
+        assert all(left[1] < right[0] for left, right in zip(ends, ends[1:]))
 
 
 def test_compose(capsys):

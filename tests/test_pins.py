@@ -11,19 +11,22 @@ new digest in ``CHANGES.md``.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from domroots import cli, realroots, witness
-from domroots.witness import certificate_from_json, verify_certificate
+from domroots.realroots import RationalInterval
+from domroots.witness import certificate_from_json, construct_witness, verify_certificate
 
 from conftest import time_limit
 
@@ -133,6 +136,11 @@ KRONECKER = [
 PINS = [
     Pin("sweep-7-two-workers", STDOUT, [["--workers", "2", "atlas", "7"]],
         "1e6aa8fce74ea4b83b225f855a3d2c4d22e32be06ae19d8858df04fa70292d8b"),
+    # one row per isomorphism class, the classes found by orbit marking
+    Pin("dedup-6", STDOUT, [["atlas", "6", "--mode", "dedup"]],
+        "5ca429f0e3c0b19eeaca26f002166181a11e5f27bb0d5ff627f3e09b53134fc0"),
+    Pin("dedup-7", STDOUT, [["atlas", "7", "--mode", "dedup"]],
+        "eee8a73d795a71461fea1ce68b0518ee6aaec0dd915584f3b046c3d2702a2d28"),
     # the float path decides the printed digits of these roots: the top
     # level's bisection path, from the derivative levels' coarse roots;
     # no float sign refuses a polynomial, so none of them falls back
@@ -220,6 +228,49 @@ def test_pin(pin, tmp_path, monkeypatch):
             head = json.dumps(argv) + "\n" if pin.hashed == ARGV else ""
             sink.write(f"{head}{code}\n{out.getvalue()}{err}")
     assert sink.hash.hexdigest() == pin.digest
+
+
+def tampered_certificates() -> dict:
+    """Certificates that each break one guard or check of
+    :func:`witness.verify_certificate`, by name."""
+    k2l = construct_witness(Fraction(-3, 2), Fraction(1, 20))  # K_{2,7}, m = 3
+    star = construct_witness(-10, Fraction(1, 100))  # 4,792 leaves, m = 3
+    exact = construct_witness(0, Fraction(1, 10))
+    enc = k2l.enclosure
+    lo, hi = enc.interval.lo, enc.interval.hi
+
+    def cert(base=k2l, **changes):
+        return dataclasses.replace(base, **changes)
+
+    def enclosure(**changes):
+        return dataclasses.replace(enc, **changes)
+
+    return {
+        "unknown kind": cert(family_kind="K_9"),
+        "exact_K2 with a parameter": cert(exact, family_param=1),
+        "even K_2_ell parameter": cert(family_param=8),
+        "parameter 0": cert(family_param=0),
+        "wrong case tag": cert(case_tag=witness.CASE_2),
+        "degree off by one": cert(composed_degree=28),
+        "m = 1001 over the cap": cert(star, m=1001, composed_degree=4793 * 1001),
+        "m = 0": cert(m=0, composed_degree=0),
+        "m = 0, unknown note": cert(m=0, composed_degree=0, enclosure=enclosure(note="banana")),
+        "even m": cert(m=4, composed_degree=36),
+        "unknown note": cert(enclosure=enclosure(note="banana")),
+        "flipped signs": cert(enclosure=enclosure(sign_lo=-enc.sign_lo, sign_hi=-enc.sign_hi)),
+        "outside the window": cert(enclosure=enclosure(
+            interval=RationalInterval(lo + Fraction(1, 2), hi + Fraction(1, 2)))),
+    }
+
+
+def test_verifier_reports_on_tampered_certificates():
+    # every check's detail and the order of the checks, for a certificate
+    # that fails each guard or check in turn
+    sink = Sha256()
+    for name, cert in tampered_certificates().items():
+        sink.write(f"{name}\n{verify_certificate(cert)}\n")
+    assert sink.hash.hexdigest() == (
+        "134e46711b93d448539e77930e3abbd939cb701a6126970afaa934dbd8c6606b")
 
 
 def test_isomorphism_classes_of_order_7():
