@@ -31,6 +31,13 @@ to fully exact isolation.
 Workers take contiguous prefix ranges and the parent places their
 polynomial ids by edge mask, so parallel output is byte-identical to a
 single worker's.
+
+A graph stream - a corpus file (``--mode file``) or one graph per
+isomorphism class (``--mode dedup``) - has each graph's polynomial from
+inclusion-exclusion; each distinct one has its enclosures certified and
+formatted once per call, again with ``x^t q`` sharing one certification,
+and each row is the graph's canonical graph6 joined to them
+(:class:`_StreamCloud`).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, frexp, log
 from typing import Iterable, Iterator, Optional
 
@@ -346,10 +354,16 @@ def _try_float_roots(cof, tol, chain) -> Optional[list]:
 _SCAN_CACHE = {}
 
 
-def _roots_cached(coeffs, tol) -> list:
-    # x^t q has the roots of q and, for every t >= 1, the root 0
+def _root_key(coeffs) -> tuple:
+    """``(q, t >= 1)`` for ``coeffs = x^t q``: ``x^t q`` has the roots of
+    ``q`` and, for every ``t >= 1``, the root 0, so all of them share one
+    certification under this key."""
     t0 = intpoly.trailing_zeros(coeffs)
-    key = (coeffs[t0:], t0 > 0, tol)
+    return coeffs[t0:], t0 > 0
+
+
+def _roots_cached(coeffs, tol) -> list:
+    key = (_root_key(coeffs), tol)
     got = _SCAN_CACHE.get(key)
     if got is None:
         got = certified_negative_roots(coeffs, tol)
@@ -527,11 +541,24 @@ def _iter_scan_rows(n: int, tol: Fraction, workers: int):
     return zip(labeled_graph6(n), map(roots.__getitem__, ids))
 
 
+def _tails(roots, prefix: str = "") -> tuple:
+    """``("", row_1, row_2, ...)``: ``label.join`` of it is one CSV row per
+    enclosure, ``label{prefix},lo,hi``."""
+    return ("",) + tuple(f"{prefix},{format_fixed(lo)},{format_fixed(hi)}\n"
+                         for lo, hi in roots)
+
+
+def _write_batched(rows, out) -> None:
+    """Write the strings ``rows`` to ``out``, 4096 to a call."""
+    while batch := list(islice(rows, 4096)):
+        out.write("".join(batch))
+
+
 @dataclass(frozen=True)
 class _LabeledCloud:
     """The root cloud of every labeled graph of one order.  Iterating yields
-    :class:`RootCloudRecord` rows; :func:`write_root_cloud_csv` instead
-    formats each distinct polynomial's enclosures once."""
+    :class:`RootCloudRecord` rows; :meth:`write_rows` instead formats each
+    distinct polynomial's enclosures once."""
 
     n: int
     tol: Fraction
@@ -543,16 +570,42 @@ class _LabeledCloud:
                 yield RootCloudRecord(g6, self.n, lo, hi)
 
     def write_rows(self, out) -> None:
-        from itertools import islice
-
         roots, ids = _scan(self.n, self.tol, self.workers)
-        n = self.n
-        # g6.join(("", tail_1, tail_2, ...)) is one row per enclosure
-        tails = [("",) + tuple(f",{n},{format_fixed(lo)},{format_fixed(hi)}\n"
-                               for lo, hi in r) for r in roots]
-        rows = map(str.join, labeled_graph6(n), map(tails.__getitem__, ids))
-        while batch := list(islice(rows, 4096)):
-            out.write("".join(batch))
+        tails = [_tails(r, f",{self.n}") for r in roots]
+        _write_batched(map(str.join, labeled_graph6(self.n), map(tails.__getitem__, ids)), out)
+
+
+@dataclass(frozen=True)
+class _StreamCloud:
+    """The root cloud of a graph stream, read once.  Iterating yields
+    :class:`RootCloudRecord` rows; :meth:`write_rows` instead formats each
+    distinct polynomial's enclosures once."""
+
+    graphs: Iterable
+    tol: Fraction
+
+    def _scan(self, form) -> Iterator[tuple]:
+        """``(graph6, n, form(enclosures))`` per graph, in stream order.  One
+        dict per scan holds each :func:`_root_key`'s certification, passed
+        through ``form``."""
+        seen = {}
+        for g in self.graphs:
+            coeffs = dom_poly_inclusion_exclusion(g).coeffs
+            key = _root_key(coeffs)
+            got = seen.get(key)
+            if got is None:
+                got = seen[key] = form(certified_negative_roots(coeffs, self.tol))
+            yield to_graph6(g), g.n, got
+
+    def __iter__(self) -> Iterator[RootCloudRecord]:
+        for g6, n, roots in self._scan(list):
+            for lo, hi in roots:
+                yield RootCloudRecord(g6, n, lo, hi)
+
+    def write_rows(self, out) -> None:
+        # the order goes into the label, as it varies from graph to graph
+        rows = (f"{g6},{n}".join(tails) for g6, n, tails in self._scan(_tails))
+        _write_batched(rows, out)
 
 
 def root_cloud(
@@ -572,13 +625,15 @@ def root_cloud(
 
 def root_cloud_from_graphs(
     graphs: Iterable, tol: Fraction = DEFAULT_TOL
-) -> Iterator[RootCloudRecord]:
-    """Root-cloud records for an arbitrary graph stream (e.g. a corpus file)."""
-    for g in graphs:
-        coeffs = dom_poly_inclusion_exclusion(g).coeffs
-        g6 = to_graph6(g)
-        for lo, hi in _roots_cached(coeffs, tol):
-            yield RootCloudRecord(g6, g.n, lo, hi)
+) -> Iterable[RootCloudRecord]:
+    """Certified real-root enclosures for an arbitrary graph stream, such as
+    a corpus file (:func:`graph.read_graph6_file`).
+
+    Rows come in stream order with roots ascending per graph, each labelled
+    with its graph's canonical graph6.  The stream is read once, by
+    iterating or by :func:`write_root_cloud_csv`.
+    """
+    return _StreamCloud(graphs, tol)
 
 
 _N2_NOTE = (
@@ -643,11 +698,14 @@ def growth_check(n_max: int, tol: Fraction = DEFAULT_TOL) -> list:
 def write_root_cloud_csv(records: Iterable, out) -> None:
     """``graph6,n,root_lo,root_hi`` with 12-digit fixed-point rationals.
 
-    For the cloud of :func:`root_cloud` each distinct polynomial's rows are
-    formatted once and every graph's rows are its graph6 joined to them."""
+    A cloud of :func:`root_cloud` or :func:`root_cloud_from_graphs` writes
+    its own rows, formatting each distinct polynomial's enclosures once and
+    joining every graph's label to them; any other iterable of
+    :class:`RootCloudRecord` is formatted record by record."""
     out.write("graph6,n,root_lo,root_hi\n")
-    if isinstance(records, _LabeledCloud):
-        records.write_rows(out)
+    write_rows = getattr(records, "write_rows", None)
+    if write_rows is not None:
+        write_rows(out)
         return
     for r in records:
         out.write(f"{r.graph6},{r.n},{format_fixed(r.root_lo)},{format_fixed(r.root_hi)}\n")

@@ -163,7 +163,8 @@ def _cmd_atlas(args, out) -> int:
     if args.growth:
         atlas.write_growth_csv(atlas.growth_check(args.n, args.tol), out)
         return EXIT_OK
-    # every input check runs before the CSV header is written
+    # every input check runs before the CSV header is written: a corpus file
+    # is decoded in full, and the dedup order is checked
     if args.mode == "file":
         if not args.input or not os.path.isfile(args.input):
             raise DomainError(f"--mode file needs an existing --input file, got {args.input!r}")

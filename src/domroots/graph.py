@@ -287,7 +287,9 @@ def _graph_from_mask(mask: int, n: int) -> Graph:
     """The graph whose edges are ``pairs[i]`` (:func:`_edge_pairs`) for each
     set bit ``i``.  Column ``j`` of the upper triangle, the neighbours of
     ``j`` below it, is the ``j`` bits from bit ``j(j-1)/2`` on, so each
-    column is read in one shift and only its set bits are walked."""
+    column is read in one shift and only its set bits are walked.  Rows
+    read from an edge mask are symmetric and loop-free, so for
+    ``1 <= n <= VERTEX_CAP`` the checks of :class:`Graph` are not run."""
     adj = [0] * n
     for j in range(1, n):
         col = mask >> (j * (j - 1) >> 1) & ((1 << j) - 1)
@@ -297,7 +299,10 @@ def _graph_from_mask(mask: int, n: int) -> Graph:
             low = col & -col
             adj[low.bit_length() - 1] |= bit
             col ^= low
-    return Graph(n, tuple(adj))
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", tuple(adj))
+    return g
 
 
 def from_graph6(text: str) -> Graph:
@@ -378,10 +383,24 @@ def labeled_graph6(n: int) -> Iterator[str]:
             yield head + tail
 
 
-def read_graph6_file(path) -> Iterator[Graph]:
-    """Stream graphs from a one-graph-per-line graph6 corpus file."""
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield from_graph6(line)
+# what str.strip() removes from ASCII text; the Latin-1 spaces \x85 and \xa0
+# stay in the line and fail the decoder's range check
+_ASCII_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
+
+
+def read_graph6_file(path) -> list:
+    """Every graph of a one-graph-per-line graph6 corpus file, all decoded
+    before the list is returned.  Blank lines are skipped.  Each byte is one
+    character (Latin-1), so a non-ASCII byte fails the decoder's range
+    check, and every error starts with the 1-based number of its line."""
+    graphs = []
+    with open(path, encoding="latin-1") as fh:
+        for number, line in enumerate(fh, 1):
+            text = line.strip(_ASCII_SPACE)
+            if text:
+                try:
+                    graphs.append(from_graph6(text))
+                except (Graph6ParseError, CapacityError) as exc:
+                    exc.args = (f"line {number}: {exc}",)  # what str(exc) prints
+                    raise
+    return graphs

@@ -1,6 +1,9 @@
+import contextlib
 import io
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from domroots import atlas, realroots
+from domroots import atlas, cli, realroots
 from domroots.atlas import (
     certified_negative_roots,
     enumerate_graphs,
@@ -17,7 +20,7 @@ from domroots.atlas import (
     root_cloud_from_graphs,
     smallest_root_table,
 )
-from domroots.dompoly import dom_poly_closed_form, dom_poly_inclusion_exclusion
+from domroots.dompoly import BLOCK, dom_poly_closed_form, dom_poly_inclusion_exclusion
 from domroots.errors import CapacityError, DomainError
 from domroots.graph import (
     Graph,
@@ -26,6 +29,7 @@ from domroots.graph import (
     disjoint_union,
     empty_graph,
     from_graph6,
+    mask_to_graph6,
     read_graph6_file,
     star,
     to_graph6,
@@ -197,6 +201,45 @@ def test_root_cloud_from_graphs_matches_labeled():
     direct = list(root_cloud(3))
     streamed = list(root_cloud_from_graphs(enumerate_graphs(3)))
     assert direct == streamed
+
+
+@st.composite
+def graph6_corpora(draw):
+    """``(text, labels)``: a graph6 corpus of orders 1-16, some lines with
+    the ``>>graph6<<`` header or the long-form order and some blank, and the
+    canonical graph6 of its graphs.  Orders 15 and 16 run inclusion-exclusion
+    over the subsets above ``dompoly.BLOCK``."""
+    lines, labels = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 16))
+        g6 = mask_to_graph6(draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)), n)
+        long_order = "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(draw(st.sampled_from([g6, ">>graph6<<" + g6, long_order + g6[1:]])))
+        labels.append(g6)
+    event(f"an order above BLOCK: {any(ord(g6[0]) - 63 > BLOCK for g6 in labels)}")
+    return "".join(line + "\n" for line in lines), labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph6_corpora())
+def test_file_mode_csv_is_the_records_of_its_graphs(corpus):
+    # the CLI writes rows from the cloud's formatted parts; the graphs'
+    # records, formatted one by one, must give the same bytes
+    text, labels = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.g6")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["atlas", "0", "--mode", "file", "--input", path]) == 0
+        want = io.StringIO()
+        records = list(root_cloud_from_graphs(read_graph6_file(path)))
+        atlas.write_root_cloud_csv(iter(records), want)
+    assert out.getvalue() == want.getvalue()
+    # every graph's last row is its root 0, the only enclosure that reaches 0
+    assert [r.graph6 for r in records if r.root_hi == 0] == labels
 
 
 def test_float_fast_path_agrees_with_exact(rng):
@@ -544,7 +587,6 @@ def test_isolated_vertices_share_one_certification(monkeypatch):
         calls.append(coeffs)
         return certified_negative_roots(coeffs, tol)
 
-    monkeypatch.setattr(atlas, "_SCAN_CACHE", {})
     monkeypatch.setattr(atlas, "certified_negative_roots", counted)
     g = complete_bipartite(2, 3)
     h = disjoint_union(g, empty_graph(2))

@@ -200,13 +200,23 @@ def test_atlas_over_cap_exit_3(capsys):
         (("atlas", "0", "--mode", "dedup"), 2),
         (("atlas", "6", "--mode", "file"), 2),
         (("atlas", "6", "--mode", "file", "--input", "no-such-corpus.g6"), 2),
+        # a bytes argument is the content of a corpus file, passed by its path;
+        # line 1 is good and line 2 is not
+        (("atlas", "0", "--mode", "file", "--input", b"A_\n\xff\n"), 2),
+        (("atlas", "0", "--mode", "file", "--input", b"A_\nGzz~~\n"), 2),
+        (("atlas", "0", "--mode", "file", "--input", b"A_\n~?@@\n"), 3),  # order 65
     ],
 )
-def test_atlas_bad_input_writes_no_header(capsys, argv, exit_code):
+def test_atlas_bad_input_writes_no_header(capsys, tmp_path, argv, exit_code):
+    corpus = [a for a in argv if isinstance(a, bytes)]
+    if corpus:
+        path = tmp_path / "c.g6"
+        path.write_bytes(corpus[0])
+        argv = [str(path) if isinstance(a, bytes) else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == exit_code
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: line 2: " if corpus else "error: ")
 
 
 def test_atlas_table(capsys):
