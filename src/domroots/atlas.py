@@ -4,12 +4,10 @@ The labeled sweep covers every graph on ``n`` labeled vertices (capped at 7
 by default, ~2 million graphs).  Each graph is a prefix graph on the first
 ``n-1`` vertices plus the neighbourhood of the last one; one subset-sum
 transform per prefix gives the domination polynomials of all ``2^(n-1)``
-extensions, each packed into one int (see :func:`_polynomial_ids`).  Every
-*distinct* polynomial has its real roots certified once, and the CSV writer
-formats each one's enclosures once; ``x^t q`` shares one certification for
-every ``t >= 1``.  Root finding is float-first: the Sturm chain comes
-first, and its first element, the square-free part, is searched, so a
-repeated root is a simple one there.  Floating bisection over monotone
+extensions, each packed into one int (see :func:`_polynomial_ids`).
+Root finding is float-first: the Sturm chain comes first, and its first
+element, the square-free part, is searched, so a repeated root is a
+simple one there.  Floating bisection over monotone
 segments only guesses the locations: exact endpoint signs certify each
 enclosure, and the chain's count of distinct real roots completeness.
 The float search is one function per degree, generated and
@@ -32,23 +30,27 @@ Workers take contiguous prefix ranges and the parent places their
 polynomial ids by edge mask, so parallel output is byte-identical to a
 single worker's.
 
-A graph stream - a corpus file (``--mode file``) or one graph per
-isomorphism class (``--mode dedup``) - has each graph's polynomial from
-inclusion-exclusion; each distinct one has its enclosures certified and
-formatted once per call, again with ``x^t q`` sharing one certification,
-and each row is the graph's canonical graph6 joined to them
-(:class:`_StreamCloud`).
+Every root cloud is one :class:`_Cloud` over a source that gives its graphs'
+graph6 labels, their distinct polynomials and each graph's polynomial
+index: the sweep above, or a graph stream - a corpus file (``--mode file``)
+or one graph per isomorphism class (``--mode dedup``) - read in full, with
+each graph's polynomial from inclusion-exclusion.  One dict per call
+certifies each distinct zero-free part once, so ``x^t q`` shares one
+certification for every ``t >= 1``; the CSV writer keeps each one's
+formatted text, and each row is a graph's label joined to its polynomial's
+rows.  The extremal table keeps one such dict over all its orders.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, frexp, log
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import intpoly
 from .dompoly import dom_poly_inclusion_exclusion
@@ -351,26 +353,6 @@ def _try_float_roots(cof, tol, chain) -> Optional[list]:
 # the labeled sweep
 # ---------------------------------------------------------------------------
 
-_SCAN_CACHE = {}
-
-
-def _root_key(coeffs) -> tuple:
-    """``(q, t >= 1)`` for ``coeffs = x^t q``: ``x^t q`` has the roots of
-    ``q`` and, for every ``t >= 1``, the root 0, so all of them share one
-    certification under this key."""
-    t0 = intpoly.trailing_zeros(coeffs)
-    return coeffs[t0:], t0 > 0
-
-
-def _roots_cached(coeffs, tol) -> list:
-    key = (_root_key(coeffs), tol)
-    got = _SCAN_CACHE.get(key)
-    if got is None:
-        got = certified_negative_roots(coeffs, tol)
-        _SCAN_CACHE[key] = got
-    return got
-
-
 def _slot_table(n: int, digit: int) -> tuple:
     """``(table, B, nb)`` for :func:`_prefix_chunk` at order ``n``: the
     power of two ``B`` above every ``|e|``, the bytes per slot ``nb``, and
@@ -495,7 +477,8 @@ def _polynomial_ids(n: int, workers: int) -> tuple:
 
     Workers take contiguous prefix ranges; the ids they return are mapped
     onto the keys in order of first appearance over the chunks, so the
-    result does not depend on the worker count.
+    result does not depend on the worker count.  The pool is no larger than
+    the CPUs this process may run on or the number of chunks.
     """
     from array import array
 
@@ -503,6 +486,8 @@ def _polynomial_ids(n: int, workers: int) -> tuple:
     prefix_bits = k * (k - 1) // 2
     prefixes = 1 << prefix_bits
     digit = comb(n, n // 2).bit_length()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     if workers <= 1 or prefixes << k < 4096:
         keys, ids = _prefix_chunk((n, digit, 0, prefixes))
     else:
@@ -513,7 +498,7 @@ def _polynomial_ids(n: int, workers: int) -> tuple:
         index = {}
         ids = array("I", [0]) * (prefixes << k)
         ctx = mp.get_context("fork") if sys.platform != "win32" else mp.get_context()
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(len(jobs)) as pool:
             results = pool.imap(_prefix_chunk, jobs)
             for (*_, start, stop), (chunk_keys, local) in zip(jobs, results):
                 remap = [index.setdefault(key, len(index)) for key in chunk_keys]
@@ -527,85 +512,83 @@ def _polynomial_ids(n: int, workers: int) -> tuple:
     return [tuple(key >> digit * j & mask for j in range(n + 1)) for key in keys], ids
 
 
-def _scan(n: int, tol: Fraction, workers: int) -> tuple:
-    """``(roots, ids)``: the certified enclosures of each distinct polynomial
-    of order ``n`` and, per edge mask, the index of its graph's list."""
-    polys, ids = _polynomial_ids(n, workers)
-    return [_roots_cached(c, tol) for c in polys], ids
+# ---------------------------------------------------------------------------
+# root clouds
+# ---------------------------------------------------------------------------
+
+def _labeled_source(n: int, workers: int) -> tuple:
+    return labeled_graph6(n), *_polynomial_ids(n, workers)
 
 
-def _iter_scan_rows(n: int, tol: Fraction, workers: int):
-    """``(graph6, enclosures)`` for every labeled graph of order ``n``, in
-    ascending edge-mask order."""
-    roots, ids = _scan(n, tol, workers)
-    return zip(labeled_graph6(n), map(roots.__getitem__, ids))
+def _stream_source(graphs: Iterable) -> tuple:
+    """``(labels, polynomials, ids)`` of a graph stream, read in full: each
+    graph's canonical graph6, the distinct domination polynomials in order
+    of first appearance, and per graph the index of its polynomial."""
+    from array import array
+
+    labels, index, ids = [], {}, array("I")
+    for g in graphs:
+        labels.append(to_graph6(g))
+        ids.append(index.setdefault(dom_poly_inclusion_exclusion(g).coeffs, len(index)))
+    return labels, list(index), ids
 
 
-def _tails(roots, prefix: str = "") -> tuple:
-    """``("", row_1, row_2, ...)``: ``label.join`` of it is one CSV row per
-    enclosure, ``label{prefix},lo,hi``."""
-    return ("",) + tuple(f"{prefix},{format_fixed(lo)},{format_fixed(hi)}\n"
-                         for lo, hi in roots)
+def _root_key(coeffs) -> tuple:
+    """``(q, t >= 1)`` for ``coeffs = x^t q``: ``x^t q`` has the roots of
+    ``q`` and, for every ``t >= 1``, the root 0, so all of them share one
+    certification under this key."""
+    t0 = intpoly.trailing_zeros(coeffs)
+    return coeffs[t0:], t0 > 0
 
 
-def _write_batched(rows, out) -> None:
-    """Write the strings ``rows`` to ``out``, 4096 to a call."""
-    while batch := list(islice(rows, 4096)):
-        out.write("".join(batch))
+def _roots(coeffs, tol: Fraction, seen: dict, form=list):
+    """``form`` of the certified enclosures of ``coeffs``.  ``seen`` maps
+    each :func:`_root_key` met so far to that value, so one ``seen`` dict
+    certifies each key once."""
+    key = _root_key(coeffs)
+    got = seen.get(key)
+    if got is None:
+        got = seen[key] = form(certified_negative_roots(coeffs, tol))
+    return got
 
 
-@dataclass(frozen=True)
-class _LabeledCloud:
-    """The root cloud of every labeled graph of one order.  Iterating yields
-    :class:`RootCloudRecord` rows; :meth:`write_rows` instead formats each
-    distinct polynomial's enclosures once."""
-
-    n: int
-    tol: Fraction
-    workers: int
-
-    def __iter__(self) -> Iterator[RootCloudRecord]:
-        for g6, roots in _iter_scan_rows(self.n, self.tol, self.workers):
-            for lo, hi in roots:
-                yield RootCloudRecord(g6, self.n, lo, hi)
-
-    def write_rows(self, out) -> None:
-        roots, ids = _scan(self.n, self.tol, self.workers)
-        tails = [_tails(r, f",{self.n}") for r in roots]
-        _write_batched(map(str.join, labeled_graph6(self.n), map(tails.__getitem__, ids)), out)
+def _text(roots) -> tuple:
+    """The ``",lo,hi\\n"`` text of each enclosure of ``roots``."""
+    return tuple(f",{format_fixed(lo)},{format_fixed(hi)}\n" for lo, hi in roots)
 
 
 @dataclass(frozen=True)
-class _StreamCloud:
-    """The root cloud of a graph stream, read once.  Iterating yields
-    :class:`RootCloudRecord` rows; :meth:`write_rows` instead formats each
-    distinct polynomial's enclosures once."""
+class _Cloud:
+    """The root cloud of one source: ``source()`` gives the graph6 labels of
+    its graphs, their distinct domination polynomials and, per graph, the
+    index of its polynomial.  Each call reads the source once and
+    certifies each :func:`_root_key` once; a polynomial's degree is its
+    graph's order."""
 
-    graphs: Iterable
+    source: Callable[[], tuple]
     tol: Fraction
 
-    def _scan(self, form) -> Iterator[tuple]:
-        """``(graph6, n, form(enclosures))`` per graph, in stream order.  One
-        dict per scan holds each :func:`_root_key`'s certification, passed
-        through ``form``."""
+    def rows(self) -> Iterator[tuple]:
+        """``(graph6, n, enclosures)`` per graph, in source order."""
+        labels, polys, ids = self.source()
         seen = {}
-        for g in self.graphs:
-            coeffs = dom_poly_inclusion_exclusion(g).coeffs
-            key = _root_key(coeffs)
-            got = seen.get(key)
-            if got is None:
-                got = seen[key] = form(certified_negative_roots(coeffs, self.tol))
-            yield to_graph6(g), g.n, got
+        parts = [(len(c) - 1, _roots(c, self.tol, seen)) for c in polys]
+        for g6, (n, roots) in zip(labels, map(parts.__getitem__, ids)):
+            yield g6, n, roots
 
     def __iter__(self) -> Iterator[RootCloudRecord]:
-        for g6, n, roots in self._scan(list):
+        for g6, n, roots in self.rows():
             for lo, hi in roots:
                 yield RootCloudRecord(g6, n, lo, hi)
 
-    def write_rows(self, out) -> None:
-        # the order goes into the label, as it varies from graph to graph
-        rows = (f"{g6},{n}".join(tails) for g6, n, tails in self._scan(_tails))
-        _write_batched(rows, out)
+    def csv_rows(self) -> Iterator[str]:
+        """One string per graph, its CSV rows.  The source is read, and each
+        distinct polynomial's rows formatted, when this is called."""
+        labels, polys, ids = self.source()
+        seen = {}
+        tails = [("",) + tuple(f",{len(c) - 1}{t}" for t in _roots(c, self.tol, seen, _text))
+                 for c in polys]
+        return map(str.join, labels, map(tails.__getitem__, ids))
 
 
 def root_cloud(
@@ -616,11 +599,13 @@ def root_cloud(
 ) -> Iterable[RootCloudRecord]:
     """Certified real-root enclosures for every labeled graph of order ``n``.
 
-    Rows come in enumeration order with roots ascending per graph.  The
-    order and cap are checked when this is called, before the first row.
+    Rows come in edge-mask order with roots ascending per graph.  The order
+    and cap are checked when this is called, before the first row; the
+    sweep (:func:`_polynomial_ids`) runs each time the cloud is iterated or
+    written.
     """
     _check_order(n, labeled_cap)
-    return _LabeledCloud(n, tol, workers)
+    return _Cloud(functools.partial(_labeled_source, n, workers), tol)
 
 
 def root_cloud_from_graphs(
@@ -630,10 +615,10 @@ def root_cloud_from_graphs(
     a corpus file (:func:`graph.read_graph6_file`).
 
     Rows come in stream order with roots ascending per graph, each labelled
-    with its graph's canonical graph6.  The stream is read once, by
-    iterating or by :func:`write_root_cloud_csv`.
+    with its graph's canonical graph6.  The stream is read once, in full,
+    by iterating or by :func:`write_root_cloud_csv`, before the first row.
     """
-    return _StreamCloud(graphs, tol)
+    return _Cloud(functools.partial(_stream_source, graphs), tol)
 
 
 _N2_NOTE = (
@@ -660,8 +645,10 @@ def smallest_root_table(
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     records = []
+    seen = {}  # one certification per _root_key over every order
     for n in range(1, min(n_max, labeled_cap) + 1):
-        roots, ids = _scan(n, tol, workers)
+        polys, ids = _polynomial_ids(n, workers)
+        roots = [_roots(c, tol, seen) for c in polys]
         best = min(r[0] for r in roots)  # every list holds at least the root 0
         first = min(ids.index(i) for i, r in enumerate(roots) if r[0] == best)
         best_g6 = mask_to_graph6(first, n)
@@ -696,19 +683,22 @@ def growth_check(n_max: int, tol: Fraction = DEFAULT_TOL) -> list:
 # ---------------------------------------------------------------------------
 
 def write_root_cloud_csv(records: Iterable, out) -> None:
-    """``graph6,n,root_lo,root_hi`` with 12-digit fixed-point rationals.
+    """``graph6,n,root_lo,root_hi`` with 12-digit fixed-point rationals,
+    written 4096 rows to a call.
 
-    A cloud of :func:`root_cloud` or :func:`root_cloud_from_graphs` writes
-    its own rows, formatting each distinct polynomial's enclosures once and
-    joining every graph's label to them; any other iterable of
-    :class:`RootCloudRecord` is formatted record by record."""
+    A cloud of :func:`root_cloud` or :func:`root_cloud_from_graphs` reads
+    its whole source before the header, so a bad input line writes nothing,
+    and formats each distinct polynomial's rows once, joining every graph's
+    label to them; any other iterable of :class:`RootCloudRecord` is
+    formatted record by record."""
+    if isinstance(records, _Cloud):
+        rows = records.csv_rows()
+    else:
+        rows = (f"{r.graph6},{r.n},{format_fixed(r.root_lo)},{format_fixed(r.root_hi)}\n"
+                for r in records)
     out.write("graph6,n,root_lo,root_hi\n")
-    write_rows = getattr(records, "write_rows", None)
-    if write_rows is not None:
-        write_rows(out)
-        return
-    for r in records:
-        out.write(f"{r.graph6},{r.n},{format_fixed(r.root_lo)},{format_fixed(r.root_hi)}\n")
+    while batch := list(islice(rows, 4096)):
+        out.write("".join(batch))
 
 
 def write_table_csv(records: Iterable, out) -> None:

@@ -9,7 +9,8 @@ exhaustion, 4 internal invariant violation, and 141 (what a shell reports
 for a process that SIGPIPE ended) when the reader of stdout closes it
 early, as ``| head`` does; that exit prints nothing.  Results go to stdout,
 diagnostics to stderr.  ``--workers N`` sets the worker processes of the
-labeled sweeps and the extremal table.
+labeled sweeps and the extremal table, at most one per CPU this process
+may run on; the output does not depend on it.
 
 ``poly``, ``roots`` and ``compose`` read one graph, ``--graph6`` or a
 ``--family`` of the mini-language (``star:3``, ``kbip:2,3``).  Above order
@@ -163,8 +164,9 @@ def _cmd_atlas(args, out) -> int:
     if args.growth:
         atlas.write_growth_csv(atlas.growth_check(args.n, args.tol), out)
         return EXIT_OK
-    # every input check runs before the CSV header is written: a corpus file
-    # is decoded in full, and the dedup order is checked
+    # every input check runs before the CSV header is written: the dedup
+    # order is checked here, and the writer reads a corpus file in full
+    # before its header
     if args.mode == "file":
         if not args.input or not os.path.isfile(args.input):
             raise DomainError(f"--mode file needs an existing --input file, got {args.input!r}")

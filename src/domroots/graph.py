@@ -388,19 +388,18 @@ def labeled_graph6(n: int) -> Iterator[str]:
 _ASCII_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
-def read_graph6_file(path) -> list:
-    """Every graph of a one-graph-per-line graph6 corpus file, all decoded
-    before the list is returned.  Blank lines are skipped.  Each byte is one
-    character (Latin-1), so a non-ASCII byte fails the decoder's range
-    check, and every error starts with the 1-based number of its line."""
-    graphs = []
+def read_graph6_file(path) -> Iterator[Graph]:
+    """Every graph of a one-graph-per-line graph6 corpus file, decoded as the
+    file is read.  Blank lines are skipped.  Each byte is one character
+    (Latin-1), so a non-ASCII byte fails the decoder's range check, and
+    every error starts with the 1-based number of its line."""
     with open(path, encoding="latin-1") as fh:
         for number, line in enumerate(fh, 1):
             text = line.strip(_ASCII_SPACE)
             if text:
                 try:
-                    graphs.append(from_graph6(text))
+                    g = from_graph6(text)
                 except (Graph6ParseError, CapacityError) as exc:
                     exc.args = (f"line {number}: {exc}",)  # what str(exc) prints
                     raise
-    return graphs
+                yield g

@@ -138,7 +138,8 @@ def _sweep_orders_1_to_7():
         best = None
         best_g6 = None
         count = 0
-        for g6, roots in atlas._iter_scan_rows(n, DEFAULT_TOL, WORKERS):
+        for g6, order, roots in atlas.root_cloud(n, DEFAULT_TOL, WORKERS).rows():
+            assert order == n, g6
             count += 1
             for lo, hi in roots:
                 assert hi <= 0, (g6, lo, hi)

@@ -107,14 +107,49 @@ def test_root_cloud_cap():
         next(root_cloud(8))
 
 
-def test_parallel_output_identical():
+def test_parallel_output_identical(monkeypatch):
     # order 6 (32,768 graphs) is above the serial cutoff, so two workers
-    # each take half of the prefixes and the parent merges their ids
+    # each take half of the prefixes and the parent merges their ids; two
+    # CPUs are pretended, as the pool has at most one worker per CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = io.StringIO()
     parallel = io.StringIO()
     atlas.write_root_cloud_csv(root_cloud(6, workers=1), serial)
     atlas.write_root_cloud_csv(root_cloud(6, workers=2), parallel)
     assert serial.getvalue() == parallel.getvalue()
+
+
+class _FakePool:
+    """Stands in for a process pool: records its size and maps in-process."""
+
+    def __init__(self, sizes, size):
+        sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, workers, pool", [
+    (4, 100_000, 4),  # a typo's worker count: one worker per CPU
+    (4, 3, 3),
+    (10 ** 6, 100_000, 1024),  # one worker per chunk: order 6 has 1024 prefixes
+    (1, 100_000, None),  # one CPU runs serially
+])
+def test_worker_pool_is_capped(monkeypatch, cpus, workers, pool):
+    import multiprocessing
+
+    sizes = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda *a: mock.Mock(Pool=lambda size: _FakePool(sizes, size)))
+    assert atlas._polynomial_ids(6, workers) == atlas._polynomial_ids(6, 1)
+    assert sizes == ([pool] if pool else [])
 
 
 def test_csv_of_the_sweep_matches_its_records():
@@ -579,23 +614,55 @@ def test_wrong_float_guesses_still_give_the_exact_roots(case):
     _overlap_root_for_root(got[:-1], want[:-1])
 
 
-def test_isolated_vertices_share_one_certification(monkeypatch):
-    # D(G + 2K_1) = x^2 D(G): the same roots, 0 included, from one certification
-    calls = []
+def _counted_certifications(monkeypatch) -> list:
+    """The root keys of every later ``certified_negative_roots`` call that
+    the atlas makes."""
+    keys = []
 
     def counted(coeffs, tol):
-        calls.append(coeffs)
+        keys.append(atlas._root_key(tuple(coeffs)))
         return certified_negative_roots(coeffs, tol)
 
     monkeypatch.setattr(atlas, "certified_negative_roots", counted)
+    return keys
+
+
+def test_isolated_vertices_share_one_certification(monkeypatch):
+    # D(G + 2K_1) = x^2 D(G): the same roots, 0 included, from one certification
+    keys = _counted_certifications(monkeypatch)
     g = complete_bipartite(2, 3)
     h = disjoint_union(g, empty_graph(2))
     rows = list(root_cloud_from_graphs([g, h]))
-    assert len(calls) == 1
+    assert len(keys) == 1
     ours = [(r.root_lo, r.root_hi) for r in rows if r.n == g.n]
     theirs = [(r.root_lo, r.root_hi) for r in rows if r.n == h.n]
     assert ours[-1] == (0, 0) and len(ours) >= 2 and ours == theirs
     assert theirs == certified_negative_roots(dom_poly_inclusion_exclusion(h).coeffs)
+    # the labeled sweep, written and iterated: each key once per call
+    polys = atlas._polynomial_ids(5, 1)[0]
+    for use in (lambda c: atlas.write_root_cloud_csv(c, io.StringIO()), list):
+        keys.clear()
+        use(root_cloud(5))
+        assert sorted(keys) == sorted({atlas._root_key(c) for c in polys})
+    # the extremal table keeps one dict over its orders, where D(G + K_1) =
+    # x D(G) shares a key across orders: each key once
+    keys.clear()
+    smallest_root_table(5)
+    every = {atlas._root_key(c) for n in range(1, 6) for c in atlas._polynomial_ids(n, 1)[0]}
+    assert sorted(keys) == sorted(every)
+    assert len(keys) < sum(len(atlas._polynomial_ids(n, 1)[0]) for n in range(1, 6))
+
+
+def test_no_certification_is_kept_between_calls(monkeypatch):
+    # each call has its own dict, so a second call certifies again
+    keys = _counted_certifications(monkeypatch)
+    first = io.StringIO()
+    atlas.write_root_cloud_csv(root_cloud(5), first)
+    once = len(keys)
+    second = io.StringIO()
+    atlas.write_root_cloud_csv(root_cloud(5), second)
+    assert once > 0 and len(keys) == 2 * once
+    assert first.getvalue() == second.getvalue()
 
 
 def test_certified_roots_reject_zero_poly():

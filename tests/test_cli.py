@@ -201,22 +201,27 @@ def test_atlas_over_cap_exit_3(capsys):
         (("atlas", "6", "--mode", "file"), 2),
         (("atlas", "6", "--mode", "file", "--input", "no-such-corpus.g6"), 2),
         # a bytes argument is the content of a corpus file, passed by its path;
-        # line 1 is good and line 2 is not
+        # its last line is bad and every other line is good
         (("atlas", "0", "--mode", "file", "--input", b"A_\n\xff\n"), 2),
         (("atlas", "0", "--mode", "file", "--input", b"A_\nGzz~~\n"), 2),
         (("atlas", "0", "--mode", "file", "--input", b"A_\n~?@@\n"), 3),  # order 65
+        # the bad line comes after more good rows than one write batch holds
+        (("atlas", "0", "--mode", "file", "--input", b"A_\n" * 5000 + b"\xff\n"), 2),
     ],
 )
 def test_atlas_bad_input_writes_no_header(capsys, tmp_path, argv, exit_code):
     corpus = [a for a in argv if isinstance(a, bytes)]
+    want = "error: "
     if corpus:
         path = tmp_path / "c.g6"
         path.write_bytes(corpus[0])
         argv = [str(path) if isinstance(a, bytes) else a for a in argv]
+        lines = corpus[0].count(b"\n")
+        want += f"line {lines}: "
     code, out, err = run(capsys, *argv)
     assert code == exit_code
     assert out == ""
-    assert err.startswith("error: line 2: " if corpus else "error: ")
+    assert err.startswith(want)
 
 
 def test_atlas_table(capsys):
